@@ -17,8 +17,8 @@ import numpy as np
 from .criterion import (
     functional_equation_residuals,
     commutator_cross_check,
-    periodicity_probe_with_error,
-    phi_with_error,
+    periodicity_probe,
+    phi,
 )
 from .fock_space import kernel_eval
 from .mellin import mellin_monomial_closed_form, mellin_weighted
@@ -244,15 +244,13 @@ def check_07_constant_symbol_degeneracy() -> CheckResult:
     for s in S_VALUES:
         for j in range(1, 5):
             for k in range(0, 21):
-                value, err = phi_with_error(j, k, s, u_one, QUAD)
+                value, err = phi(j, k, s, u_one, QUAD)
                 bar = multiplier * err
                 worst_ratio = max(worst_ratio, abs(value) / bar if bar > 0 else math.inf)
     probe_ratio = 0.0
     for s in S_VALUES:
         for j in (1, 2):
-            diff, err = periodicity_probe_with_error(
-                u_one, s, j, [0.0, 0.5, 1.0, 1.5, 2.0], QUAD
-            )
+            diff, err = periodicity_probe(u_one, s, j, [0.0, 0.5, 1.0, 1.5, 2.0], QUAD)
             bar = multiplier * err
             probe_ratio = max(probe_ratio, diff / bar if bar > 0 else math.inf)
     passed = worst_ratio <= 1.0 and probe_ratio <= 1.0

@@ -3,10 +3,12 @@
 Subcommands: matrix, commutator, criterion, decompose, selftest.  Each run
 is driven by a YAML experiment file (see config.py); outputs are JSON and
 CSV documents with stable key order and shortest-round-trip floats, so
-identical configs produce byte-identical reports.  FOCK_TOEPLITZ_THREADS
-caps the parallelism of sweeps over the order values.
+identical configs produce byte-identical reports.  Every order value of a
+sweep is computed before the first file is written, so a failing run leaves
+no partial output.
 
-Exit codes: 0 success, 1 runtime/accuracy failure, 2 configuration error.
+Exit codes: 0 success, 1 runtime/accuracy failure, 2 configuration error or
+violated precondition.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,23 +35,6 @@ from .operators import commutator, matrix_to_csv, matrix_to_json, toeplitz_matri
 from .symbols import decompose, polar_l2_norm, sample_polar
 
 __all__ = ["main"]
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FOCK_TOEPLITZ_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    cap = min(_thread_cap(), len(items))
-    if cap <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def _s_tag(s: float) -> str:
@@ -92,20 +75,18 @@ def cmd_matrix(args) -> int:
     if not symbols:
         raise ConfigurationError("field 'u': matrix command needs at least one symbol (u or v)")
 
-    def run(s):
-        return [
-            (name, sym, toeplitz_matrix(sym, s, config.N, config.quad, label=sym.name))
-            for name, sym in symbols
-        ]
-
-    for s, results in zip(config.s_values, _map_ordered(run, config.s_values)):
-        for name, sym, op in results:
-            _emit_matrix(op, f"matrix_{name}_s{_s_tag(s)}", config, args.quiet)
-            if not args.quiet:
-                print(
-                    f"{name}={sym.name} s={s:g}: N={op.size} band={op.exact_band} "
-                    f"window={op.exactness_window}"
-                )
+    ops = [
+        (s, name, sym, toeplitz_matrix(sym, s, config.N, config.quad, label=sym.name))
+        for s in config.s_values
+        for name, sym in symbols
+    ]
+    for s, name, sym, op in ops:
+        _emit_matrix(op, f"matrix_{name}_s{_s_tag(s)}", config, args.quiet)
+        if not args.quiet:
+            print(
+                f"{name}={sym.name} s={s:g}: N={op.size} band={op.exact_band} "
+                f"window={op.exactness_window}"
+            )
     return 0
 
 
@@ -114,13 +95,15 @@ def cmd_commutator(args) -> int:
     if config.u is None or config.v is None:
         raise ConfigurationError("field 'u'/'v': commutator command needs both symbols")
 
-    def run(s):
-        op_u = toeplitz_matrix(config.u, s, config.N, config.quad)
-        op_v = toeplitz_matrix(config.v, s, config.N, config.quad)
-        return commutator(op_u, op_v)
-
+    comms = [
+        commutator(
+            toeplitz_matrix(config.u, s, config.N, config.quad),
+            toeplitz_matrix(config.v, s, config.N, config.quad),
+        )
+        for s in config.s_values
+    ]
     rows = []
-    for s, comm in zip(config.s_values, _map_ordered(run, config.s_values)):
+    for s, comm in zip(config.s_values, comms):
         window = comm.exactness_window
         residual = window_max_abs(comm, window) if window >= 0 else math.nan
         w = window + 1
@@ -170,8 +153,8 @@ def cmd_criterion(args) -> int:
         )
     u_profile = config.u.mode(0)
 
-    def run(s):
-        return functional_equation_residuals(
+    reports = [
+        functional_equation_residuals(
             u_profile,
             config.v,
             s,
@@ -181,8 +164,9 @@ def cmd_criterion(args) -> int:
             assert_commutation=config.assert_commutation,
             verdict_multiplier=config.verdict_multiplier,
         )
-
-    for s, report in zip(config.s_values, _map_ordered(run, config.s_values)):
+        for s in config.s_values
+    ]
+    for s, report in zip(config.s_values, reports):
         if config.want("json"):
             _write(config.out_dir / f"criterion_s{_s_tag(s)}.json", report.to_json(), args.quiet)
         if config.want("csv"):

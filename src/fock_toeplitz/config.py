@@ -9,7 +9,7 @@ sample files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ class ExperimentConfig:
     out_dir: Path
     formats: tuple[str, ...]
     drop_floor: float = 1e-12
-    raw: dict = field(default_factory=dict)
 
     def want(self, fmt: str) -> bool:
         return fmt in self.formats
@@ -236,5 +235,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
         out_dir=out_dir,
         formats=tuple(formats),
         drop_floor=drop_floor,
-        raw=document,
     )

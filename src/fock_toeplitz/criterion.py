@@ -32,15 +32,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .fock_space import SobolevOrder, order_value
 from .mellin import mellin_weighted_cached
-from .operators import commutator, toeplitz_matrix, window_max_abs
+from .operators import TruncatedOperator, commutator, toeplitz_matrix, window_max_abs
 from .special_functions import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
@@ -51,30 +51,33 @@ from .symbols import RadialProfile, SymbolSpec
 
 __all__ = [
     "Verdict",
+    "Cell",
     "CriterionReport",
     "MomentProbe",
     "phi",
-    "phi_with_error",
     "psi",
-    "psi_with_error",
     "functional_equation_residuals",
     "commutator_cross_check",
     "moment_vanishing_probe",
     "periodicity_probe",
-    "periodicity_probe_with_error",
 ]
 
 DEFAULT_VERDICT_MULTIPLIER = 3.0
 
 
-def phi_with_error(
+def phi(
     j: int,
     k: int,
     s: "float | SobolevOrder",
     u: RadialProfile,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[complex, float]:
-    """Phi_j(k+s) together with its propagated absolute error estimate."""
+    """First factor of the functional equation at z = k + s, with its
+    propagated absolute error estimate.
+
+    Identically zero for j = 0 and for constant u; satisfies the index
+    symmetry Phi_j(k) = -Phi_{-j}(k+j).
+    """
     if int(k) != k or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     if int(j) != j or j + k < 0:
@@ -92,43 +95,45 @@ def phi_with_error(
     return value, estimate
 
 
-def phi(
-    j: int,
-    k: int,
-    s: "float | SobolevOrder",
-    u: RadialProfile,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> complex:
-    """First factor of the functional equation at z = k + s.
-
-    Identically zero for j = 0 and for constant u; satisfies the index
-    symmetry Phi_j(k) = -Phi_{-j}(k+j).
-    """
-    return phi_with_error(j, k, s, u, quad)[0]
-
-
-def psi_with_error(
-    j: int,
-    k: int,
-    s: "float | SobolevOrder",
-    v_j: RadialProfile,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[complex, float]:
-    """Psi_j(k+s) together with its propagated absolute error estimate."""
-    sv = order_value(s)
-    transform = mellin_weighted_cached(v_j, sv, float(2 * k + int(j) + 2), quad)
-    return transform.value, transform.abs_error_estimate
-
-
 def psi(
     j: int,
     k: int,
     s: "float | SobolevOrder",
     v_j: RadialProfile,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> complex:
-    """Second factor of the functional equation: M[v_j G_s](j + 2k + 2)."""
-    return psi_with_error(j, k, s, v_j, quad)[0]
+) -> tuple[complex, float]:
+    """Second factor of the functional equation, M[v_j G_s](j + 2k + 2),
+    with its propagated absolute error estimate."""
+    sv = order_value(s)
+    transform = mellin_weighted_cached(v_j, sv, float(2 * k + int(j) + 2), quad)
+    return transform.value, transform.abs_error_estimate
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One functional-equation cell (j, k).
+
+    ``matrix_residual`` is the relative discrepancy between the commutator
+    entry C[k+j, k] and the closed criterion expression (zero when both
+    sit below the propagated error floor, and for j = 0).
+    """
+
+    j: int
+    k: int
+    phi: complex
+    phi_err: float
+    psi: complex
+    psi_err: float
+    matrix_residual: float
+
+    @property
+    def product(self) -> complex:
+        return self.phi * self.psi
+
+    @property
+    def product_err(self) -> float:
+        a, a_err, b, b_err = self.phi, self.phi_err, self.psi, self.psi_err
+        return abs(a) * b_err + abs(b) * a_err + a_err * b_err
 
 
 @dataclass(frozen=True)
@@ -154,68 +159,43 @@ class Verdict:
 
 @dataclass
 class CriterionReport:
-    """Per-(j, k) functional-equation cells plus the radiality verdict.
-
-    ``products[(j, k)]`` is stored exactly as ``phi[(j, k)] * psi[(j, k)]``.
-    ``matrix_residuals`` holds the relative discrepancy between the
-    commutator matrix entry and the closed criterion expression wherever the
-    exactness window allows the comparison.  ``cell_notes`` annotates cells
-    whose quadrature failed instead of aborting the run.
-    """
+    """Per-(j, k) functional-equation cells plus the radiality verdict."""
 
     s: float
     k_max: int
     j_modes: tuple[int, ...]
-    phi: dict = field(default_factory=dict)
-    phi_err: dict = field(default_factory=dict)
-    psi: dict = field(default_factory=dict)
-    psi_err: dict = field(default_factory=dict)
-    products: dict = field(default_factory=dict)
-    product_err: dict = field(default_factory=dict)
-    matrix_residuals: dict = field(default_factory=dict)
-    cell_notes: dict = field(default_factory=dict)
-    verdict: Verdict = field(default_factory=lambda: Verdict("inconclusive", reason="empty"))
-    commutation_asserted: bool = True
-    matrix_window_residual: float | None = None
-    verdict_multiplier: float = DEFAULT_VERDICT_MULTIPLIER
-    truncation_size: int | None = None
-    quad_abs_tol: float | None = None
-    quad_rel_tol: float | None = None
+    cells: dict[tuple[int, int], Cell]
+    verdict: Verdict
+    commutation_asserted: bool
+    matrix_window_residual: float
+    verdict_multiplier: float
+    truncation_size: int
+    quad_abs_tol: float
+    quad_rel_tol: float
 
-    @property
-    def k_range(self) -> tuple[int, int]:
-        return (0, self.k_max)
+    def _sorted_cells(self) -> list[Cell]:
+        return [self.cells[key] for key in sorted(self.cells)]
 
-    @property
-    def j_range(self) -> tuple[int, int]:
-        if not self.j_modes:
-            return (0, 0)
-        return (min(self.j_modes), max(self.j_modes))
-
-    def cells(self) -> list[tuple[int, int]]:
-        return sorted(self.phi.keys())
-
-    def to_json_dict(self) -> dict:
-        cells = []
-        for (j, k) in self.cells():
-            product = self.products[(j, k)]
-            cell = {
-                "j": j,
-                "k": k,
-                "phi": {"re": self.phi[(j, k)].real, "im": self.phi[(j, k)].imag},
-                "phi_err": self.phi_err[(j, k)],
-                "psi": {"re": self.psi[(j, k)].real, "im": self.psi[(j, k)].imag},
-                "psi_err": self.psi_err[(j, k)],
-                "product": {"re": product.real, "im": product.imag},
-                "product_err": self.product_err[(j, k)],
-                "matrix_residual": self.matrix_residuals.get((j, k)),
-                "note": self.cell_notes.get((j, k)),
+    def to_json(self) -> str:
+        cells = [
+            {
+                "j": cell.j,
+                "k": cell.k,
+                "phi": {"re": cell.phi.real, "im": cell.phi.imag},
+                "phi_err": cell.phi_err,
+                "psi": {"re": cell.psi.real, "im": cell.psi.imag},
+                "psi_err": cell.psi_err,
+                "product": {"re": cell.product.real, "im": cell.product.imag},
+                "product_err": cell.product_err,
+                "matrix_residual": cell.matrix_residual,
+                "note": None,
             }
-            cells.append(cell)
-        return {
+            for cell in self._sorted_cells()
+        ]
+        payload = {
             "s": self.s,
-            "k_range": list(self.k_range),
-            "j_range": list(self.j_range),
+            "k_range": [0, self.k_max],
+            "j_range": [min(self.j_modes), max(self.j_modes)] if self.j_modes else [0, 0],
             "j_modes": list(self.j_modes),
             "verdict": {
                 "kind": self.verdict.kind,
@@ -232,25 +212,68 @@ class CriterionReport:
             "truncation_size": self.truncation_size,
             "cells": cells,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         lines = ["s,j,k,abs_phi,abs_psi,abs_product,matrix_discrepancy"]
-        for (j, k) in self.cells():
-            residual = self.matrix_residuals.get((j, k))
-            residual_text = "" if residual is None else repr(residual)
+        for cell in self._sorted_cells():
             lines.append(
-                f"{self.s!r},{j},{k},{abs(self.phi[(j, k)])!r},"
-                f"{abs(self.psi[(j, k)])!r},{abs(self.products[(j, k)])!r},"
-                f"{residual_text}"
+                f"{self.s!r},{cell.j},{cell.k},{abs(cell.phi)!r},"
+                f"{abs(cell.psi)!r},{abs(cell.product)!r},{cell.matrix_residual!r}"
             )
         return "\n".join(lines) + "\n"
 
 
-def _radial_wrapper(u: RadialProfile, name: str = "u") -> SymbolSpec:
-    return SymbolSpec.from_modes({0: u}, name=name)
+def _require_window(N: int, k_max: int, band: int) -> None:
+    """Cell (j, k) is checked against C[k+j, k], which lies in the exactness
+    window of the commutator only when N >= k_max + 2 max|j| + 1."""
+    if N < k_max + 2 * band + 1:
+        raise PreconditionError(
+            f"N = {N} is too small for k_max = {k_max} and max|j| = {band}: the "
+            f"commutator cross-check needs N >= k_max + 2*max|j| + 1 = {k_max + 2 * band + 1}"
+        )
+
+
+def _cell(
+    j: int,
+    k: int,
+    s: float,
+    u: RadialProfile,
+    v_j: RadialProfile,
+    comm: TruncatedOperator,
+    quad: QuadratureSpec,
+) -> Cell:
+    """Phi, Psi and the commutator cross-check of cell (j, k).
+
+    The matrix side is C[k+j, k]; the closed side is
+    -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
+    """
+    cell = Cell(j, k, *phi(j, k, s, u, quad), *psi(j, k, s, v_j, quad), matrix_residual=0.0)
+    if j == 0:
+        return cell
+    scale = (2.0 * math.pi) ** 2 * math.exp(
+        -0.5 * (log_gamma(s + k + 1.0) + log_gamma(s + k + j + 1.0))
+    )
+    formula = -scale * cell.phi * cell.psi
+    matrix_entry = complex(comm.entries[k + j, k])
+    denominator = max(abs(formula), abs(matrix_entry))
+    if denominator <= 3.0 * (scale * cell.product_err + comm.entry_error) + 1e-300:
+        return cell
+    return replace(cell, matrix_residual=abs(matrix_entry - formula) / denominator)
+
+
+def _cells(
+    u: RadialProfile, v: SymbolSpec, s: float, N: int, k_max: int, quad: QuadratureSpec
+) -> tuple[dict[tuple[int, int], Cell], TruncatedOperator]:
+    """Build T_u, T_v and their commutator once, then every cell with k <= k_max."""
+    op_u = toeplitz_matrix(SymbolSpec.from_modes({0: u}, name="u"), s, N, quad)
+    comm = commutator(op_u, toeplitz_matrix(v, s, N, quad))
+    cells = {
+        (j, k): _cell(j, k, s, u, profile, comm, quad)
+        for j, profile in v.mode_items
+        for k in range(max(0, -j), k_max + 1)
+    }
+    return cells, comm
 
 
 def commutator_cross_check(
@@ -264,49 +287,18 @@ def commutator_cross_check(
 ) -> dict:
     """Relative discrepancy between commutator entries and the criterion form.
 
-    For every nonradial mode j of v and every k inside the exactness window,
-    compares C[k+j, k] against
+    For every mode j of v and every k <= k_max (default: the whole exactness
+    window), compares C[k+j, k] against
     -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
-    Cells where both sides sit below the propagated error floor count as
-    discrepancy zero.
+    Cells where both sides sit below the propagated error floor, and the
+    j = 0 cells, count as discrepancy zero.
     """
-    sv = order_value(s)
     band = v.max_mode
-    k_cap = N - 2 * band - 1
-    if k_cap < 0:
-        raise PreconditionError(
-            f"N = {N} leaves no exactness window for modes up to |j| = {band}"
-        )
-    if k_max is not None:
-        if k_max + band >= N - band:
-            raise PreconditionError(
-                f"k_max = {k_max} violates the window: need k_max + {band} < {N - band}"
-            )
-        k_cap = min(k_cap, int(k_max))
-    op_u = toeplitz_matrix(_radial_wrapper(u), sv, N, quad)
-    op_v = toeplitz_matrix(v, sv, N, quad)
-    comm = commutator(op_u, op_v)
-    out: dict = {}
-    for j, profile in v.mode_items:
-        for k in range(max(0, -j), k_cap + 1):
-            if j == 0:
-                out[(j, k)] = 0.0
-                continue
-            phi_val, phi_e = phi_with_error(j, k, sv, u, quad)
-            psi_val, psi_e = psi_with_error(j, k, sv, profile, quad)
-            scale = (2.0 * math.pi) ** 2 * math.exp(
-                -0.5 * (log_gamma(sv + k + 1.0) + log_gamma(sv + k + j + 1.0))
-            )
-            formula = -scale * phi_val * psi_val
-            formula_err = scale * (abs(phi_val) * psi_e + abs(psi_val) * phi_e + phi_e * psi_e)
-            matrix_entry = complex(comm.entries[k + j, k])
-            denominator = max(abs(formula), abs(matrix_entry))
-            floor = 3.0 * (formula_err + comm.entry_error) + 1e-300
-            if denominator <= floor:
-                out[(j, k)] = 0.0
-            else:
-                out[(j, k)] = abs(matrix_entry - formula) / denominator
-    return out
+    if k_max is None:
+        k_max = max(N - 2 * band - 1, 0)
+    _require_window(N, k_max, band)
+    cells, _ = _cells(u, v, order_value(s), N, int(k_max), quad)
+    return {key: cell.matrix_residual for key, cell in cells.items()}
 
 
 def functional_equation_residuals(
@@ -321,6 +313,9 @@ def functional_equation_residuals(
     verdict_multiplier: float = DEFAULT_VERDICT_MULTIPLIER,
 ) -> CriterionReport:
     """Evaluate all functional-equation cells and issue the verdict.
+
+    Every cell is cross-checked against the commutator matrix, so N must
+    satisfy N >= k_max + 2 max|j| + 1 (default: one more than that).
 
     The commutation hypothesis is in force when asserted by the caller
     (default) or when the measured commutator window residual is below the
@@ -337,100 +332,64 @@ def functional_equation_residuals(
     if int(k_max) != k_max or k_max < 1:
         raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
     k_max = int(k_max)
-    band = v.max_mode
     if N is None:
-        N = k_max + 2 * band + 2
-    report = CriterionReport(
+        N = k_max + 2 * v.max_mode + 2
+    _require_window(N, k_max, v.max_mode)
+    cells, comm = _cells(u, v, sv, N, k_max, quad)
+    window_residual = window_max_abs(comm, comm.exactness_window)
+    floor = max(verdict_multiplier * comm.entry_error, 1e-10)
+    in_force = assert_commutation or window_residual <= floor
+    return CriterionReport(
         s=sv,
         k_max=k_max,
         j_modes=v.mode_indices,
+        cells=cells,
+        verdict=_decide(cells, v.mode_indices, window_residual, in_force, verdict_multiplier),
         commutation_asserted=bool(assert_commutation),
+        matrix_window_residual=window_residual,
         verdict_multiplier=float(verdict_multiplier),
         truncation_size=int(N),
         quad_abs_tol=quad.abs_tol,
         quad_rel_tol=quad.rel_tol,
     )
 
-    for j, profile in v.mode_items:
-        for k in range(max(0, -j), k_max + 1):
-            try:
-                phi_val, phi_e = phi_with_error(j, k, sv, u, quad)
-                psi_val, psi_e = psi_with_error(j, k, sv, profile, quad)
-            except AccuracyError as exc:
-                report.phi[(j, k)] = complex("nan")
-                report.phi_err[(j, k)] = math.inf
-                report.psi[(j, k)] = complex("nan")
-                report.psi_err[(j, k)] = math.inf
-                report.products[(j, k)] = complex("nan")
-                report.product_err[(j, k)] = math.inf
-                report.cell_notes[(j, k)] = f"accuracy: {exc}"
-                continue
-            report.phi[(j, k)] = phi_val
-            report.phi_err[(j, k)] = phi_e
-            report.psi[(j, k)] = psi_val
-            report.psi_err[(j, k)] = psi_e
-            report.products[(j, k)] = phi_val * psi_val
-            report.product_err[(j, k)] = (
-                abs(phi_val) * psi_e + abs(psi_val) * phi_e + phi_e * psi_e
-            )
 
-    try:
-        report.matrix_residuals = commutator_cross_check(u, v, sv, N, quad, k_max=k_max)
-    except PreconditionError:
-        report.matrix_residuals = {}
-
-    op_u = toeplitz_matrix(_radial_wrapper(u), sv, N, quad)
-    op_v = toeplitz_matrix(v, sv, N, quad)
-    comm = commutator(op_u, op_v)
-    window = comm.exactness_window
-    if window >= 0:
-        report.matrix_window_residual = window_max_abs(comm, window)
-    residual_floor = max(verdict_multiplier * comm.entry_error, 1e-10)
-    commutation_observed = (
-        report.matrix_window_residual is not None
-        and report.matrix_window_residual <= residual_floor
-    )
-
-    report.verdict = _decide(
-        report, assert_commutation or commutation_observed, verdict_multiplier
-    )
-    return report
-
-
-def _decide(report: CriterionReport, hypothesis_in_force: bool, multiplier: float) -> Verdict:
-    nonzero_modes = [j for j in report.j_modes if j != 0]
-    if not nonzero_modes:
+def _decide(
+    cells: dict[tuple[int, int], Cell],
+    j_modes: tuple[int, ...],
+    window_residual: float,
+    hypothesis_in_force: bool,
+    multiplier: float,
+) -> Verdict:
+    if all(j == 0 for j in j_modes):
         return Verdict("consistent_radial")
 
-    def exceeds(j: int, values: dict, errors: dict) -> bool:
-        for (jj, k), value in values.items():
-            if jj != j:
-                continue
-            bar = multiplier * errors[(jj, k)]
-            if np.isfinite(abs(value)) and abs(value) > bar:
-                return True
-        return False
+    def modes_alive(value_and_error) -> set[int]:
+        """Nonzero modes with a cell where |value| exceeds multiplier * error."""
+        alive = set()
+        for cell in cells.values():
+            value, error = value_and_error(cell)
+            if cell.j != 0 and math.isfinite(abs(value)) and abs(value) > multiplier * error:
+                alive.add(cell.j)
+        return alive
 
-    phi_alive = {j: exceeds(j, report.phi, report.phi_err) for j in nonzero_modes}
-    psi_alive = {j: exceeds(j, report.psi, report.psi_err) for j in nonzero_modes}
-    product_alive = {j: exceeds(j, report.products, report.product_err) for j in nonzero_modes}
-
-    if not any(phi_alive.values()):
+    phi_alive = modes_alive(lambda cell: (cell.phi, cell.phi_err))
+    psi_alive = modes_alive(lambda cell: (cell.psi, cell.psi_err))
+    product_alive = modes_alive(lambda cell: (cell.product, cell.product_err))
+    if not phi_alive:
         return Verdict("inconclusive", reason="u constant")
     if not hypothesis_in_force:
         return Verdict(
             "inconclusive",
             reason=(
                 "commutation hypothesis neither asserted nor observed "
-                f"(window residual {report.matrix_window_residual!r})"
+                f"(window residual {window_residual!r})"
             ),
         )
-    detected = tuple(
-        sorted(j for j in nonzero_modes if psi_alive[j] and phi_alive[j] and product_alive[j])
-    )
+    detected = tuple(sorted(phi_alive & psi_alive & product_alive))
     if detected:
         return Verdict("nonradial_mode_detected", modes=detected)
-    if any(psi_alive.values()):
+    if psi_alive:
         return Verdict(
             "inconclusive",
             reason=(
@@ -485,7 +444,7 @@ def moment_vanishing_probe(
     return results
 
 
-def periodicity_probe_with_error(
+def periodicity_probe(
     u: RadialProfile,
     s: "float | SobolevOrder",
     j: int,
@@ -501,32 +460,21 @@ def periodicity_probe_with_error(
     sv = order_value(s)
     if int(j) != j or j < 1:
         raise DomainError(f"period j must be a positive integer, got {j!r}")
+
+    def h(point: float) -> tuple[complex, float]:
+        transform = mellin_weighted_cached(u, sv, 2.0 * point + 2.0 - 2.0 * sv, quad)
+        inv_gamma = math.exp(-log_gamma(point + 1.0))
+        return transform.value * inv_gamma, transform.abs_error_estimate * inv_gamma
+
     worst = 0.0
     worst_err = 0.0
     for z in z_grid:
         z = float(z)
         if z <= -1.0:
             raise DomainError(f"grid point {z!r} outside the holomorphy half-plane z > -1")
-        values = []
-        errors = []
-        for point in (z, z + j):
-            transform = mellin_weighted_cached(u, sv, 2.0 * point + 2.0 - 2.0 * sv, quad)
-            inv_gamma = math.exp(-log_gamma(point + 1.0))
-            values.append(transform.value * inv_gamma)
-            errors.append(transform.abs_error_estimate * inv_gamma)
-        difference = abs(values[0] - values[1])
+        (first, first_err), (second, second_err) = h(z), h(z + j)
+        difference = abs(first - second)
         if difference >= worst:
-            worst = difference
-            worst_err = errors[0] + errors[1]
+            worst, worst_err = difference, first_err + second_err
     return worst, worst_err
 
-
-def periodicity_probe(
-    u: RadialProfile,
-    s: "float | SobolevOrder",
-    j: int,
-    z_grid: Sequence[float],
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Max of |H(z) - H(z+j)| over the real grid (see the _with_error variant)."""
-    return periodicity_probe_with_error(u, s, j, z_grid, quad)[0]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ClassificationError, DomainError, PreconditionError
 
@@ -123,6 +122,8 @@ class RadialProfile:
     def from_samples(cls, radii: Sequence[float], values: Sequence[complex]) -> "RadialProfile":
         """Cubic interpolant through per-radius samples (continuity at r=0
         comes from the spline's extrapolation)."""
+        from scipy.interpolate import CubicSpline  # slow import, needed only here
+
         r = np.asarray(radii, dtype=float)
         y = np.asarray(values)
         if r.ndim != 1 or r.size < 4:

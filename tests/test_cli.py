@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fock_toeplitz
 from fock_toeplitz.cli import main
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec, sample_polar
 
@@ -199,6 +204,20 @@ output: {directory: OUT}
         assert main(["criterion", "--config", str(config), "--quiet"]) == 2
         assert "radial" in capsys.readouterr().err
 
+    def test_undersized_truncation_exits_2(self, tmp_path, capsys):
+        # load_config accepts N = k_max + j_max + 2 = 14, but cross-checking
+        # every cell needs N >= k_max + 2*max|j| + 1 = 15 for the j = 2 mode
+        text = (
+            CONFIG_PAIR.format(s=0.0, N=14, k_max=10, out=tmp_path / "out")
+            .replace("j: 1, kind: monomial, power: 1", "j: 2, kind: monomial, power: 2")
+            .replace("j_max: 1", "j_max: 2")
+        )
+        config = write(tmp_path, "c.yaml", text)
+        assert main(["criterion", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "N = 14" in err and "k_max = 10" in err and "max|j| = 2" in err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reports(self, tmp_path):
         config_a = write(
             tmp_path, "a.yaml", CONFIG_PAIR.format(s=2.3, N=8, k_max=4, out=tmp_path / "out_a")
@@ -317,3 +336,15 @@ class TestFormatsAndOverrides:
         other = tmp_path / "elsewhere"
         assert main(["matrix", "--config", str(config), "--quiet", "--out", str(other)]) == 0
         assert (other / "matrix_u_s0.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # scipy.interpolate is only needed by decompose; importing it costs
+    # most of the CLI start-up
+    src = str(Path(fock_toeplitz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fock_toeplitz.cli; print('scipy.interpolate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -8,11 +8,8 @@ from fock_toeplitz.criterion import (
     functional_equation_residuals,
     moment_vanishing_probe,
     periodicity_probe,
-    periodicity_probe_with_error,
     phi,
-    phi_with_error,
     psi,
-    psi_with_error,
 )
 from fock_toeplitz.errors import DomainError, PreconditionError
 from fock_toeplitz.operators import radial_eigenvalues, toeplitz_matrix, commutator
@@ -31,13 +28,13 @@ RADIAL_V = SymbolSpec.from_modes({0: RadialProfile.polynomial([1.0, 0.0, 0.5])},
 class TestPhi:
     def test_zero_mode_vanishes(self):
         for k in (0, 3, 9):
-            assert phi(0, k, 1.0, R2, QUAD) == 0.0
+            assert phi(0, k, 1.0, R2, QUAD)[0] == 0.0
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 2.3])
     def test_constant_symbol_vanishes(self, s):
         for j in (1, 2):
             for k in (0, 2, 7):
-                value, err = phi_with_error(j, k, s, ONE, QUAD)
+                value, err = phi(j, k, s, ONE, QUAD)
                 assert abs(value) <= 3.0 * err
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.3])
@@ -45,7 +42,7 @@ class TestPhi:
         # Phi_j(k+s) = -j / (2 pi) for u = r^2, independent of k
         for j in (1, 2, 3):
             for k in (0, 1, 5):
-                value = phi(j, k, s, R2, QUAD)
+                value, _ = phi(j, k, s, R2, QUAD)
                 assert value.real == pytest.approx(-j / (2.0 * math.pi), rel=1e-10)
                 assert abs(value.imag) <= 1e-15
 
@@ -55,7 +52,7 @@ class TestPhi:
         lam = radial_eigenvalues(R2, s, 8, QUAD).real
         for k in range(6):
             expected = (lam[k] - lam[k + 1]) / (2.0 * math.pi)
-            assert phi(1, k, s, R2, QUAD).real == pytest.approx(expected, rel=1e-10)
+            assert phi(1, k, s, R2, QUAD)[0].real == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("s", [0.0, 2.3])
     def test_index_symmetry(self, s):
@@ -63,8 +60,8 @@ class TestPhi:
         for u in (R2, RadialProfile.polynomial([1.0, 0.0, 1.0])):
             for j in (1, 2, 3):
                 for k in (0, 1, 4):
-                    forward = phi(j, k, s, u, QUAD)
-                    backward = phi(-j, k + j, s, u, QUAD)
+                    forward, _ = phi(j, k, s, u, QUAD)
+                    backward, _ = phi(-j, k + j, s, u, QUAD)
                     assert abs(forward + backward) <= 1e-12
 
     def test_preconditions(self):
@@ -76,14 +73,14 @@ class TestPhi:
 
 class TestPsi:
     def test_zero_profile(self):
-        assert psi(1, 0, 0.0, RadialProfile.zero(), QUAD) == 0.0
+        assert psi(1, 0, 0.0, RadialProfile.zero(), QUAD)[0] == 0.0
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 2.3])
     def test_linear_profile(self, s):
         # Psi_1(k+s) = Gamma(s+k+2) / (2 pi)
         for k in (0, 1, 4):
             expected = math.exp(math.lgamma(s + k + 2.0)) / (2.0 * math.pi)
-            assert psi(1, k, s, RadialProfile.monomial(1.0), QUAD).real == pytest.approx(
+            assert psi(1, k, s, RadialProfile.monomial(1.0), QUAD)[0].real == pytest.approx(
                 expected, rel=1e-11
             )
 
@@ -91,12 +88,12 @@ class TestPsi:
         # Psi_j = Gamma((p + j + 2k + 2 + 2s)/2) / (2 pi)
         p, j, k, s = 3.0, 2, 1, 0.5
         expected = math.exp(math.lgamma((p + j + 2 * k + 2 + 2 * s) / 2.0)) / (2.0 * math.pi)
-        assert psi(j, k, s, RadialProfile.monomial(p), QUAD).real == pytest.approx(
+        assert psi(j, k, s, RadialProfile.monomial(p), QUAD)[0].real == pytest.approx(
             expected, rel=1e-11
         )
 
     def test_error_estimate_available(self):
-        value, err = psi_with_error(1, 0, 0.0, RadialProfile.monomial(1.0), QUAD)
+        value, err = psi(1, 0, 0.0, RadialProfile.monomial(1.0), QUAD)
         assert err >= 0.0 and math.isfinite(err)
 
 
@@ -104,14 +101,14 @@ class TestFunctionalEquationResiduals:
     def test_radial_v_consistent(self):
         report = functional_equation_residuals(R2, RADIAL_V, 0.0, 6, QUAD)
         assert report.verdict.kind == "consistent_radial"
-        assert all(j == 0 for (j, _) in report.products)
+        assert all(j == 0 for (j, _) in report.cells)
 
     def test_constant_u_inconclusive(self):
         report = functional_equation_residuals(ONE, Z, 0.0, 6, QUAD)
         assert report.verdict.kind == "inconclusive"
         assert report.verdict.reason == "u constant"
         # Psi is nonzero even though the products vanish
-        assert max(abs(v) for v in report.psi.values()) > 0.1
+        assert max(abs(cell.psi) for cell in report.cells.values()) > 0.1
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.3])
     def test_nonradial_detection(self, s):
@@ -122,19 +119,19 @@ class TestFunctionalEquationResiduals:
     def test_product_value_example(self):
         # u = r^2, v = z, s = 0, k = 0: product = -1/(4 pi^2)
         report = functional_equation_residuals(R2, Z, 0.0, 4, QUAD)
-        assert report.products[(1, 0)].real == pytest.approx(
+        assert report.cells[(1, 0)].product.real == pytest.approx(
             -1.0 / (4.0 * math.pi**2), rel=1e-10
         )
 
     def test_products_stored_exactly(self):
         report = functional_equation_residuals(R2, Z2, 1.0, 5, QUAD)
-        for cell, product in report.products.items():
-            assert product == report.phi[cell] * report.psi[cell]
+        for cell in report.cells.values():
+            assert cell.product == cell.phi * cell.psi
 
     def test_matrix_residuals_filled(self):
         report = functional_equation_residuals(R2, Z, 0.5, 6, QUAD)
-        assert report.matrix_residuals
-        assert max(report.matrix_residuals.values()) <= 1e-8
+        assert report.cells
+        assert max(cell.matrix_residual for cell in report.cells.values()) <= 1e-8
         # largest windowed commutator entry sits at the window edge (W, W-1)
         # with value sqrt(s + W), W = N - 1 - band = 8
         assert report.matrix_window_residual == pytest.approx(math.sqrt(0.5 + 8.0), rel=1e-9)
@@ -155,6 +152,27 @@ class TestFunctionalEquationResiduals:
         )
         assert report.verdict.kind == "consistent_radial"
 
+    def test_undersized_truncation_refused(self):
+        # k_max = 10 with a j = 2 mode needs N >= 10 + 2*2 + 1 = 15 so that
+        # every cell is cross-checked against the commutator matrix
+        with pytest.raises(PreconditionError, match=r"N = 14 .*k_max = 10 .*max\|j\| = 2"):
+            functional_equation_residuals(R2, Z2, 0.0, 10, QUAD, N=14)
+        report = functional_equation_residuals(R2, Z2, 0.0, 10, QUAD, N=15)
+        assert len(report.cells) == 11
+
+    def test_one_report_builds_two_matrices(self, monkeypatch):
+        import fock_toeplitz.criterion as criterion
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return toeplitz_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(criterion, "toeplitz_matrix", counting)
+        functional_equation_residuals(R2, Z, 0.5, 6, QUAD)
+        assert len(calls) == 2
+
     def test_json_and_csv_stable(self):
         report = functional_equation_residuals(R2, Z, 2.3, 5, QUAD)
         first, second = report.to_json(), report.to_json()
@@ -166,7 +184,7 @@ class TestFunctionalEquationResiduals:
         csv_text = report.to_csv()
         header, *rows = csv_text.strip().split("\n")
         assert header == "s,j,k,abs_phi,abs_psi,abs_product,matrix_discrepancy"
-        assert len(rows) == len(report.products)
+        assert len(rows) == len(report.cells)
 
 
 class TestCommutatorCrossCheck:
@@ -229,17 +247,17 @@ class TestMomentVanishingProbe:
 class TestPeriodicityProbe:
     @pytest.mark.parametrize("j", [1, 2])
     def test_constant_u_periodic(self, j):
-        diff, err = periodicity_probe_with_error(ONE, 0.0, j, [0.0, 0.5, 1.0], QUAD)
+        diff, err = periodicity_probe(ONE, 0.0, j, [0.0, 0.5, 1.0], QUAD)
         assert diff <= 3.0 * err
 
     def test_scaled_constant(self):
         profile = RadialProfile.polynomial([4.2])
-        diff, err = periodicity_probe_with_error(profile, 1.0, 1, [0.0, 1.0, 2.0], QUAD)
+        diff, err = periodicity_probe(profile, 1.0, 1, [0.0, 1.0, 2.0], QUAD)
         assert diff <= 3.0 * err
 
     def test_quadratic_breaks_periodicity(self):
         # H(z) = (z+1)/(2 pi) for u = r^2, so |H(z) - H(z+1)| = 1/(2 pi)
-        value = periodicity_probe(R2, 0.0, 1, [0.0, 0.5, 1.0], QUAD)
+        value, _ = periodicity_probe(R2, 0.0, 1, [0.0, 0.5, 1.0], QUAD)
         assert value == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-10)
 
     def test_domain(self):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 
@@ -42,17 +43,29 @@ EXP_DECAY = SymbolSpec.from_modes(
 )
 
 
+ORACLE_ANGLES = 2.0 * math.pi * np.arange(64) / 64
+ORACLE_RADII = np.linspace(1e-9, 10.0, 3_001)
+
+
+@functools.cache
+def polar_grid(symbol):
+    """The symbol on the oracle's polar grid, sampled point by point through
+    `evaluate` rather than through sample_polar.  The grid does not depend
+    on s, so it is sampled once per symbol."""
+    u_grid = np.empty((ORACLE_RADII.size, ORACLE_ANGLES.size), dtype=complex)
+    for col, theta in enumerate(ORACLE_ANGLES):
+        point = cmath.exp(1j * theta)
+        u_grid[:, col] = [evaluate(symbol, rr * point) for rr in ORACLE_RADII]
+    u_grid.flags.writeable = False  # shared by every call for this symbol
+    return u_grid
+
+
 def brute_force_entries(symbol, s, size):
     """<u e_m, e_n>_s by dense trapezoid integration in polar coordinates,
-    fully independent of the Mellin quadrature path.  The symbol is sampled
-    point by point through `evaluate` rather than through sample_polar."""
-    n_angles = 64
-    thetas = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    r = np.linspace(1e-9, 10.0, 3_001)
-    u_grid = np.empty((r.size, n_angles), dtype=complex)
-    for col, theta in enumerate(thetas):
-        point = cmath.exp(1j * theta)
-        u_grid[:, col] = [evaluate(symbol, rr * point) for rr in r]
+    fully independent of the Mellin quadrature path."""
+    thetas, r = ORACLE_ANGLES, ORACLE_RADII
+    n_angles = thetas.size
+    u_grid = polar_grid(symbol)
     out = np.empty((size, size), dtype=complex)
     for m in range(size):
         for n in range(size):
