@@ -18,19 +18,15 @@ from .errors import (
 from .special_functions import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    gamma_ratio,
-    gaussian_weighted_integral,
     log_gamma,
 )
 from .fock_space import (
     KernelValue,
     SobolevOrder,
-    basis_norm_sq,
     density,
     kernel_eval,
-    kernel_norm,
 )
-from .mellin import MellinValue, mellin_monomial_closed_form, mellin_weighted
+from .mellin import MellinValue, mellin_weighted
 from .symbols import (
     RadialProfile,
     SymbolSpec,
@@ -76,17 +72,12 @@ __all__ = [
     "ResourceError",
     "DEFAULT_QUADRATURE",
     "QuadratureSpec",
-    "gamma_ratio",
-    "gaussian_weighted_integral",
     "log_gamma",
     "KernelValue",
     "SobolevOrder",
-    "basis_norm_sq",
     "density",
     "kernel_eval",
-    "kernel_norm",
     "MellinValue",
-    "mellin_monomial_closed_form",
     "mellin_weighted",
     "RadialProfile",
     "SymbolSpec",

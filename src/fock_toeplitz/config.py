@@ -103,14 +103,7 @@ def build_profile(mode: dict, where: str) -> RadialProfile:
             _fail(f"{where}.rate", "must be positive")
         scale = _as_complex(f"{where}.scale", mode.get("scale", 1.0))
         power = _as_number(f"{where}.power", mode.get("power", 0.0), minimum=0.0)
-        peak = (power / (2.0 * rate)) ** (power / 2.0) * math.exp(-power / 2.0) if power else 1.0
-        return RadialProfile.from_callable(
-            lambda r, _a=scale, _b=rate, _p=power: _a
-            * np.asarray(r, dtype=float) ** _p
-            * np.exp(-_b * np.asarray(r, dtype=float) ** 2),
-            growth_exponent=0.0,
-            growth_constant=max(abs(scale) * peak * 1.01, 1e-300),
-        )
+        return RadialProfile.gaussian_terms([(scale, power, rate)])
     if kind == "zero":
         return RadialProfile.zero()
     _fail(f"{where}.kind", f"unknown profile kind {kind!r}")

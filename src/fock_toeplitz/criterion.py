@@ -6,7 +6,7 @@ with j + k >= 0, the product
 
     Phi_j(k+s) * Psi_j(k+s) = 0,
 
-where (written through the shifted transforms so that a single quadrature
+where (written through the shifted transforms so that a single Mellin
 path is used)
 
     Phi_j(k+s) = M[u G_s](2k+2) / Gamma(k+s+1)
@@ -23,15 +23,18 @@ doubles as a cross-check:
                 / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
 
 "Vanishing" always means: magnitude below ``verdict_multiplier`` times the
-propagated quadrature error estimate.  The probes of the one-sided moment
-and periodicity statements are labelled probes; finitely many evaluations
-never certify an "almost everywhere" conclusion.
+propagated error estimate (quadrature error for evaluator profiles, rounding
+error for exact Gaussian-polynomial transforms).  The probes of the
+one-sided moment and periodicity statements are labelled probes; finitely
+many evaluations never certify an "almost everywhere" conclusion.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -63,6 +66,8 @@ __all__ = [
 ]
 
 DEFAULT_VERDICT_MULTIPLIER = 3.0
+# Reports store raw Psi and products, which must stay below exp(_LOG_MAX).
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def phi(
@@ -88,8 +93,8 @@ def phi(
         return 0j, 0.0
     first = mellin_weighted_cached(u, sv, float(2 * k + 2), quad)
     second = mellin_weighted_cached(u, sv, float(2 * k + 2 * j + 2), quad)
-    inv_first = math.exp(-log_gamma(k + sv + 1.0))
-    inv_second = math.exp(-log_gamma(k + j + sv + 1.0))
+    inv_first = math.exp(first.log_scale - log_gamma(k + sv + 1.0))
+    inv_second = math.exp(second.log_scale - log_gamma(k + j + sv + 1.0))
     value = first.value * inv_first - second.value * inv_second
     estimate = first.abs_error_estimate * inv_first + second.abs_error_estimate * inv_second
     return value, estimate
@@ -103,10 +108,15 @@ def psi(
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[complex, float]:
     """Second factor of the functional equation, M[v_j G_s](j + 2k + 2),
-    with its propagated absolute error estimate."""
+    with its propagated absolute error estimate.  Psi is Gamma-sized; a
+    :class:`DomainError` names the cell where it leaves double range."""
     sv = order_value(s)
     transform = mellin_weighted_cached(v_j, sv, float(2 * k + int(j) + 2), quad)
-    return transform.value, transform.abs_error_estimate
+    scale = math.exp(transform.log_scale) if transform.log_scale < _LOG_MAX else math.inf
+    value, error = transform.value * scale, transform.abs_error_estimate * scale
+    if not (cmath.isfinite(value) and math.isfinite(error)):
+        raise DomainError(f"Psi_{j}(k+s) at k={k}, s={sv:g} overflows double range")
+    return value, error
 
 
 @dataclass(frozen=True)
@@ -249,6 +259,8 @@ def _cell(
     -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
     """
     cell = Cell(j, k, *phi(j, k, s, u, quad), *psi(j, k, s, v_j, quad), matrix_residual=0.0)
+    if not (cmath.isfinite(cell.product) and math.isfinite(cell.product_err)):
+        raise DomainError(f"Phi_{j} * Psi_{j}(k+s) at k={k}, s={s:g} overflows double range")
     if j == 0:
         return cell
     scale = (2.0 * math.pi) ** 2 * math.exp(
@@ -454,8 +466,8 @@ def periodicity_probe(
     """Max of |H(z) - H(z+j)| over the real grid, with its error bound.
 
     H(z) = M[u G](2z+2) / Gamma(z+1), evaluated through the shifted
-    transform M[u G_s](2z+2-2s) so the single quadrature path is reused.
-    Constant u gives zero to quadrature error.
+    transform M[u G_s](2z+2-2s) so the single Mellin path is reused.
+    Constant u gives zero within the error estimate.
     """
     sv = order_value(s)
     if int(j) != j or j < 1:
@@ -463,7 +475,7 @@ def periodicity_probe(
 
     def h(point: float) -> tuple[complex, float]:
         transform = mellin_weighted_cached(u, sv, 2.0 * point + 2.0 - 2.0 * sv, quad)
-        inv_gamma = math.exp(-log_gamma(point + 1.0))
+        inv_gamma = math.exp(transform.log_scale - log_gamma(point + 1.0))
         return transform.value * inv_gamma, transform.abs_error_estimate * inv_gamma
 
     worst = 0.0

@@ -1,4 +1,4 @@
-"""Fock-Sobolev primitives: weighted densities, monomial norms, kernels.
+"""Fock-Sobolev primitives: orders, weighted densities, kernels.
 
 The order-s space is the closure of the holomorphic polynomials in
 L^2(G_s dA), where G_s(z) = |z|^(2s) exp(-|z|^2) / pi.  The monomials z^n
@@ -20,9 +20,7 @@ __all__ = [
     "KernelValue",
     "order_value",
     "density",
-    "basis_norm_sq",
     "kernel_eval",
-    "kernel_norm",
 ]
 
 # Series terms allowed before kernel_eval gives up; covers |z conj(w)| up to
@@ -72,13 +70,6 @@ def density(z: complex, s: "float | SobolevOrder") -> float:
     return r2**sv * math.exp(-r2) / math.pi
 
 
-def basis_norm_sq(n: int, s: "float | SobolevOrder") -> float:
-    """Squared L^2(G_s dA) norm of z^n, i.e. Gamma(s+n+1)."""
-    if int(n) != n or n < 0:
-        raise DomainError(f"monomial degree must be a nonnegative integer, got {n!r}")
-    return math.exp(log_gamma(order_value(s) + n + 1.0))
-
-
 def kernel_eval(
     z: complex,
     w: complex,
@@ -114,9 +105,3 @@ def kernel_eval(
         f"kernel series needs more than {KERNEL_TERM_CAP} terms for "
         f"|z conj(w)| = {magnitude:g}; refusing (raise the cap or shrink the arguments)"
     )
-
-
-def kernel_norm(z: complex, s: "float | SobolevOrder", abs_tol: float = 1e-14) -> float:
-    """Norm of the kernel function at z: sqrt(K^s(z, z))."""
-    diag = kernel_eval(z, z, s, abs_tol)
-    return math.sqrt(diag.value.real)

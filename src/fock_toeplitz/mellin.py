@@ -10,13 +10,20 @@ All evaluation points in this package are real (shifted integers), so no
 complex continuation is attempted.  The 1/pi normalisation lives here, not in
 callers, and every value carries an additive absolute-error estimate that
 downstream products propagate.
+
+Gaussian-polynomial profiles (terms c t^p exp(-b t^2)) have the exact
+transform sum c Gamma(a) / (2 pi (1+b)^a), a = (zeta + 2s + p)/2, kept in
+the log domain; only evaluator profiles go through quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 from .fock_space import SobolevOrder, order_value
@@ -24,25 +31,57 @@ from .special_functions import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     gaussian_weighted_integral_with_estimate,
-    log_gamma,
 )
 from .symbols import RadialProfile
 
 __all__ = [
     "MellinValue",
+    "family_transform",
     "mellin_weighted",
     "mellin_weighted_cached",
-    "mellin_monomial_closed_form",
 ]
+
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
 @dataclass(frozen=True)
 class MellinValue:
-    """A transform value at a real argument, with its error estimate."""
+    """A transform value at a real argument, with its error estimate.
+
+    The transform is ``value * exp(log_scale)``, and its absolute error
+    ``abs_error_estimate * exp(log_scale)``; ``log_scale`` is 0 for
+    quadrature values and carries the Gamma magnitude of exact ones.
+    """
 
     argument: float
     value: complex
     abs_error_estimate: float
+    log_scale: float = 0.0
+
+
+def family_transform(terms: tuple, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact M[v G_s] of v = sum c r^p exp(-b r^2) at exponents alpha = zeta + 2s.
+
+    Returns arrays (log_scale, value, error) shaped like ``alpha``, with
+    log_scale the largest term's log(Gamma(a) / (1+b)^a).  The error bounds
+    the log-domain rounding, 4 eps (2 + |log Gamma(a)| + a log(1+b)) times
+    each term's magnitude, so it is positive whenever the value is nonzero.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    logs = []
+    for c, p, b in terms:
+        a = 0.5 * (alpha + p)
+        log_gamma = _lgamma(a).astype(float)
+        decay = a * math.log1p(b)
+        logs.append((c, log_gamma - decay, np.abs(log_gamma) + decay))
+    log_scale = np.max([log for _, log, _ in logs], axis=0) if logs else np.zeros(alpha.shape)
+    value = np.zeros(alpha.shape, dtype=complex)
+    error = np.zeros(alpha.shape)
+    for c, log, magnitude in logs:
+        weight = np.exp(log - log_scale) / (2.0 * math.pi)
+        value += c * weight
+        error += 4.0 * sys.float_info.epsilon * (2.0 + magnitude) * abs(c) * weight
+    return log_scale, value, error
 
 
 def mellin_weighted(
@@ -51,7 +90,8 @@ def mellin_weighted(
     zeta: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> MellinValue:
-    """M[v G_s](zeta) by half-line quadrature.
+    """M[v G_s](zeta): exact for Gaussian-polynomial profiles, by half-line
+    quadrature for evaluator profiles.
 
     Raises :class:`DomainError` outside the holomorphy half-plane
     (zeta + 2s <= 0) and propagates :class:`AccuracyError` from the
@@ -64,6 +104,9 @@ def mellin_weighted(
         raise DomainError(
             f"Mellin argument outside holomorphy half-plane: zeta + 2s = {alpha:g} <= 0"
         )
+    if v.evaluator is None:
+        log_scale, value, error = family_transform(v.terms, np.array([alpha]))
+        return MellinValue(zeta, complex(value[0]), float(error[0]), float(log_scale[0]))
     effective = spec.covering(alpha + v.growth_exponent)
     value, estimate = gaussian_weighted_integral_with_estimate(
         v, alpha, effective, growth_exponent=v.growth_exponent
@@ -84,22 +127,3 @@ def mellin_weighted_cached(
     identical to the uncached call.
     """
     return mellin_weighted(v, s, zeta, spec)
-
-
-def mellin_monomial_closed_form(
-    p: float,
-    s: "float | SobolevOrder",
-    zeta: float,
-) -> complex:
-    """Closed form M[r^p G_s](zeta) = Gamma((zeta + p + 2s)/2) / (2 pi).
-
-    The oracle against which the quadrature path is checked; valid whenever
-    the Gamma argument is positive.
-    """
-    sv = order_value(s)
-    argument = (float(zeta) + float(p) + 2.0 * sv) / 2.0
-    if not math.isfinite(argument) or argument <= 0.0:
-        raise DomainError(
-            f"Gamma argument must be positive, got (zeta + p + 2s)/2 = {argument!r}"
-        )
-    return complex(math.exp(log_gamma(argument)) / (2.0 * math.pi))

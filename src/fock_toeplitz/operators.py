@@ -7,7 +7,9 @@ symbol with angular modes {j -> v_j} produces the banded matrix
                        / sqrt(Gamma(s+m+1) Gamma(s+m+j+1)),
 
 one diagonal per mode: the angular integral is exact by orthogonality, so
-only the radial Mellin quadrature carries numerical error, and entries
+only the radial Mellin transform carries numerical error (rounding for
+Gaussian-polynomial profiles, quadrature for evaluator profiles; both are
+combined with the basis norms in the log domain), and entries
 outside the declared band are zero by construction.  Truncation effects are
 handled through exactness windows (entries with both indices <= window agree
 with the untruncated composition) rather than by growing N adaptively.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, PreconditionError
 from .fock_space import SobolevOrder, order_value
-from .mellin import mellin_weighted_cached
+from .mellin import family_transform, mellin_weighted_cached
 from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma
 from .symbols import RadialProfile, SymbolSpec
 
@@ -43,7 +45,10 @@ __all__ = [
     "matrix_to_json",
 ]
 
-# Gamma(s+n+1) must stay inside double range for the basis normalisation.
+# Basis norms and Gaussian-polynomial columns are log-domain (|z|^2 at s=150
+# keeps s+k+1 to 1.5e-12 even at N=1000), so the cap guards evaluator
+# profiles: their raw quadrature value overflows once (2m+j+2+2s)/2 passes
+# about 172.  With exp(-1.3 r), N=160 fails from s=12; at s=0, from N=174.
 MAX_TRUNCATION = 160
 
 
@@ -94,6 +99,50 @@ def _basis_log_norms(s: float, n: int) -> np.ndarray:
     return np.array([log_gamma(s + m + 1.0) for m in range(n)])
 
 
+def _truncation(N: int) -> int:
+    if int(N) != N or N < 1 or N > MAX_TRUNCATION:
+        raise DomainError(f"N must be an integer in [1, {MAX_TRUNCATION}], got {N!r}")
+    return int(N)
+
+
+def _diagonal(
+    profile: RadialProfile,
+    j: int,
+    m: np.ndarray,
+    s: float,
+    log_norms: np.ndarray,
+    quad: QuadratureSpec,
+    name: str,
+) -> tuple[np.ndarray, float]:
+    """Entries <T e_m, e_{m+j}> of one mode at the columns ``m``, and the
+    largest absolute error among them.
+
+    A Gaussian-polynomial column is one vectorised closed-form evaluation
+    (never cached); an evaluator column is one cached quadrature per entry,
+    whose failure is re-raised as an :class:`AccuracyError` naming (j, m).
+    """
+    norms = 0.5 * (log_norms[m] + log_norms[m + j])
+    if profile.evaluator is None:
+        log_scale, value, error = family_transform(profile.terms, 2.0 * m + j + 2 + 2.0 * s)
+        scale = 2.0 * math.pi * np.exp(log_scale - norms)
+        return value * scale, float(np.max(error * scale, initial=0.0))
+    values = np.zeros(m.size, dtype=complex)
+    worst_error = 0.0
+    for i, column in enumerate(m):
+        try:
+            transform = mellin_weighted_cached(profile, s, float(2 * column + j + 2), quad)
+        except AccuracyError as exc:
+            raise AccuracyError(
+                f"entry quadrature failed for symbol {name!r} at mode j={j}, "
+                f"column m={column}: {exc}",
+                estimate=exc.estimate,
+            ) from exc
+        scale = 2.0 * math.pi * math.exp(transform.log_scale - norms[i])
+        values[i] = transform.value * scale
+        worst_error = max(worst_error, transform.abs_error_estimate * scale)
+    return values, worst_error
+
+
 def toeplitz_matrix(
     spec: SymbolSpec,
     s: "float | SobolevOrder",
@@ -104,32 +153,21 @@ def toeplitz_matrix(
 ) -> TruncatedOperator:
     """Truncated Toeplitz matrix of the symbol on the first N basis vectors.
 
-    One Mellin integral per (mode, column); diagonal symbols give diagonal
+    One diagonal per mode, exact for Gaussian-polynomial profiles and by
+    quadrature for evaluator profiles; diagonal symbols give diagonal
     matrices and ``exact_band`` is the largest |j| present.  A quadrature
     failure is re-raised as an :class:`AccuracyError` naming the offending
     (j, m) entry.
     """
     sv = order_value(s)
-    if int(N) != N or N < 1 or N > MAX_TRUNCATION:
-        raise DomainError(f"N must be an integer in [1, {MAX_TRUNCATION}], got {N!r}")
-    N = int(N)
+    N = _truncation(N)
     log_norms = _basis_log_norms(sv, N)
     matrix = np.zeros((N, N), dtype=complex)
     worst_error = 0.0
     for j, profile in spec.mode_items:
-        for m in range(max(0, -j), N - max(0, j)):
-            n = m + j
-            try:
-                transform = mellin_weighted_cached(profile, sv, float(2 * m + j + 2), quad)
-            except AccuracyError as exc:
-                raise AccuracyError(
-                    f"entry quadrature failed for symbol {spec.name!r} at mode j={j}, "
-                    f"column m={m}: {exc}",
-                    estimate=exc.estimate,
-                ) from exc
-            scale = 2.0 * math.pi * math.exp(-0.5 * (log_norms[m] + log_norms[n]))
-            matrix[n, m] = transform.value * scale
-            worst_error = max(worst_error, transform.abs_error_estimate * scale)
+        m = np.arange(max(0, -j), N - max(0, j))
+        matrix[m + j, m], error = _diagonal(profile, j, m, sv, log_norms, quad, spec.name)
+        worst_error = max(worst_error, error)
     band = spec.max_mode
     return TruncatedOperator(
         matrix, sv, band, label if label is not None else spec.name, worst_error
@@ -148,13 +186,8 @@ def radial_eigenvalues(
     closed form Gamma(s+k+1) / (2 pi).
     """
     sv = order_value(s)
-    if int(N) != N or N < 1 or N > MAX_TRUNCATION:
-        raise DomainError(f"N must be an integer in [1, {MAX_TRUNCATION}], got {N!r}")
-    values = np.zeros(int(N), dtype=complex)
-    for k in range(int(N)):
-        transform = mellin_weighted_cached(v0, sv, float(2 * k + 2), quad)
-        values[k] = 2.0 * math.pi * transform.value * math.exp(-log_gamma(sv + k + 1.0))
-    return values
+    N = _truncation(N)
+    return _diagonal(v0, 0, np.arange(N), sv, _basis_log_norms(sv, N), quad, "radial")[0]
 
 
 def _propagated_product_error(a: TruncatedOperator, b: TruncatedOperator) -> float:

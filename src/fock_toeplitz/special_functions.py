@@ -29,8 +29,6 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "log_gamma",
-    "gamma_ratio",
-    "gaussian_weighted_integral",
     "gaussian_weighted_integral_with_estimate",
     "tail_radius",
 ]
@@ -51,15 +49,6 @@ def log_gamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b), computed in the log domain.
-
-    Keeps ratios such as Gamma(s+k+2)/Gamma(s+k+1) finite even where the
-    individual Gamma values would overflow double precision.
-    """
-    return math.exp(log_gamma(a) - log_gamma(b))
 
 
 def tail_radius(alpha_max: float, abs_tol: float) -> float:
@@ -153,9 +142,14 @@ def gaussian_weighted_integral_with_estimate(
     *,
     growth_exponent: float = 0.0,
 ) -> tuple[complex, float]:
-    """Like :func:`gaussian_weighted_integral`, also returning an absolute
-    error estimate (inter-level difference + truncation-tail indicator +
-    rounding floor)."""
+    """I(f, alpha) for alpha > 0 and its absolute error estimate
+    (inter-level difference + truncation-tail indicator + rounding floor).
+
+    ``f`` maps a 1-d array of points in (0, tail_cutoff) to real or complex
+    values of the same shape, with at most the polynomial growth declared
+    by ``growth_exponent``.  Deterministic for a fixed spec; raises
+    :class:`AccuracyError`, estimate attached, when refinement stalls.
+    """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"exponent alpha must be finite and > 0, got {alpha!r}")
@@ -186,26 +180,3 @@ def gaussian_weighted_integral_with_estimate(
         f"error estimate {estimate:.3e} after {_MAX_REFINEMENTS} refinements",
         estimate=estimate,
     )
-
-
-def gaussian_weighted_integral(
-    f: Callable,
-    alpha: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    growth_exponent: float = 0.0,
-) -> complex:
-    """int_0^inf f(t) exp(-t^2) t^(alpha-1) dt for alpha > 0.
-
-    ``f`` receives a 1-d numpy array of points in (0, tail_cutoff) and must
-    return values of the same shape; it may be real- or complex-valued and
-    should have at most polynomial growth, declared via ``growth_exponent``
-    so the truncation radius can be checked against it.
-
-    Deterministic for a fixed spec.  Raises :class:`AccuracyError` with the
-    error estimate attached when refinement stalls above tolerance.
-    """
-    value, _ = gaussian_weighted_integral_with_estimate(
-        f, alpha, spec, growth_exponent=growth_exponent
-    )
-    return value

@@ -45,22 +45,22 @@ _GROWTH_HEADROOM = 1.1
 class RadialProfile:
     """A radial function r -> v(r) on the positive half-line.
 
-    ``kind`` is one of "monomial", "polynomial", "callable", "zero".  The
-    growth metadata asserts |v(r)| <= growth_constant * (1+r)^growth_exponent,
-    checked on a fixed validation grid at construction.  Calling the profile
-    evaluates it; numpy arrays are accepted and returned elementwise.
+    A profile is either a Gaussian-polynomial family member, r -> sum of
+    c r^p exp(-b r^2) over its ``terms`` (c, p, b) with p, b >= 0 (no terms
+    is the zero profile), whose weighted Mellin transforms are exact Gamma
+    values; or an ``evaluator`` callable, transformed by quadrature.  The
+    growth metadata asserts |v(r)| <= growth_constant * (1+r)^growth_exponent
+    (true by construction for the family, spot-checked on a fixed grid for
+    evaluators).  Calling the profile evaluates it; numpy arrays are accepted
+    and returned elementwise.
     """
 
-    kind: str
     growth_exponent: float
     growth_constant: float
-    power: float = 0.0
-    coefficients: tuple = ()
+    terms: tuple = ()
     evaluator: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("monomial", "polynomial", "callable", "zero"):
-            raise DomainError(f"unknown profile kind {self.kind!r}")
         if not (math.isfinite(self.growth_exponent) and self.growth_exponent >= 0.0):
             raise DomainError("growth_exponent must be finite and >= 0")
         if not (math.isfinite(self.growth_constant) and self.growth_constant > 0.0):
@@ -69,30 +69,33 @@ class RadialProfile:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def gaussian_terms(cls, terms: Sequence[tuple]) -> "RadialProfile":
+        """r -> sum c r^p exp(-b r^2) over (c, p, b) terms with p, b >= 0.
+
+        Terms sharing (p, b) are merged and zero coefficients dropped.  Each
+        term is bounded by |c| (1+r)^p, so the growth bound is
+        sum |c| (1+r)^(max p).
+        """
+        merged: dict[tuple[float, float], complex] = {}
+        for c, p, b in terms:
+            c, p, b = complex(c), float(p), float(b)
+            if not (cmath.isfinite(c) and 0.0 <= p < math.inf and 0.0 <= b < math.inf):
+                raise DomainError(f"Gaussian term needs finite c and p, b >= 0, got {(c, p, b)!r}")
+            merged[(p, b)] = merged.get((p, b), 0j) + c
+        kept = tuple((merged[key], *key) for key in sorted(merged) if merged[key] != 0)
+        exponent = max((p for _, p, _ in kept), default=0.0)
+        constant = sum(abs(c) for c, _, _ in kept)
+        return cls(exponent, max(constant, 1e-300), terms=kept)
+
+    @classmethod
     def monomial(cls, p: float) -> "RadialProfile":
         """r -> r^p for p >= 0 (p = 0 is the constant 1)."""
-        p = float(p)
-        if not (math.isfinite(p) and p >= 0.0):
-            raise DomainError(f"monomial power must be >= 0, got {p!r}")
-        return cls("monomial", growth_exponent=p, growth_constant=1.0, power=p)
+        return cls.gaussian_terms([(1.0, p, 0.0)])
 
     @classmethod
     def polynomial(cls, coefficients: Sequence[complex]) -> "RadialProfile":
-        """r -> sum_k c_k r^k with the growth bound fitted on the grid."""
-        coeffs = tuple(complex(c) for c in coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            return cls.zero()
-        degree = float(len(coeffs) - 1)
-        vals = np.abs(_polyval(coeffs, _VALIDATION_RADII))
-        constant = float(np.max(vals / (1.0 + _VALIDATION_RADII) ** degree))
-        return cls(
-            "polynomial",
-            growth_exponent=degree,
-            growth_constant=max(constant * 1.0000001, 1e-300),
-            coefficients=coeffs,
-        )
+        """r -> sum_k c_k r^k."""
+        return cls.gaussian_terms([(c, k, 0.0) for k, c in enumerate(coefficients)])
 
     @classmethod
     def from_callable(
@@ -102,12 +105,7 @@ class RadialProfile:
         growth_constant: float,
     ) -> "RadialProfile":
         """Wrap a vectorised evaluator; the declared bound is spot-checked."""
-        profile = cls(
-            "callable",
-            growth_exponent=float(growth_exponent),
-            growth_constant=float(growth_constant),
-            evaluator=evaluator,
-        )
+        profile = cls(float(growth_exponent), float(growth_constant), evaluator=evaluator)
         bound = profile.growth_constant * (1.0 + _VALIDATION_RADII) ** profile.growth_exponent
         vals = np.abs(np.asarray(evaluator(_VALIDATION_RADII)))
         if np.any(vals > bound * (1.0 + 1e-9)):
@@ -136,50 +134,36 @@ class RadialProfile:
         if exponent is None:
             raise ClassificationError("sampled profile grows faster than the polynomial ladder")
         constant = float(np.max(magnitudes / (1.0 + r) ** exponent))
-        return cls(
-            "callable",
-            growth_exponent=float(exponent),
-            growth_constant=max(constant * _GROWTH_HEADROOM, 1e-300),
-            evaluator=spline,
-        )
+        return cls(float(exponent), max(constant * _GROWTH_HEADROOM, 1e-300), evaluator=spline)
 
     @classmethod
     def zero(cls) -> "RadialProfile":
-        return cls("zero", growth_exponent=0.0, growth_constant=1e-300)
+        return cls.gaussian_terms(())
 
     # -- behaviour ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero"
+        return self.evaluator is None and not self.terms
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)
-        if self.kind == "monomial":
-            out = arr**self.power
-        elif self.kind == "polynomial":
-            out = _polyval(self.coefficients, arr)
-        elif self.kind == "callable":
+        if self.evaluator is not None:
             out = np.asarray(self.evaluator(arr))
         else:
-            out = np.zeros_like(arr)
+            out = np.zeros(arr.shape, dtype=complex)
+            for c, p, b in self.terms:
+                term = c * arr**p
+                out += term * np.exp(-b * arr * arr) if b else term
         if np.ndim(r) == 0:
             return out[()] if isinstance(out, np.ndarray) else out
         return out
 
     def conjugate(self) -> "RadialProfile":
-        if self.kind in ("monomial", "zero"):
-            return self
-        if self.kind == "polynomial":
-            return RadialProfile(
-                "polynomial",
-                self.growth_exponent,
-                self.growth_constant,
-                coefficients=tuple(c.conjugate() for c in self.coefficients),
-            )
+        if self.evaluator is None:
+            return RadialProfile.gaussian_terms([(c.conjugate(), p, b) for c, p, b in self.terms])
         inner = self.evaluator
         return RadialProfile(
-            "callable",
             self.growth_exponent,
             self.growth_constant,
             evaluator=lambda r, _f=inner: np.conjugate(_f(r)),
@@ -187,26 +171,16 @@ class RadialProfile:
 
     def scaled(self, factor: complex) -> "RadialProfile":
         """factor * v, preserving growth metadata."""
-        if factor == 0 or self.is_zero:
+        if self.evaluator is None:
+            return RadialProfile.gaussian_terms([(factor * c, p, b) for c, p, b in self.terms])
+        if factor == 0:
             return RadialProfile.zero()
-        if self.kind == "monomial" and float(int(self.power)) == self.power:
-            return RadialProfile.polynomial([0j] * int(self.power) + [complex(factor)])
-        if self.kind == "polynomial":
-            return RadialProfile.polynomial([factor * c for c in self.coefficients])
         inner = self
         return RadialProfile(
-            "callable",
             self.growth_exponent,
             self.growth_constant * abs(factor),
             evaluator=lambda r, _f=inner, _a=factor: _a * np.asarray(_f(r)),
         )
-
-
-def _polyval(coefficients: tuple, r: np.ndarray):
-    out = np.zeros(np.shape(r), dtype=complex)
-    for c in reversed(coefficients):
-        out = out * r + c
-    return out
 
 
 def _fit_exponent_on_samples(radii: np.ndarray, magnitudes: np.ndarray):
@@ -237,7 +211,7 @@ def _fit_exponent_on_samples(radii: np.ndarray, magnitudes: np.ndarray):
 class SymbolSpec:
     """Finite Fourier-radial expansion {j -> v_j} with a text label.
 
-    Zero-kind modes are dropped at construction; a symbol is radial exactly
+    Zero profiles are dropped at construction; a symbol is radial exactly
     when its surviving modes are contained in {j = 0}.
     """
 

@@ -218,6 +218,32 @@ output: {directory: OUT}
         assert "N = 14" in err and "k_max = 10" in err and "max|j| = 2" in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_psi_exits_1(self, tmp_path, capsys):
+        # Psi_1(k+s) = Gamma((2k + 3 + 2s + 1)/2) / (2 pi) leaves double range
+        # at s = 200; the report stores raw Psi, so the run is refused
+        text = """\
+s_values: [200]
+u:
+  name: u
+  modes:
+    - {j: 0, kind: polynomial, coefficients: [0.5, -0.3, 1.0]}
+v:
+  name: v
+  modes:
+    - {j: 1, kind: monomial, power: 1}
+N: 30
+k_max: 20
+j_max: 1
+output: {directory: OUT}
+""".replace("OUT", str(tmp_path / "out"))
+        config = write(tmp_path, "c.yaml", text)
+        assert main(["criterion", "--config", str(config), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Psi_1" in err and "s=200" in err
+        assert "Infinity" not in err and "quadrature" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reports(self, tmp_path):
         config_a = write(
             tmp_path, "a.yaml", CONFIG_PAIR.format(s=2.3, N=8, k_max=4, out=tmp_path / "out_a")

@@ -7,10 +7,8 @@ import pytest
 from fock_toeplitz.errors import DomainError, ResourceError
 from fock_toeplitz.fock_space import (
     SobolevOrder,
-    basis_norm_sq,
     density,
     kernel_eval,
-    kernel_norm,
     order_value,
 )
 
@@ -43,19 +41,6 @@ class TestDensity:
 
 
 class TestBasisNormSq:
-    def test_factorials(self):
-        assert basis_norm_sq(3, 0.0) == pytest.approx(6.0, rel=1e-13)
-        assert basis_norm_sq(0, 0.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_half_integer(self):
-        assert basis_norm_sq(0, 0.5) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-13)
-
-    def test_rejects_bad_degree(self):
-        with pytest.raises(DomainError):
-            basis_norm_sq(-1, 0.0)
-        with pytest.raises(DomainError):
-            basis_norm_sq(1.5, 0.0)
-
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.3])
     @pytest.mark.parametrize("n", [0, 1, 4, 10])
     def test_moment_identity(self, s, n):
@@ -72,7 +57,7 @@ class TestBasisNormSq:
             total += np.sum(scaled * dens * radius ** (2 * n) * radius) * (
                 2.0 * math.pi / n_angles
             )
-        assert total == pytest.approx(basis_norm_sq(n, s), rel=1e-8)
+        assert total == pytest.approx(math.exp(math.lgamma(s + n + 1.0)), rel=1e-8)
 
 
 class TestKernel:
@@ -117,11 +102,12 @@ class TestKernel:
                 assert value.real >= floor - 1e-12
 
     def test_pointwise_bound_stays_bounded(self):
-        # kernel_norm(z) (1+|z|)^s e^(-|z|^2/2) bounded on |z| <= 6
+        # ||K_z|| (1+|z|)^s e^(-|z|^2/2) bounded on |z| <= 6, ||K_z||^2 = K(z, z)
         for s in (0.0, 1.0, 2.3):
             ratios = []
             for r in np.linspace(0.0, 6.0, 25):
-                ratio = kernel_norm(r, s, abs_tol=1e-12) * (1.0 + r) ** s * math.exp(-r * r / 2.0)
+                norm = math.sqrt(kernel_eval(r, r, s, abs_tol=1e-12).value.real)
+                ratio = norm * (1.0 + r) ** s * math.exp(-r * r / 2.0)
                 ratios.append(ratio)
             assert all(math.isfinite(v) for v in ratios)
             assert max(ratios) < 50.0
@@ -133,10 +119,3 @@ class TestKernel:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
             kernel_eval(1.0, 1.0, 0.0, abs_tol=0.0)
-
-
-class TestKernelNorm:
-    def test_values(self):
-        assert kernel_norm(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert kernel_norm(1.0, 0.0) == pytest.approx(math.sqrt(math.e), rel=1e-13)
-        assert kernel_norm(0.0, 2.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)

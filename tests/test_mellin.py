@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fock_toeplitz.errors import DomainError
-from fock_toeplitz.mellin import MellinValue, mellin_monomial_closed_form, mellin_weighted
+from fock_toeplitz.mellin import MellinValue, mellin_weighted
 from fock_toeplitz.special_functions import QuadratureSpec
 from fock_toeplitz.symbols import RadialProfile
 
@@ -16,66 +16,113 @@ EXP_DECAY = RadialProfile.from_callable(
 )
 
 
+def via_quadrature(profile):
+    """The same function as an evaluator profile, transformed by quadrature."""
+    return RadialProfile.from_callable(profile, profile.growth_exponent, profile.growth_constant)
+
+
+def transform(v, s, zeta, quad=QUAD):
+    """M[v G_s](zeta) as one number, value * exp(log_scale)."""
+    result = mellin_weighted(v, s, zeta, quad)
+    return result.value * math.exp(result.log_scale)
+
+
+def closed_form(p, s, zeta):
+    """M[r^p G_s](zeta) = Gamma((zeta + p + 2s)/2) / (2 pi)."""
+    return math.exp(math.lgamma((zeta + p + 2.0 * s) / 2.0)) / (2.0 * math.pi)
+
+
 class TestClosedForm:
     def test_gaussian_density_anchor(self):
         # M[G](2z) = Gamma(z) / (2 pi) at z = 1
-        assert mellin_monomial_closed_form(0.0, 0.0, 2.0) == pytest.approx(
-            1.0 / (2.0 * math.pi), rel=1e-14
-        )
+        assert transform(ONE, 0.0, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
 
     def test_trivial_gamma_two(self):
-        assert mellin_monomial_closed_form(2.0, 0.0, 2.0) == pytest.approx(
+        assert transform(RadialProfile.monomial(2.0), 0.0, 2.0) == pytest.approx(
             1.0 / (2.0 * math.pi), rel=1e-14
         )
-        assert mellin_monomial_closed_form(1.0, 0.0, 3.0) == pytest.approx(
+        assert transform(RadialProfile.monomial(1.0), 0.0, 3.0) == pytest.approx(
             1.0 / (2.0 * math.pi), rel=1e-14
         )
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            mellin_monomial_closed_form(0.0, 0.0, 0.0)
+            mellin_weighted(ONE, 0.0, 0.0)
         with pytest.raises(DomainError):
-            mellin_monomial_closed_form(0.0, 0.0, -4.0)
+            mellin_weighted(ONE, 0.0, -4.0)
+
+    def test_gaussian_term(self):
+        # c r^p e^{-b r^2}: c Gamma(a) / (2 pi (1+b)^a), a = (zeta + 2s + p)/2
+        profile = RadialProfile.gaussian_terms([(0.7 - 0.2j, 1.5, 0.8)])
+        a = (3.0 + 2.0 * 1.2 + 1.5) / 2.0
+        expected = (0.7 - 0.2j) * math.exp(math.lgamma(a) - a * math.log(1.8)) / (2.0 * math.pi)
+        assert transform(profile, 1.2, 3.0) == pytest.approx(expected, rel=1e-13)
+
+    def test_log_scale_keeps_overflowing_transforms(self):
+        # Gamma(250) / (2 pi) is far outside double range; the log domain keeps it
+        result = mellin_weighted(ONE, 0.0, 500.0)
+        assert result.log_scale == pytest.approx(math.lgamma(250.0), rel=1e-15)
+        assert result.value == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+        assert 0.0 < result.abs_error_estimate < 1e-11
+
+    def test_quadrature_values_unscaled(self):
+        assert mellin_weighted(EXP_DECAY, 0.5, 4.0, QUAD).log_scale == 0.0
+
+    def test_zero_profile(self):
+        result = mellin_weighted(RadialProfile.zero(), 1.0, 3.0)
+        assert (result.value, result.abs_error_estimate) == (0.0, 0.0)
 
 
 class TestMellinWeighted:
     def test_density_example(self):
         value = mellin_weighted(ONE, 0.0, 2.0, QUAD)
-        assert value.value == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+        assert transform(ONE, 0.0, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
         assert value.argument == 2.0
 
+    @pytest.mark.parametrize("quadrature", [False, True])
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.3])
-    def test_shifted_density_example(self, s):
+    def test_shifted_density_example(self, s, quadrature):
         # M[G_s](2) = Gamma(s+1) / (2 pi)
-        value = mellin_weighted(ONE, s, 2.0, QUAD)
+        profile = via_quadrature(ONE) if quadrature else ONE
         expected = math.exp(math.lgamma(s + 1.0)) / (2.0 * math.pi)
-        assert value.value == pytest.approx(expected, rel=1e-12)
+        assert transform(profile, s, 2.0) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.3])
     def test_monomial_oracle_agreement(self, p, s):
+        # the quadrature against the closed Gamma form, on the same function
         profile = RadialProfile.monomial(p)
+        quadrature = via_quadrature(profile)
         for zeta in range(1, 61, 7):
-            exact = mellin_monomial_closed_form(p, s, float(zeta))
-            value = mellin_weighted(profile, s, float(zeta), QUAD).value
+            exact = transform(profile, s, float(zeta))
+            assert exact == pytest.approx(closed_form(p, s, float(zeta)), rel=1e-13)
+            value = mellin_weighted(quadrature, s, float(zeta), QUAD).value
             assert abs(value - exact) / abs(exact) <= 1e-10
 
-    @pytest.mark.parametrize("profile", [RadialProfile.monomial(1.0), EXP_DECAY])
+    @pytest.mark.parametrize(
+        "profile",
+        [RadialProfile.monomial(1.0), via_quadrature(RadialProfile.monomial(1.0)), EXP_DECAY],
+    )
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.3])
     def test_shift_relation(self, profile, s):
         # M[v G_s](zeta) = M[v G](2s + zeta)
         for zeta in (1.0, 2.0, 5.0, 11.0):
             shifted = mellin_weighted(profile, s, zeta, QUAD)
             unshifted = mellin_weighted(profile, 0.0, zeta + 2.0 * s, QUAD)
-            budget = shifted.abs_error_estimate + unshifted.abs_error_estimate
-            assert abs(shifted.value - unshifted.value) <= max(budget, 1e-14)
+            budget = (shifted.abs_error_estimate + unshifted.abs_error_estimate) * math.exp(
+                shifted.log_scale
+            )
+            difference = transform(profile, s, zeta) - transform(profile, 0.0, zeta + 2.0 * s)
+            assert abs(difference) <= max(budget, 1e-14)
 
-    def test_linearity(self):
+    @pytest.mark.parametrize("quadrature", [False, True])
+    def test_linearity(self, quadrature):
         a, b = 2.0, -0.5
-        combined = RadialProfile.polynomial([a, b])  # a + b r
-        lhs = mellin_weighted(combined, 1.0, 3.0, QUAD).value
-        rhs = a * mellin_weighted(ONE, 1.0, 3.0, QUAD).value + b * (
-            mellin_weighted(RadialProfile.monomial(1.0), 1.0, 3.0, QUAD).value
+        wrap = via_quadrature if quadrature else (lambda profile: profile)
+        combined = wrap(RadialProfile.polynomial([a, b]))  # a + b r
+        lhs = transform(combined, 1.0, 3.0)
+        rhs = a * transform(wrap(ONE), 1.0, 3.0) + b * transform(
+            wrap(RadialProfile.monomial(1.0)), 1.0, 3.0
         )
         assert abs(lhs - rhs) <= 1e-12
 
@@ -90,8 +137,6 @@ class TestMellinWeighted:
         with pytest.raises(DomainError):
             mellin_weighted(ONE, 1.0, -2.0, QUAD)
         # zeta + 2s > 0 admits negative zeta for positive s
-        value = mellin_weighted(ONE, 1.0, -1.5, QUAD)
+        value = mellin_weighted(via_quadrature(ONE), 1.0, -1.5, QUAD)
         assert isinstance(value, MellinValue)
-        assert value.value == pytest.approx(
-            mellin_monomial_closed_form(0.0, 1.0, -1.5), rel=1e-10
-        )
+        assert value.value == pytest.approx(transform(ONE, 1.0, -1.5), rel=1e-10)

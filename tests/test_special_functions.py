@@ -5,15 +5,19 @@ import pytest
 
 from fock_toeplitz.errors import AccuracyError, DomainError
 from fock_toeplitz.special_functions import (
+    DEFAULT_QUADRATURE,
     QuadratureSpec,
-    gamma_ratio,
-    gaussian_weighted_integral,
     gaussian_weighted_integral_with_estimate,
     log_gamma,
     tail_radius,
 )
 
 WIDE = QuadratureSpec.for_exponent(92.0)
+
+
+def integral(f, alpha, spec=DEFAULT_QUADRATURE, **kwargs):
+    """The value of the quadrature, without its error estimate."""
+    return gaussian_weighted_integral_with_estimate(f, alpha, spec, **kwargs)[0]
 
 
 def trapezoid_oracle(f, alpha, upper=14.0, n=2_000_001):
@@ -52,29 +56,6 @@ class TestLogGamma:
         assert log_gamma(x) == pytest.approx(stirling, rel=1e-13)
 
 
-class TestGammaRatio:
-    def test_recurrence(self):
-        assert gamma_ratio(5.0, 4.0) == pytest.approx(4.0, rel=1e-13)
-        assert gamma_ratio(7.5, 6.5) == pytest.approx(6.5, rel=1e-13)
-
-    def test_identity(self):
-        for a in (0.3, 1.0, 17.25, 9.9e4):
-            assert gamma_ratio(a, a) == 1.0
-
-    def test_no_overflow_at_large_arguments(self):
-        # log-domain evaluation loses ~|lgamma| * ulp of absolute accuracy,
-        # so the ratio is good to ~1e-9 relative at arguments near 1e5
-        value = gamma_ratio(1e5, 1e5 - 1.0)
-        assert math.isfinite(value)
-        assert value == pytest.approx(1e5 - 1.0, rel=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_ratio(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            gamma_ratio(2.0, 0.0)
-
-
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -101,11 +82,11 @@ class TestQuadratureSpec:
 
 class TestGaussianWeightedIntegral:
     def test_constant_alpha_two(self):
-        value = gaussian_weighted_integral(lambda t: np.ones_like(t), 2.0)
+        value = integral(lambda t: np.ones_like(t), 2.0)
         assert value == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_alpha_one(self):
-        value = gaussian_weighted_integral(lambda t: np.ones_like(t), 1.0)
+        value = integral(lambda t: np.ones_like(t), 1.0)
         assert value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5, 5.6, 13.0])
@@ -114,7 +95,7 @@ class TestGaussianWeightedIntegral:
         exact = 0.5 * math.exp(math.lgamma((alpha + p) / 2.0))
         oracle = trapezoid_oracle(lambda t: t**p, alpha)
         assert oracle == pytest.approx(exact, rel=1e-9)  # oracle agrees with closed form
-        value = gaussian_weighted_integral(lambda t: t**p, alpha, WIDE, growth_exponent=p)
+        value = integral(lambda t: t**p, alpha, WIDE, growth_exponent=p)
         assert value.real == pytest.approx(exact, rel=1e-11)
         assert abs(value.imag) <= 1e-13 * exact
 
@@ -124,7 +105,7 @@ class TestGaussianWeightedIntegral:
         for alpha in np.linspace(1.0, 80.0, 24):
             for p in range(11):
                 exact = 0.5 * math.exp(math.lgamma((alpha + p) / 2.0))
-                value = gaussian_weighted_integral(
+                value = integral(
                     lambda t, p=p: t**p, float(alpha), WIDE, growth_exponent=p
                 )
                 worst = max(worst, abs(value - exact) / exact)
@@ -140,14 +121,14 @@ class TestGaussianWeightedIntegral:
             return t**2
 
         a, b = 0.7, -1.3
-        combined = gaussian_weighted_integral(lambda t: a * f(t) + b * g(t), 3.0, spec)
-        separate = a * gaussian_weighted_integral(f, 3.0, spec) + b * gaussian_weighted_integral(
+        combined = integral(lambda t: a * f(t) + b * g(t), 3.0, spec)
+        separate = a * integral(f, 3.0, spec) + b * integral(
             g, 3.0, spec
         )
         assert abs(combined - separate) <= 1e-12
 
     def test_complex_integrand(self):
-        value = gaussian_weighted_integral(lambda t: (1.0 + 2.0j) * np.ones_like(t), 2.0)
+        value = integral(lambda t: (1.0 + 2.0j) * np.ones_like(t), 2.0)
         assert value == pytest.approx(0.5 + 1.0j, rel=1e-12)
 
     def test_estimate_bounds_true_error(self):
@@ -160,20 +141,20 @@ class TestGaussianWeightedIntegral:
 
     def test_domain_error_on_bad_alpha(self):
         with pytest.raises(DomainError):
-            gaussian_weighted_integral(lambda t: t, 0.0)
+            integral(lambda t: t, 0.0)
         with pytest.raises(DomainError):
-            gaussian_weighted_integral(lambda t: t, -2.0)
+            integral(lambda t: t, -2.0)
 
     def test_accuracy_error_carries_estimate(self):
         # A jump integrand defeats the smoothness assumption.
         ragged = QuadratureSpec(node_count=8, tail_cutoff=8.0, abs_tol=1e-15, rel_tol=1e-15)
         with pytest.raises(AccuracyError) as info:
-            gaussian_weighted_integral(lambda t: np.sign(t - 2.0), 1.0, ragged)
+            integral(lambda t: np.sign(t - 2.0), 1.0, ragged)
         assert info.value.estimate is not None
         assert info.value.estimate > 0.0
 
     def test_deterministic(self):
         spec = QuadratureSpec.for_exponent(9.0)
-        first = gaussian_weighted_integral(lambda t: np.exp(-t) * t, 4.5, spec)
-        second = gaussian_weighted_integral(lambda t: np.exp(-t) * t, 4.5, spec)
+        first = integral(lambda t: np.exp(-t) * t, 4.5, spec)
+        second = integral(lambda t: np.exp(-t) * t, 4.5, spec)
         assert first == second

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from fock_toeplitz.errors import ClassificationError, DomainError, PreconditionError
-from fock_toeplitz.special_functions import QuadratureSpec, gaussian_weighted_integral
+from fock_toeplitz.special_functions import (
+    QuadratureSpec,
+    gaussian_weighted_integral_with_estimate,
+)
 from fock_toeplitz.symbols import (
     RadialProfile,
     SymbolSpec,
@@ -71,6 +74,39 @@ class TestRadialProfile:
     def test_scaled(self):
         p = RadialProfile.monomial(1.0).scaled(0.5)
         assert p(2.0) == pytest.approx(1.0)
+
+    def test_gaussian_terms(self):
+        # (2 + 0.5 - 1.5) r e^{-r^2/2} + 3 = r e^{-r^2/2} + 3
+        p = RadialProfile.gaussian_terms(
+            [(2.0, 1.0, 0.5), (0.5, 1.0, 0.5), (3.0, 0, 0), (-1.5, 1, 0.5)]
+        )
+        assert p.terms == ((3.0 + 0j, 0.0, 0.0), (1.0 + 0j, 1.0, 0.5))
+        assert p.evaluator is None
+        r = np.linspace(0.0, 6.0, 13)
+        np.testing.assert_allclose(p(r), r * np.exp(-0.5 * r**2) + 3.0, rtol=1e-14)
+        assert np.all(np.abs(p(r)) <= p.growth_constant * (1.0 + r) ** p.growth_exponent)
+        assert RadialProfile.gaussian_terms([(1.0, 2.0, 1.0), (-1.0, 2.0, 1.0)]).is_zero
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (1.0, -1.0, 0.0),
+            (1.0, 1.0, -0.5),
+            (math.nan, 1.0, 0.0),
+            (1.0, math.inf, 0.0),
+            (1.0, 0.0, math.nan),
+        ],
+    )
+    def test_gaussian_terms_rejects(self, bad):
+        with pytest.raises(DomainError):
+            RadialProfile.gaussian_terms([bad])
+
+    def test_scaled_and_conjugate_stay_in_family(self):
+        p = RadialProfile.gaussian_terms([(1.0 + 2.0j, 1.5, 0.3)])
+        assert p.scaled(2.0j).terms == (((1.0 + 2.0j) * 2.0j, 1.5, 0.3),)
+        assert p.conjugate().terms == ((1.0 - 2.0j, 1.5, 0.3),)
+        assert RadialProfile.monomial(2.5).scaled(3.0).evaluator is None
+        assert p.scaled(0.0).is_zero
 
     def test_from_samples_interpolates(self):
         r = np.linspace(0.1, 10.0, 60)
@@ -204,12 +240,12 @@ class TestDecompose:
         for s in (0.0, 1.0, 2.3):
             lhs = 0.0
             for j, profile in spec.mode_items:
-                lhs += gaussian_weighted_integral(
+                lhs += gaussian_weighted_integral_with_estimate(
                     lambda r, p=profile: np.abs(p(r)) ** 2,
                     2.0 * s + 2.0,
                     quad,
                     growth_exponent=2.0 * profile.growth_exponent,
-                ).real
+                )[0].real
             # independent 2D polar evaluation of the squared norm
             nodes, weights = np.polynomial.legendre.leggauss(400)
             r = 0.5 * 10.0 * (nodes + 1.0)
