@@ -16,6 +16,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
+from .operators import MAX_TRUNCATION
 from .special_functions import QuadratureSpec
 from .symbols import RadialProfile, SymbolSpec
 
@@ -188,6 +189,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "N" not in document:
         _fail("N", "required field is missing")
     n_value = _as_int("N", document.get("N"), minimum=1)
+    if n_value > MAX_TRUNCATION:
+        _fail("N", f"must not exceed the truncation cap {MAX_TRUNCATION}, got {n_value}")
     if n_value < k_max + j_max + 2:
         _fail("N", f"must satisfy N >= k_max + j_max + 2 = {k_max + j_max + 2}, got {n_value}")
 

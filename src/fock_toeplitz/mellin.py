@@ -31,6 +31,7 @@ from .special_functions import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     gaussian_weighted_integral_with_estimate,
+    log_gamma_array,
 )
 from .symbols import RadialProfile
 
@@ -40,9 +41,6 @@ __all__ = [
     "mellin_weighted",
     "mellin_weighted_cached",
 ]
-
-_lgamma = np.frompyfunc(math.lgamma, 1, 1)
-
 
 @dataclass(frozen=True)
 class MellinValue:
@@ -71,7 +69,7 @@ def family_transform(terms: tuple, alpha: np.ndarray) -> tuple[np.ndarray, np.nd
     logs = []
     for c, p, b in terms:
         a = 0.5 * (alpha + p)
-        log_gamma = _lgamma(a).astype(float)
+        log_gamma = log_gamma_array(a)
         decay = a * math.log1p(b)
         logs.append((c, log_gamma - decay, np.abs(log_gamma) + decay))
     log_scale = np.max([log for _, log, _ in logs], axis=0) if logs else np.zeros(alpha.shape)

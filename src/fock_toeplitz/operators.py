@@ -29,7 +29,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, PreconditionError
 from .fock_space import SobolevOrder, order_value
 from .mellin import family_transform, mellin_weighted_cached
-from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma
+from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma, log_gamma_array
 from .symbols import RadialProfile, SymbolSpec
 
 __all__ = [
@@ -75,10 +75,8 @@ class TruncatedOperator:
             raise DomainError(f"entries must be a square matrix, got shape {matrix.shape}")
         if not np.isfinite(matrix).all():
             raise DomainError("matrix entries must all be finite")
-        n = matrix.shape[0]
-        rows, cols = np.indices((n, n))
-        outside = np.abs(rows - cols) > self.exact_band
-        if np.any(matrix[outside] != 0):
+        band = self.exact_band
+        if np.triu(matrix, band + 1).any() or np.tril(matrix, -band - 1).any():
             raise DomainError(
                 f"operator {self.label!r}: nonzero entry outside declared band "
                 f"{self.exact_band}"
@@ -96,7 +94,8 @@ class TruncatedOperator:
 
 
 def _basis_log_norms(s: float, n: int) -> np.ndarray:
-    return np.array([log_gamma(s + m + 1.0) for m in range(n)])
+    """log Gamma(s + m + 1) for m = 0, ..., n-1, summed in that order."""
+    return log_gamma_array(s + np.arange(n) + 1.0)
 
 
 def _truncation(N: int) -> int:
@@ -288,26 +287,38 @@ def min_truncation_size(
 
 def matrix_to_csv(a: TruncatedOperator) -> str:
     """Full matrix as 'row,col,re,im' lines (row-major, deterministic)."""
-    lines = ["row,col,re,im"]
-    for row in range(a.size):
-        for col in range(a.size):
-            value = a.entries[row, col]
-            lines.append(f"{row},{col},{float(value.real)!r},{float(value.imag)!r}")
-    return "\n".join(lines) + "\n"
+    lines = [
+        f"{row},{col},{value.real!r},{value.imag!r}\n"
+        for row, values in enumerate(a.entries.tolist())
+        for col, value in enumerate(values)
+    ]
+    return "row,col,re,im\n" + "".join(lines)
 
 
 def matrix_to_json(a: TruncatedOperator) -> str:
-    """JSON envelope {s, N, exact_band, label} wrapping the entry table."""
-    payload = {
+    """JSON envelope {s, N, exact_band, label} wrapping the entry table.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``:
+    json writes the envelope, and the entry table, written here with the
+    same indentation and the same float repr, replaces its empty list.  The
+    first '"entries": []' in the text is that list: "N" is the only key
+    sorted before it, and json escapes every quote inside the label.
+    """
+    envelope = {
         "s": a.s,
         "N": a.size,
         "exact_band": a.exact_band,
         "label": a.label,
         "entry_error": a.entry_error,
-        "entries": [
-            [row, col, float(a.entries[row, col].real), float(a.entries[row, col].imag)]
-            for row in range(a.size)
-            for col in range(a.size)
-        ],
+        "entries": [],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    table = ",\n".join(
+        [
+            f"    [\n      {row},\n      {col},\n"
+            f"      {value.real!r},\n      {value.imag!r}\n    ]"
+            for row, values in enumerate(a.entries.tolist())
+            for col, value in enumerate(values)
+        ]
+    )
+    text = json.dumps(envelope, sort_keys=True, indent=2)
+    return text.replace('"entries": []', f'"entries": [\n{table}\n  ]', 1) + "\n"

@@ -17,6 +17,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -29,6 +30,7 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "log_gamma",
+    "log_gamma_array",
     "gaussian_weighted_integral_with_estimate",
     "tail_radius",
 ]
@@ -49,6 +51,15 @@ def log_gamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
     return math.lgamma(x)
+
+
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def log_gamma_array(x: np.ndarray) -> np.ndarray:
+    """``math.lgamma`` elementwise over a float array, bit for bit the values
+    of :func:`log_gamma`, without its domain check."""
+    return _lgamma(x).astype(float)
 
 
 def tail_radius(alpha_max: float, abs_tol: float) -> float:
@@ -111,7 +122,10 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 def _level_sum(f: Callable, alpha: float, cutoff: float, h: float) -> tuple[complex, float]:
     """One trapezoid pass of the tanh-sinh rule at step ``h``.
 
-    Returns the sum and its L1 mass, which bounds summation rounding.
+    Returns the sum and its L1 mass, which bounds summation rounding.  A sum
+    or mass that is not finite raises :class:`AccuracyError` with an
+    infinite estimate: an infinite sum would pass the caller's relative
+    stopping test.
     """
     k = int(math.floor(_U_MAX / h))
     u = h * np.arange(-k, k + 1)
@@ -124,7 +138,7 @@ def _level_sum(f: Callable, alpha: float, cutoff: float, h: float) -> tuple[comp
     w = h * (cutoff / 2.0) * (0.5 * math.pi) * np.cosh(u) * sech2
     mask = (w > 0.0) & (t > 0.0) & (t < cutoff)
     t, w = t[mask], w[mask]
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):  # overflow raises below
         density = np.exp((alpha - 1.0) * np.log(t) - t * t)
     weights = w * density
     live = weights != 0.0
@@ -132,7 +146,13 @@ def _level_sum(f: Callable, alpha: float, cutoff: float, h: float) -> tuple[comp
     if t.size == 0:
         return 0j, 0.0
     terms = weights * np.asarray(f(t))
-    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+    total, l1_mass = complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+    if not (cmath.isfinite(total) and math.isfinite(l1_mass)):
+        raise AccuracyError(
+            f"quadrature level sum is not finite (overflows double range) for alpha={alpha:g}",
+            estimate=math.inf,
+        )
+    return total, l1_mass
 
 
 def gaussian_weighted_integral_with_estimate(
@@ -148,7 +168,8 @@ def gaussian_weighted_integral_with_estimate(
     ``f`` maps a 1-d array of points in (0, tail_cutoff) to real or complex
     values of the same shape, with at most the polynomial growth declared
     by ``growth_exponent``.  Deterministic for a fixed spec; raises
-    :class:`AccuracyError`, estimate attached, when refinement stalls.
+    :class:`AccuracyError`, estimate attached, when refinement stalls, and
+    with an infinite estimate when a level sum is not finite.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:

@@ -114,6 +114,14 @@ output: {directory: OUT}
         config = write(tmp_path, "c.yaml", text)
         assert main(["matrix", "--config", str(config), "--quiet"]) == 2
 
+    def test_n_above_cap_exits_2(self, tmp_path, capsys):
+        text = CONFIG_MATRIX.format(out=tmp_path / "out").replace("N: 4\n", "N: 200\n")
+        config = write(tmp_path, "c.yaml", text)
+        assert main(["matrix", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "'N'" in err and "160" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCommutatorCommand:
     def test_summary_and_matrices(self, tmp_path):
@@ -216,6 +224,15 @@ output: {directory: OUT}
         assert main(["criterion", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "N = 14" in err and "k_max = 10" in err and "max|j| = 2" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_n_above_cap_exits_2(self, tmp_path, capsys):
+        config = write(
+            tmp_path, "c.yaml", CONFIG_PAIR.format(s=0.0, N=200, k_max=5, out=tmp_path / "out")
+        )
+        assert main(["criterion", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "'N'" in err and "160" in err
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_psi_exits_1(self, tmp_path, capsys):
@@ -338,12 +355,11 @@ output:
 
 class TestExitCodes:
     def test_runtime_domain_error_exits_1(self, tmp_path, capsys):
-        # passes config validation but exceeds the operator truncation cap
-        config = write(
-            tmp_path,
-            "c.yaml",
-            CONFIG_PAIR.format(s=0.0, N=500, k_max=5, out=tmp_path / "out"),
+        # passes config validation, but the entries of r^400 leave double range
+        text = CONFIG_MATRIX.format(out=tmp_path / "out").replace(
+            "kind: monomial, power: 0", "kind: monomial, power: 400"
         )
+        config = write(tmp_path, "c.yaml", text)
         assert main(["matrix", "--config", str(config), "--quiet"]) == 1
         assert "error" in capsys.readouterr().err
 

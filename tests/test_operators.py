@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from fock_toeplitz.errors import DomainError, PreconditionError
+from fock_toeplitz.errors import AccuracyError, DomainError, PreconditionError
 from fock_toeplitz.operators import (
     TruncatedOperator,
+    _basis_log_norms,
     berezin,
     commutator,
     compose,
@@ -19,7 +20,7 @@ from fock_toeplitz.operators import (
     toeplitz_matrix,
     window_max_abs,
 )
-from fock_toeplitz.special_functions import QuadratureSpec
+from fock_toeplitz.special_functions import QuadratureSpec, log_gamma
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec, evaluate
 
 QUAD = QuadratureSpec.for_exponent(80.0)
@@ -111,6 +112,23 @@ class TestToeplitzMatrix:
         op = toeplitz_matrix(EXP_DECAY, 1.0, 10, QUAD)
         off = op.entries - np.diag(np.diagonal(op.entries))
         assert np.max(np.abs(off)) == 0.0
+
+    def test_overflowing_quadrature_names_the_entry(self):
+        # exp(-1.3 r) at s = 12: the level sum of column m = 159 overflows,
+        # which used to surface as an anonymous non-finite-entries DomainError
+        decay = SymbolSpec.from_modes(
+            {
+                0: RadialProfile.from_callable(
+                    lambda r: np.exp(-1.3 * np.asarray(r, dtype=float)),
+                    growth_exponent=0.0,
+                    growth_constant=1.0,
+                )
+            },
+            name="decay",
+        )
+        with pytest.raises(AccuracyError, match="j=0, column m=159") as info:
+            toeplitz_matrix(decay, 12.0, 160)
+        assert info.value.estimate == math.inf
 
     def test_size_validation(self):
         with pytest.raises(DomainError):
@@ -271,6 +289,22 @@ class TestTruncatedOperator:
         with pytest.raises(DomainError):
             TruncatedOperator(bad, 0.0, 1, "bad")
 
+    @pytest.mark.parametrize("row, col", [(3, 1), (1, 3), (0, 2)])
+    def test_band_violation_on_either_side(self, row, col):
+        bad = np.diag(np.arange(1.0, 5.0)).astype(complex)
+        bad[row, col] = -1e-300
+        with pytest.raises(DomainError, match="outside declared band 1"):
+            TruncatedOperator(bad, 0.0, 1, "bad")
+        bad[row, col] = -0.0
+        TruncatedOperator(bad, 0.0, 1, "zero")
+
+    def test_band_at_or_beyond_size_accepts_dense(self):
+        dense = np.ones((3, 3), dtype=complex)
+        TruncatedOperator(dense, 0.0, 2, "dense")
+        TruncatedOperator(dense, 0.0, 7, "wide")
+        with pytest.raises(DomainError):
+            TruncatedOperator(dense, 0.0, 1, "narrow")
+
     def test_nonfinite_rejected(self):
         bad = np.zeros((3, 3), dtype=complex)
         bad[0, 0] = math.nan
@@ -281,6 +315,15 @@ class TestTruncatedOperator:
         op = toeplitz_matrix(ONE, 0.0, 3, QUAD)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
+
+
+class TestBasisLogNorms:
+    @pytest.mark.parametrize("s", [0.0, 0.1, 0.5, 2.3, 1 / 3, 29.97, 150.0])
+    def test_equals_scalar_log_gamma_exactly(self, s):
+        expected = np.array([log_gamma(s + m + 1.0) for m in range(160)])
+        got = _basis_log_norms(s, 160)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestMinTruncationSize:

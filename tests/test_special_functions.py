@@ -153,6 +153,14 @@ class TestGaussianWeightedIntegral:
         assert info.value.estimate is not None
         assert info.value.estimate > 0.0
 
+    def test_overflowing_level_sum_raises(self):
+        # the level sum of e^{-1.3t} t^343 e^{-t^2} overflows; an infinite sum
+        # passes the relative stopping test, so it must be refused explicitly
+        spec = QuadratureSpec.for_exponent(344.0)
+        with pytest.raises(AccuracyError, match="alpha=344") as info:
+            gaussian_weighted_integral_with_estimate(lambda t: np.exp(-1.3 * t), 344.0, spec)
+        assert info.value.estimate == math.inf
+
     def test_deterministic(self):
         spec = QuadratureSpec.for_exponent(9.0)
         first = integral(lambda t: np.exp(-t) * t, 4.5, spec)
