@@ -31,9 +31,7 @@ from .symbols import (
     RadialProfile,
     SymbolSpec,
     decompose,
-    dpoly_norm_estimate,
     evaluate,
-    fit_growth,
     polar_l2_norm,
     sample_polar,
 )
@@ -51,11 +49,9 @@ from .operators import (
 )
 from .criterion import (
     CriterionReport,
-    MomentProbe,
     Verdict,
     commutator_cross_check,
     functional_equation_residuals,
-    moment_vanishing_probe,
     periodicity_probe,
     phi,
     psi,
@@ -82,9 +78,7 @@ __all__ = [
     "RadialProfile",
     "SymbolSpec",
     "decompose",
-    "dpoly_norm_estimate",
     "evaluate",
-    "fit_growth",
     "polar_l2_norm",
     "sample_polar",
     "TruncatedOperator",
@@ -98,11 +92,9 @@ __all__ = [
     "toeplitz_matrix",
     "window_max_abs",
     "CriterionReport",
-    "MomentProbe",
     "Verdict",
     "commutator_cross_check",
     "functional_equation_residuals",
-    "moment_vanishing_probe",
     "periodicity_probe",
     "phi",
     "psi",

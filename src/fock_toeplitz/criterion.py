@@ -24,50 +24,76 @@ doubles as a cross-check:
 
 "Vanishing" always means: magnitude below ``verdict_multiplier`` times the
 propagated error estimate (quadrature error for evaluator profiles, rounding
-error for exact Gaussian-polynomial transforms).  The probes of the
-one-sided moment and periodicity statements are labelled probes; finitely
-many evaluations never certify an "almost everywhere" conclusion.
+error for exact Gaussian-polynomial transforms).  Every transform is read
+as a whole column through the operator module's column helper, the one
+path that also builds the Toeplitz matrices.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
-import sys
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .fock_space import SobolevOrder, order_value
-from .mellin import mellin_weighted_cached
-from .operators import TruncatedOperator, commutator, toeplitz_matrix, window_max_abs
-from .special_functions import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    gaussian_weighted_integral_with_estimate,
-    log_gamma,
+from .operators import (
+    TruncatedOperator,
+    _basis_log_norms,
+    _transform_column,
+    commutator,
+    toeplitz_matrix,
+    window_max_abs,
 )
+from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma_array
 from .symbols import RadialProfile, SymbolSpec
 
 __all__ = [
     "Verdict",
     "Cell",
     "CriterionReport",
-    "MomentProbe",
     "phi",
     "psi",
     "functional_equation_residuals",
     "commutator_cross_check",
-    "moment_vanishing_probe",
     "periodicity_probe",
 ]
 
 DEFAULT_VERDICT_MULTIPLIER = 3.0
-# Reports store raw Psi and products, which must stay below exp(_LOG_MAX).
-_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _h_column(
+    u: RadialProfile, m: np.ndarray, s: float, quad: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """H(m + s) = M[u G_s](2m + 2) / Gamma(m + s + 1) at the points ``m``,
+    with errors: u's diagonal column scaled so that Phi_j(k) = H(k) - H(k+j)."""
+    log_scale, value, error = _transform_column(u, 0, m, s, quad, "u")
+    scale = np.exp(log_scale - log_gamma_array(m + s + 1.0))
+    return value * scale, error * scale
+
+
+def _psi_column(
+    j: int, k: np.ndarray, s: float, v_j: RadialProfile, quad: QuadratureSpec, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Psi_j(k+s) = M[v_j G_s](j + 2k + 2) at the integers ``k``, with errors;
+    infinite where it leaves double range (see :func:`_refuse_overflow`)."""
+    log_scale, value, error = _transform_column(v_j, j, k, s, quad, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(log_scale)
+        return value * scale, error * scale
+
+
+def _refuse_overflow(j: int, k: np.ndarray, s: float, psi_ok: np.ndarray, product_ok: np.ndarray):
+    """Raise a :class:`DomainError` for the first k whose Psi, or else whose
+    product, leaves double range: reports store both raw."""
+    ok = psi_ok & product_ok
+    if not ok.all():
+        first = int(np.argmin(ok))
+        factor = f"Phi_{j} * Psi_{j}" if psi_ok[first] else f"Psi_{j}"
+        raise DomainError(f"{factor}(k+s) at k={k[first]}, s={s:g} overflows double range")
 
 
 def phi(
@@ -91,13 +117,8 @@ def phi(
     j, k = int(j), int(k)
     if j == 0:
         return 0j, 0.0
-    first = mellin_weighted_cached(u, sv, float(2 * k + 2), quad)
-    second = mellin_weighted_cached(u, sv, float(2 * k + 2 * j + 2), quad)
-    inv_first = math.exp(first.log_scale - log_gamma(k + sv + 1.0))
-    inv_second = math.exp(second.log_scale - log_gamma(k + j + sv + 1.0))
-    value = first.value * inv_first - second.value * inv_second
-    estimate = first.abs_error_estimate * inv_first + second.abs_error_estimate * inv_second
-    return value, estimate
+    h, h_err = _h_column(u, np.array([k, k + j]), sv, quad)
+    return complex(h[0] - h[1]), float(h_err[0] + h_err[1])
 
 
 def psi(
@@ -111,12 +132,11 @@ def psi(
     with its propagated absolute error estimate.  Psi is Gamma-sized; a
     :class:`DomainError` names the cell where it leaves double range."""
     sv = order_value(s)
-    transform = mellin_weighted_cached(v_j, sv, float(2 * k + int(j) + 2), quad)
-    scale = math.exp(transform.log_scale) if transform.log_scale < _LOG_MAX else math.inf
-    value, error = transform.value * scale, transform.abs_error_estimate * scale
-    if not (cmath.isfinite(value) and math.isfinite(error)):
-        raise DomainError(f"Psi_{j}(k+s) at k={k}, s={sv:g} overflows double range")
-    return value, error
+    k = np.array([k])
+    value, error = _psi_column(int(j), k, sv, v_j, quad, "v")
+    finite = np.isfinite(value) & np.isfinite(error)
+    _refuse_overflow(j, k, sv, finite, finite)
+    return complex(value[0]), float(error[0])
 
 
 @dataclass(frozen=True)
@@ -244,47 +264,42 @@ def _require_window(N: int, k_max: int, band: int) -> None:
         )
 
 
-def _cell(
-    j: int,
-    k: int,
-    s: float,
-    u: RadialProfile,
-    v_j: RadialProfile,
-    comm: TruncatedOperator,
-    quad: QuadratureSpec,
-) -> Cell:
-    """Phi, Psi and the commutator cross-check of cell (j, k).
-
-    The matrix side is C[k+j, k]; the closed side is
-    -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
-    """
-    cell = Cell(j, k, *phi(j, k, s, u, quad), *psi(j, k, s, v_j, quad), matrix_residual=0.0)
-    if not (cmath.isfinite(cell.product) and math.isfinite(cell.product_err)):
-        raise DomainError(f"Phi_{j} * Psi_{j}(k+s) at k={k}, s={s:g} overflows double range")
-    if j == 0:
-        return cell
-    scale = (2.0 * math.pi) ** 2 * math.exp(
-        -0.5 * (log_gamma(s + k + 1.0) + log_gamma(s + k + j + 1.0))
-    )
-    formula = -scale * cell.phi * cell.psi
-    matrix_entry = complex(comm.entries[k + j, k])
-    denominator = max(abs(formula), abs(matrix_entry))
-    if denominator <= 3.0 * (scale * cell.product_err + comm.entry_error) + 1e-300:
-        return cell
-    return replace(cell, matrix_residual=abs(matrix_entry - formula) / denominator)
-
-
 def _cells(
     u: RadialProfile, v: SymbolSpec, s: float, N: int, k_max: int, quad: QuadratureSpec
 ) -> tuple[dict[tuple[int, int], Cell], TruncatedOperator]:
-    """Build T_u, T_v and their commutator once, then every cell with k <= k_max."""
+    """Build T_u, T_v and their commutator once, then every cell with k <= k_max,
+    one mode at a time.
+
+    Each cell is cross-checked against C[k+j, k]; the closed side is
+    -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
+    """
     op_u = toeplitz_matrix(SymbolSpec.from_modes({0: u}, name="u"), s, N, quad)
     comm = commutator(op_u, toeplitz_matrix(v, s, N, quad))
-    cells = {
-        (j, k): _cell(j, k, s, u, profile, comm, quad)
-        for j, profile in v.mode_items
-        for k in range(max(0, -j), k_max + 1)
-    }
+    h, h_err = _h_column(u, np.arange(k_max + v.max_mode + 1), s, quad)
+    log_norms = _basis_log_norms(s, N)
+    cells = {}
+    for j, profile in v.mode_items:
+        k = np.arange(max(0, -j), k_max + 1)
+        if j == 0:
+            phis, phi_err = np.zeros(k.size, dtype=complex), np.zeros(k.size)
+        else:
+            phis, phi_err = h[k] - h[k + j], h_err[k] + h_err[k + j]
+        psis, psi_err = _psi_column(j, k, s, profile, quad, v.name)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            product = phis * psis
+            product_err = np.abs(phis) * psi_err + np.abs(psis) * phi_err + phi_err * psi_err
+            psi_ok = np.isfinite(psis) & np.isfinite(psi_err)
+            _refuse_overflow(j, k, s, psi_ok, np.isfinite(product) & np.isfinite(product_err))
+            scale = (2.0 * math.pi) ** 2 * np.exp(-0.5 * (log_norms[k] + log_norms[k + j]))
+            formula = -scale * phis * psis
+            entry = comm.entries[k + j, k]
+            denominator = np.maximum(np.abs(formula), np.abs(entry))
+            residual = np.abs(entry - formula) / denominator
+        below = denominator <= 3.0 * (scale * product_err + comm.entry_error) + 1e-300
+        residual[below | (j == 0)] = 0.0
+        columns = (k, phis, phi_err, psis, psi_err, residual)
+        for key, *fields in zip(*(column.tolist() for column in columns)):
+            cells[(j, key)] = Cell(j, key, *fields)
     return cells, comm
 
 
@@ -412,50 +427,6 @@ def _decide(
     return Verdict("consistent_radial")
 
 
-class MomentProbe(NamedTuple):
-    k: int
-    value: complex
-    below_tolerance: bool
-
-
-def moment_vanishing_probe(
-    f: RadialProfile,
-    a: float,
-    k_list: Sequence[int],
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    tolerance_multiplier: float = DEFAULT_VERDICT_MULTIPLIER,
-) -> list[MomentProbe]:
-    """Probe of the one-sided moment statement: int_0^inf f(t) e^{-t} t^{ak} dt.
-
-    Substituting t = x^2 turns each moment into the standard Gaussian-weight
-    integral 2 * I(x -> f(x^2), 2ak + 2).  Flags mark moments within
-    quadrature error of zero.  This probes the hypothesis of the vanishing
-    statement; it never proves the a.e. conclusion.
-    """
-    a = float(a)
-    if not (0.0 < a <= 2.0):
-        raise DomainError(f"exponent a must lie in (0, 2], got {a!r}")
-    results = []
-    for k in k_list:
-        if int(k) != k or k < 1:
-            raise DomainError(f"moment indices must be positive integers, got {k!r}")
-        alpha = 2.0 * a * int(k) + 2.0
-        spec = quad.covering(alpha + 2.0 * f.growth_exponent)
-        value, estimate = gaussian_weighted_integral_with_estimate(
-            lambda x: np.asarray(f(x * x)),
-            alpha,
-            spec,
-            growth_exponent=2.0 * f.growth_exponent,
-        )
-        value = 2.0 * value
-        estimate = 2.0 * estimate
-        results.append(
-            MomentProbe(int(k), complex(value), abs(value) <= tolerance_multiplier * estimate)
-        )
-    return results
-
-
 def periodicity_probe(
     u: RadialProfile,
     s: "float | SobolevOrder",
@@ -472,21 +443,15 @@ def periodicity_probe(
     sv = order_value(s)
     if int(j) != j or j < 1:
         raise DomainError(f"period j must be a positive integer, got {j!r}")
-
-    def h(point: float) -> tuple[complex, float]:
-        transform = mellin_weighted_cached(u, sv, 2.0 * point + 2.0 - 2.0 * sv, quad)
-        inv_gamma = math.exp(transform.log_scale - log_gamma(point + 1.0))
-        return transform.value * inv_gamma, transform.abs_error_estimate * inv_gamma
-
-    worst = 0.0
-    worst_err = 0.0
-    for z in z_grid:
-        z = float(z)
-        if z <= -1.0:
-            raise DomainError(f"grid point {z!r} outside the holomorphy half-plane z > -1")
-        (first, first_err), (second, second_err) = h(z), h(z + j)
-        difference = abs(first - second)
-        if difference >= worst:
-            worst, worst_err = difference, first_err + second_err
-    return worst, worst_err
-
+    z = [float(point) for point in z_grid]
+    for point in z:
+        if point <= -1.0:
+            raise DomainError(f"grid point {point!r} outside the holomorphy half-plane z > -1")
+    if not z:
+        return 0.0, 0.0
+    # H(z) = H(m + s) at m = z - s, for the grid and the grid shifted by j
+    h, h_err = _h_column(u, np.array(z + [point + j for point in z]) - sv, sv, quad)
+    n = len(z)
+    difference = np.abs(h[:n] - h[n:])
+    worst = n - 1 - int(np.argmax(difference[::-1]))  # the last largest, as a scan with >=
+    return float(difference[worst]), float(h_err[worst] + h_err[n + worst])

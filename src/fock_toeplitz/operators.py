@@ -104,30 +104,25 @@ def _truncation(N: int) -> int:
     return int(N)
 
 
-def _diagonal(
+def _transform_column(
     profile: RadialProfile,
     j: int,
     m: np.ndarray,
     s: float,
-    log_norms: np.ndarray,
     quad: QuadratureSpec,
     name: str,
-) -> tuple[np.ndarray, float]:
-    """Entries <T e_m, e_{m+j}> of one mode at the columns ``m``, and the
-    largest absolute error among them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw transforms M[profile G_s](2m + j + 2) behind the entries (m + j, m),
+    as arrays (log_scale, value, error): the transform is value * exp(log_scale).
 
     A Gaussian-polynomial column is one vectorised closed-form evaluation
     (never cached); an evaluator column is one cached quadrature per entry,
     whose failure is re-raised as an :class:`AccuracyError` naming (j, m).
     """
-    norms = 0.5 * (log_norms[m] + log_norms[m + j])
     if profile.evaluator is None:
-        log_scale, value, error = family_transform(profile.terms, 2.0 * m + j + 2 + 2.0 * s)
-        scale = 2.0 * math.pi * np.exp(log_scale - norms)
-        return value * scale, float(np.max(error * scale, initial=0.0))
-    values = np.zeros(m.size, dtype=complex)
-    worst_error = 0.0
-    for i, column in enumerate(m):
+        return family_transform(profile.terms, 2.0 * m + j + 2 + 2.0 * s)
+    log_scale, values, errors = np.zeros(m.size), np.zeros(m.size, dtype=complex), np.zeros(m.size)
+    for i, column in enumerate(m.tolist()):
         try:
             transform = mellin_weighted_cached(profile, s, float(2 * column + j + 2), quad)
         except AccuracyError as exc:
@@ -136,10 +131,35 @@ def _diagonal(
                 f"column m={column}: {exc}",
                 estimate=exc.estimate,
             ) from exc
-        scale = 2.0 * math.pi * math.exp(transform.log_scale - norms[i])
-        values[i] = transform.value * scale
-        worst_error = max(worst_error, transform.abs_error_estimate * scale)
-    return values, worst_error
+        log_scale[i] = transform.log_scale
+        values[i] = transform.value
+        errors[i] = transform.abs_error_estimate
+    return log_scale, values, errors
+
+
+def _diagonal(
+    profile: RadialProfile,
+    j: int,
+    m: np.ndarray,
+    s: float,
+    log_norms: np.ndarray,
+    quad: QuadratureSpec,
+    name: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entries <T e_m, e_{m+j}> of one mode at the columns ``m``, with their
+    absolute errors; a :class:`DomainError` names the first column whose
+    entry or error leaves double range."""
+    log_scale, value, error = _transform_column(profile, j, m, s, quad, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 2.0 * math.pi * np.exp(log_scale - 0.5 * (log_norms[m] + log_norms[m + j]))
+        values, errors = value * scale, error * scale
+    finite = np.isfinite(values) & np.isfinite(errors)
+    if not finite.all():
+        raise DomainError(
+            f"entry of symbol {name!r} at mode j={j}, column m={m[np.argmin(finite)]} "
+            "leaves double range"
+        )
+    return values, errors
 
 
 def toeplitz_matrix(
@@ -155,8 +175,8 @@ def toeplitz_matrix(
     One diagonal per mode, exact for Gaussian-polynomial profiles and by
     quadrature for evaluator profiles; diagonal symbols give diagonal
     matrices and ``exact_band`` is the largest |j| present.  A quadrature
-    failure is re-raised as an :class:`AccuracyError` naming the offending
-    (j, m) entry.
+    failure is re-raised as an :class:`AccuracyError`, and an entry beyond
+    double range as a :class:`DomainError`, naming the offending (j, m) entry.
     """
     sv = order_value(s)
     N = _truncation(N)
@@ -165,8 +185,8 @@ def toeplitz_matrix(
     worst_error = 0.0
     for j, profile in spec.mode_items:
         m = np.arange(max(0, -j), N - max(0, j))
-        matrix[m + j, m], error = _diagonal(profile, j, m, sv, log_norms, quad, spec.name)
-        worst_error = max(worst_error, error)
+        matrix[m + j, m], errors = _diagonal(profile, j, m, sv, log_norms, quad, spec.name)
+        worst_error = max(worst_error, float(np.max(errors, initial=0.0)))
     band = spec.max_mode
     return TruncatedOperator(
         matrix, sv, band, label if label is not None else spec.name, worst_error

@@ -138,15 +138,14 @@ def _level_sum(f: Callable, alpha: float, cutoff: float, h: float) -> tuple[comp
     w = h * (cutoff / 2.0) * (0.5 * math.pi) * np.cosh(u) * sech2
     mask = (w > 0.0) & (t > 0.0) & (t < cutoff)
     t, w = t[mask], w[mask]
-    with np.errstate(under="ignore", over="ignore"):  # overflow raises below
-        density = np.exp((alpha - 1.0) * np.log(t) - t * t)
-    weights = w * density
-    live = weights != 0.0
-    t, weights = t[live], weights[live]
-    if t.size == 0:
-        return 0j, 0.0
-    terms = weights * np.asarray(f(t))
-    total, l1_mass = complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):  # overflow raises below
+        weights = w * np.exp((alpha - 1.0) * np.log(t) - t * t)
+        live = weights != 0.0
+        t, weights = t[live], weights[live]
+        if t.size == 0:
+            return 0j, 0.0
+        terms = weights * np.asarray(f(t))
+        total, l1_mass = complex(np.sum(terms)), float(np.sum(np.abs(terms)))
     if not (cmath.isfinite(total) and math.isfinite(l1_mass)):
         raise AccuracyError(
             f"quadrature level sum is not finite (overflows double range) for alpha={alpha:g}",

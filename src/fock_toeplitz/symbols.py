@@ -3,9 +3,9 @@
 A symbol u on the plane is handled through its angular modes,
 u(r e^{i theta}) = sum_j v_j(r) e^{i j theta}, with each radial profile v_j
 carrying declared polynomial-growth metadata (|v(r)| <= C (1+r)^m).  The
-module provides evaluation, decomposition of sampled symbols on a polar grid
-(FFT in the angle, cubic interpolation in the radius), the weighted sup-norm
-functional used for the growth scale, and a growth-ladder classifier.
+module provides evaluation and decomposition of sampled symbols on a polar
+grid (FFT in the angle, cubic interpolation in the radius, each sampled mode
+classified on a polynomial growth ladder).
 
 SymbolSpec and RadialProfile are immutable; everything here is read-only and
 concurrent-safe after construction.
@@ -27,8 +27,6 @@ __all__ = [
     "SymbolSpec",
     "evaluate",
     "decompose",
-    "dpoly_norm_estimate",
-    "fit_growth",
     "sample_polar",
     "polar_l2_norm",
 ]
@@ -336,54 +334,6 @@ def decompose(
             continue
         modes[j] = RadialProfile.from_samples(r, column)
     return SymbolSpec.from_modes(modes, name=name)
-
-
-def dpoly_norm_estimate(
-    spec: SymbolSpec,
-    s: float,
-    epsilon: float,
-    grid: Sequence[float],
-    *,
-    n_angles: int | None = None,
-) -> float:
-    """Grid maximum of |u(z)| (1+|z|)^s e^{-epsilon |z|^2}.
-
-    A lower estimate of the weighted sup-norm on the growth scale; the
-    angular resolution defaults to enough points for the present modes.
-    """
-    if epsilon < 0.0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
-    r = np.asarray(grid, dtype=float)
-    if r.size == 0:
-        raise DomainError("grid must be nonempty")
-    if n_angles is None:
-        n_angles = max(16, 4 * spec.max_mode + 4)
-    values = sample_polar(spec, r, n_angles)
-    weight = (1.0 + r) ** float(s) * np.exp(-float(epsilon) * r**2)
-    return float(np.max(np.abs(values) * weight[:, None]))
-
-
-def fit_growth(spec: SymbolSpec, grid: Sequence[float]) -> tuple[float, float]:
-    """Smallest ladder exponent m (and constant C) with |u| <= C (1+r)^m.
-
-    The constant carries 10% headroom over the grid maximum.  Raises
-    :class:`ClassificationError` when the samples outgrow every ladder rung,
-    i.e. the symbol is numerically outside the polynomial-growth class.
-    """
-    r = np.asarray(grid, dtype=float)
-    if r.size == 0:
-        raise DomainError("grid must be nonempty")
-    order = np.argsort(r)
-    r = r[order]
-    n_angles = max(16, 4 * spec.max_mode + 4)
-    magnitudes = np.max(np.abs(sample_polar(spec, r, n_angles)), axis=1)
-    exponent = _fit_exponent_on_samples(r, magnitudes)
-    if exponent is None:
-        raise ClassificationError(
-            f"symbol {spec.name!r} grows faster than (1+r)^{_GROWTH_LADDER_MAX} on the grid"
-        )
-    constant = float(np.max(magnitudes / (1.0 + r) ** exponent)) * _GROWTH_HEADROOM
-    return max(constant, 1e-300), float(exponent)
 
 
 def polar_l2_norm(radii: Sequence[float], samples: np.ndarray, s: float) -> float:

@@ -361,7 +361,8 @@ class TestExitCodes:
         )
         config = write(tmp_path, "c.yaml", text)
         assert main(["matrix", "--config", str(config), "--quiet"]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and "mode j=0, column m=0" in err
 
 
 class TestFormatsAndOverrides:

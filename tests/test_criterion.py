@@ -2,18 +2,22 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fock_toeplitz.criterion as criterion
 from fock_toeplitz.criterion import (
+    Cell,
     commutator_cross_check,
     functional_equation_residuals,
-    moment_vanishing_probe,
     periodicity_probe,
     phi,
     psi,
 )
 from fock_toeplitz.errors import DomainError, PreconditionError
+from fock_toeplitz.mellin import mellin_weighted
 from fock_toeplitz.operators import radial_eigenvalues, toeplitz_matrix, commutator
-from fock_toeplitz.special_functions import QuadratureSpec
+from fock_toeplitz.special_functions import DEFAULT_QUADRATURE, QuadratureSpec
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec
 
 QUAD = QuadratureSpec.for_exponent(80.0)
@@ -173,6 +177,17 @@ class TestFunctionalEquationResiduals:
         functional_equation_residuals(R2, Z, 0.5, 6, QUAD)
         assert len(calls) == 2
 
+    def test_overflow_names_first_failing_cell(self):
+        # at s = 168, Psi_1(k+s) = Gamma(k + s + 2) / (2 pi) leaves double range
+        # at k = 2; with |Phi| ~ 1e5 the products of mode -1 already do
+        v = SymbolSpec.from_modes(
+            {-1: RadialProfile.monomial(0.0), 1: RadialProfile.monomial(1.0)}, name="v"
+        )
+        with pytest.raises(DomainError, match=r"^Psi_1\(k\+s\) at k=2, s=168 "):
+            functional_equation_residuals(R2, v, 168.0, 3)
+        with pytest.raises(DomainError, match=r"^Phi_-1 \* Psi_-1\(k\+s\) at k=2, s=168 "):
+            functional_equation_residuals(RadialProfile.polynomial([0, 0, 1e6]), v, 168.0, 3)
+
     def test_json_and_csv_stable(self):
         report = functional_equation_residuals(R2, Z, 2.3, 5, QUAD)
         first, second = report.to_json(), report.to_json()
@@ -185,6 +200,79 @@ class TestFunctionalEquationResiduals:
         header, *rows = csv_text.strip().split("\n")
         assert header == "s,j,k,abs_phi,abs_psi,abs_product,matrix_discrepancy"
         assert len(rows) == len(report.cells)
+
+
+def scalar_reference_cell(j, k, s, u, v_j, quad):
+    """Cell (j, k) from the closed formulas, one scalar transform at a time
+    through the public uncached ``mellin_weighted``."""
+    phi_value, phi_err = 0j, 0.0
+    if j != 0:
+        for sign, index in ((1.0, k), (-1.0, k + j)):
+            transform = mellin_weighted(u, s, 2 * index + 2, quad)
+            inv_gamma = math.exp(transform.log_scale - math.lgamma(index + s + 1.0))
+            phi_value += sign * transform.value * inv_gamma
+            phi_err += transform.abs_error_estimate * inv_gamma
+    transform = mellin_weighted(v_j, s, 2 * k + j + 2, quad)
+    scale = math.exp(transform.log_scale)
+    psi_value, psi_err = transform.value * scale, transform.abs_error_estimate * scale
+    return Cell(j, k, phi_value, phi_err, psi_value, psi_err, 0.0)
+
+
+family_profiles = st.lists(
+    st.tuples(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 2.0),
+    ),
+    min_size=1,
+    max_size=2,
+).map(RadialProfile.gaussian_terms).filter(lambda profile: not profile.is_zero)
+profiles = st.one_of(
+    family_profiles,
+    family_profiles.map(
+        lambda p: RadialProfile.from_callable(p, p.growth_exponent, p.growth_constant)
+    ),
+)
+
+
+class TestAgainstScalarReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        u=profiles,
+        modes=st.dictionaries(st.integers(-3, 3), profiles, min_size=1, max_size=3),
+        s=st.floats(0.0, 5.0),
+        k_max=st.integers(1, 6),
+    )
+    def test_cells_and_verdict_match_scalar_formulas(self, u, modes, s, k_max):
+        v = SymbolSpec.from_modes(modes, name="v")
+        report = functional_equation_residuals(u, v, s, k_max)
+        reference = {
+            key: scalar_reference_cell(*key, s, u, v.mode(key[0]), DEFAULT_QUADRATURE)
+            for key in report.cells
+        }
+        for key, cell in report.cells.items():
+            ref = reference[key]
+            for value, expected, error in (
+                (cell.phi, ref.phi, cell.phi_err),
+                (cell.psi, ref.psi, cell.psi_err),
+                (cell.product, ref.product, cell.product_err),
+            ):
+                assert abs(value - expected) <= 1e-13 * abs(expected) + error, key
+            for error, expected in (
+                (cell.phi_err, ref.phi_err),
+                (cell.psi_err, ref.psi_err),
+                (cell.product_err, ref.product_err),
+            ):
+                assert error == pytest.approx(expected, rel=1e-13, abs=0.0), key
+            assert cell.matrix_residual <= 1e-8, key
+        verdict = criterion._decide(
+            reference,
+            v.mode_indices,
+            report.matrix_window_residual,
+            True,
+            report.verdict_multiplier,
+        )
+        assert report.verdict == verdict
 
 
 class TestCommutatorCrossCheck:
@@ -212,36 +300,6 @@ class TestCommutatorCrossCheck:
     def test_window_precondition(self):
         with pytest.raises(PreconditionError):
             commutator_cross_check(R2, Z2, 0.0, 4, QUAD, k_max=10)
-
-
-class TestMomentVanishingProbe:
-    def test_zero_function(self):
-        probes = moment_vanishing_probe(RadialProfile.zero(), 1.0, [1, 2, 3], QUAD)
-        assert all(p.value == 0.0 and p.below_tolerance for p in probes)
-
-    def test_constant_function_gamma_moments(self):
-        probes = moment_vanishing_probe(ONE, 1.0, [1, 2, 5], QUAD)
-        for p in probes:
-            assert p.value.real == pytest.approx(math.exp(math.lgamma(p.k + 1.0)), rel=1e-10)
-            assert not p.below_tolerance
-
-    def test_one_minus_t(self):
-        # int (1-t) e^{-t} t dt = Gamma(2) - Gamma(3) = -1
-        profile = RadialProfile.polynomial([1.0, -1.0])
-        probes = moment_vanishing_probe(profile, 1.0, [1], QUAD)
-        assert probes[0].value.real == pytest.approx(-1.0, rel=1e-10)
-        assert not probes[0].below_tolerance
-
-    def test_fractional_exponent(self):
-        # a = 0.5, k = 2: int e^{-t} t dt = 1
-        probes = moment_vanishing_probe(ONE, 0.5, [2], QUAD)
-        assert probes[0].value.real == pytest.approx(1.0, rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            moment_vanishing_probe(ONE, 2.5, [1], QUAD)
-        with pytest.raises(DomainError):
-            moment_vanishing_probe(ONE, 1.0, [0], QUAD)
 
 
 class TestPeriodicityProbe:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fock_toeplitz.mellin as mellin
 from fock_toeplitz.config import build_profile
-from fock_toeplitz.criterion import phi
+from fock_toeplitz.criterion import functional_equation_residuals, phi
 from fock_toeplitz.operators import toeplitz_matrix
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec
 
@@ -63,11 +63,22 @@ def test_family_columns_bypass_quadrature_and_cache(monkeypatch):
         calls.append(args)
         return quadrature(*args, **kwargs)
 
+    transforms = []
+    uncached = mellin.mellin_weighted
+
+    def counting_transform(*args, **kwargs):
+        transforms.append(args)
+        return uncached(*args, **kwargs)
+
     monkeypatch.setattr(mellin, "gaussian_weighted_integral_with_estimate", counting)
-    cached = mellin.mellin_weighted_cached.cache_info().currsize
+    monkeypatch.setattr(mellin, "mellin_weighted", counting_transform)
+    cache = mellin.mellin_weighted_cached.cache_info()
     toeplitz_matrix(MIXED, 3.217, 40)
-    assert calls == []
-    assert mellin.mellin_weighted_cached.cache_info().currsize == cached
+    # a family-only criterion report reads whole columns, never a scalar transform
+    report = functional_equation_residuals(MIXED.mode(0), MIXED, 3.217, 20)
+    assert report.verdict.kind == "nonradial_mode_detected"
+    assert calls == [] and transforms == []
+    assert mellin.mellin_weighted_cached.cache_info() == cache
 
     # an evaluator profile at the same point does reach the quadrature
     evaluator = RadialProfile.from_callable(MIXED.mode(2), 1.5, 1.0)

@@ -2,6 +2,7 @@ import cmath
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ class TestToeplitzMatrix:
             toeplitz_matrix(decay, 12.0, 160)
         assert info.value.estimate == math.inf
 
+    def test_family_entry_beyond_double_range_names_the_entry(self):
+        # r^300 at s = 0: entry m is Gamma(m + 151) / Gamma(m + 1), which
+        # leaves double range from m = 46 on; this used to end in the anonymous
+        # non-finite-entries DomainError after numpy overflow warnings
+        big = SymbolSpec.from_modes({0: RadialProfile.monomial(300.0)}, name="big")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"symbol 'big' at mode j=0, column m=46 "):
+                toeplitz_matrix(big, 0.0, 60)
+
     def test_size_validation(self):
         with pytest.raises(DomainError):
             toeplitz_matrix(ONE, 0.0, 0, QUAD)
@@ -157,6 +168,14 @@ class TestRadialEigenvalues:
         # Gamma(s+k+p+1) / Gamma(s+k+1)
         expected = [math.exp(math.lgamma(s + k + p + 1) - math.lgamma(s + k + 1)) for k in range(5)]
         np.testing.assert_allclose(values, expected, rtol=1e-10)
+
+    def test_beyond_double_range_refused(self):
+        # Gamma(k + 201) / Gamma(k + 1) is past double range from k = 0; this
+        # used to return inf+nanj entries without an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"symbol 'radial' at mode j=0, column m=0 "):
+                radial_eigenvalues(RadialProfile.monomial(400.0), 0.0, 4)
 
     def test_matches_toeplitz_diagonal(self):
         op = toeplitz_matrix(EXP_DECAY, 0.5, 6, QUAD)

@@ -13,9 +13,7 @@ from fock_toeplitz.symbols import (
     RadialProfile,
     SymbolSpec,
     decompose,
-    dpoly_norm_estimate,
     evaluate,
-    fit_growth,
     polar_l2_norm,
     sample_polar,
 )
@@ -256,57 +254,27 @@ class TestDecompose:
             assert lhs == pytest.approx(norm_sq / 2.0, rel=1e-6)
 
 
-class TestDpolyNormEstimate:
-    def test_constant(self):
-        assert dpoly_norm_estimate(radial(RadialProfile.monomial(0.0)), 0.0, 0.0, [1.0, 2.0]) == 1.0
-
-    def test_weight_grows_with_radius(self):
-        grid = np.linspace(0.5, 9.0, 40)
-        value = dpoly_norm_estimate(radial(RadialProfile.monomial(0.0)), 1.0, 0.0, grid)
-        assert value == pytest.approx(10.0, rel=1e-12)
-
-    def test_gaussian_weight_maximum(self):
-        # max of r^2 e^(-r^2/4) is 4/e at r = 2; dense grid-search oracle
-        dense = np.linspace(0.01, 12.0, 200_001)
-        oracle = float(np.max(dense**2 * np.exp(-dense**2 / 4.0)))
-        assert oracle == pytest.approx(4.0 * math.exp(-1.0), rel=1e-8)
-        grid = np.linspace(0.05, 10.0, 4000)
-        value = dpoly_norm_estimate(radial(RadialProfile.monomial(2.0)), 0.0, 0.25, grid)
-        assert value == pytest.approx(4.0 * math.exp(-1.0), rel=1e-5)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            dpoly_norm_estimate(RE_Z, 0.0, -1.0, [1.0])
-        with pytest.raises(DomainError):
-            dpoly_norm_estimate(RE_Z, 0.0, 0.0, [])
-
-
-class TestFitGrowth:
+class TestFromSamplesGrowthLadder:
+    # the growth ladder of sampled profiles, which decompose() relies on
     GRID = np.linspace(0.5, 50.0, 200)
 
     def test_constant(self):
-        constant, exponent = fit_growth(radial(RadialProfile.monomial(0.0)), self.GRID)
-        assert exponent == 0.0
-        assert constant == pytest.approx(1.1, rel=1e-9)
+        profile = RadialProfile.from_samples(self.GRID, np.ones(self.GRID.size))
+        assert profile.growth_exponent == 0.0
+        assert profile.growth_constant == pytest.approx(1.1, rel=1e-9)
 
     def test_cubic(self):
-        _, exponent = fit_growth(radial(RadialProfile.monomial(3.0)), self.GRID)
-        assert exponent == 3.0
+        assert RadialProfile.from_samples(self.GRID, self.GRID**3).growth_exponent == 3.0
 
     def test_bound_holds_with_headroom(self):
-        spec = radial(RadialProfile.polynomial([1.0, 0.0, 2.0]))
-        constant, exponent = fit_growth(spec, self.GRID)
-        values = np.abs(np.asarray(spec.mode(0)(self.GRID)))
-        assert np.all(values <= constant * (1.0 + self.GRID) ** exponent)
+        values = 1.0 + 2.0 * self.GRID**2
+        profile = RadialProfile.from_samples(self.GRID, values)
+        bound = profile.growth_constant * (1.0 + self.GRID) ** profile.growth_exponent
+        assert np.all(values <= bound)
 
     def test_super_polynomial_rejected(self):
-        blowup = RadialProfile.from_callable(
-            lambda r: np.exp(np.asarray(r, dtype=float)),
-            growth_exponent=0.0,
-            growth_constant=math.exp(50.0) * 1.01,
-        )
         with pytest.raises(ClassificationError):
-            fit_growth(radial(blowup), self.GRID)
+            RadialProfile.from_samples(self.GRID, np.exp(self.GRID))
 
 
 class TestPolarL2Norm:
