@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from fock_toeplitz.criterion import (
     phi,
     psi,
 )
-from fock_toeplitz.errors import DomainError, PreconditionError
+from fock_toeplitz.errors import AccuracyError, DomainError, PreconditionError
 from fock_toeplitz.mellin import mellin_weighted
 from fock_toeplitz.operators import radial_eigenvalues, toeplitz_matrix, commutator
 from fock_toeplitz.special_functions import DEFAULT_QUADRATURE, QuadratureSpec
@@ -23,6 +24,11 @@ from fock_toeplitz.symbols import RadialProfile, SymbolSpec
 QUAD = QuadratureSpec.for_exponent(80.0)
 
 R2 = RadialProfile.monomial(2.0)
+R2_CALLABLE = RadialProfile.from_callable(lambda r: np.asarray(r, dtype=float) ** 2, 2.0, 1.0)
+# exp(-1.3 r) at s = 12: the quadrature level sum at zeta = 320 overflows
+DECAY = RadialProfile.from_callable(
+    lambda r: np.exp(-1.3 * np.asarray(r, dtype=float)), growth_exponent=0.0, growth_constant=1.0
+)
 ONE = RadialProfile.monomial(0.0)
 Z = SymbolSpec.from_modes({1: RadialProfile.monomial(1.0)}, name="z")
 Z2 = SymbolSpec.from_modes({2: RadialProfile.monomial(2.0)}, name="z2")
@@ -68,6 +74,18 @@ class TestPhi:
                     backward, _ = phi(-j, k + j, s, u, QUAD)
                     assert abs(forward + backward) <= 1e-12
 
+    def test_evaluator_profile_matches_closed_form(self):
+        # the quadrature column of a callable r^2 gives the same -j / (2 pi)
+        for j in (-1, 1, 2):
+            for k in (1, 4):
+                value, err = phi(j, k, 0.5, R2_CALLABLE, QUAD)
+                assert abs(value - (-j / (2.0 * math.pi))) <= 1e-10 + 3.0 * err
+
+    def test_evaluator_quadrature_failure_names_the_column(self):
+        # H(k + j) reads u's column at m = 159, where the level sum overflows
+        with pytest.raises(AccuracyError, match=r"symbol 'u' at mode j=0, column m=159: "):
+            phi(1, 158, 12.0, DECAY)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             phi(1, -1, 0.0, R2, QUAD)
@@ -99,6 +117,18 @@ class TestPsi:
     def test_error_estimate_available(self):
         value, err = psi(1, 0, 0.0, RadialProfile.monomial(1.0), QUAD)
         assert err >= 0.0 and math.isfinite(err)
+
+    def test_overflow_names_the_cell(self):
+        # Psi_1(k+s) = Gamma(k + s + 2) / (2 pi) is finite at k = 1, s = 168
+        # and leaves double range at k = 2
+        assert math.isfinite(abs(psi(1, 1, 168.0, RadialProfile.monomial(1.0))[0]))
+        with pytest.raises(DomainError, match=r"^Psi_1\(k\+s\) at k=2, s=168 "):
+            psi(1, 2, 168.0, RadialProfile.monomial(1.0))
+
+    def test_evaluator_quadrature_failure_names_the_column(self):
+        with pytest.raises(AccuracyError, match=r"symbol 'v' at mode j=0, column m=159: ") as info:
+            psi(0, 159, 12.0, DECAY)
+        assert info.value.estimate == math.inf
 
 
 class TestFunctionalEquationResiduals:
@@ -187,6 +217,22 @@ class TestFunctionalEquationResiduals:
             functional_equation_residuals(R2, v, 168.0, 3)
         with pytest.raises(DomainError, match=r"^Phi_-1 \* Psi_-1\(k\+s\) at k=2, s=168 "):
             functional_equation_residuals(RadialProfile.polynomial([0, 0, 1e6]), v, 168.0, 3)
+
+    def test_cells_match_public_phi_and_psi(self):
+        # the report's column path and the public one-cell functions agree
+        u = RadialProfile.polynomial([1.0, 0.0, 0.5, 0.0, 0.25])
+        v = SymbolSpec.from_modes(
+            {-1: RadialProfile.gaussian_terms([(1.0, 1.0, 0.5)]), 0: R2, 2: R2_CALLABLE}, name="v"
+        )
+        s = 0.5
+        report = functional_equation_residuals(u, v, s, 5, QUAD)
+        for (j, k), cell in report.cells.items():
+            for (value, err), (expected, expected_err) in (
+                ((cell.phi, cell.phi_err), phi(j, k, s, u, QUAD)),
+                ((cell.psi, cell.psi_err), psi(j, k, s, v.mode(j), QUAD)),
+            ):
+                assert value == pytest.approx(expected, rel=1e-14, abs=1e-300), (j, k)
+                assert err == pytest.approx(expected_err, rel=1e-14, abs=1e-300), (j, k)
 
     def test_json_and_csv_stable(self):
         report = functional_equation_residuals(R2, Z, 2.3, 5, QUAD)
@@ -306,6 +352,11 @@ class TestPeriodicityProbe:
     @pytest.mark.parametrize("j", [1, 2])
     def test_constant_u_periodic(self, j):
         diff, err = periodicity_probe(ONE, 0.0, j, [0.0, 0.5, 1.0], QUAD)
+        assert diff <= 3.0 * err
+
+    def test_evaluator_constant_periodic(self):
+        constant = RadialProfile.from_callable(lambda r: np.full(np.shape(r), 1.5), 0.0, 1.5)
+        diff, err = periodicity_probe(constant, 0.5, 2, [0.0, 0.75, 3.0], QUAD)
         assert diff <= 3.0 * err
 
     def test_scaled_constant(self):
