@@ -187,6 +187,29 @@ class Verdict:
         return self.kind
 
 
+def _json_number(x: float) -> str:
+    """A float as json writes it: its repr, or NaN / Infinity / -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _cell_json(cell: Cell) -> str:
+    """One cell as an item of the report's indented, key-sorted "cells" list."""
+    n = _json_number
+
+    def pair(z: complex) -> str:
+        return f'{{\n        "im": {n(z.imag)},\n        "re": {n(z.real)}\n      }}'
+
+    return (
+        f'    {{\n      "j": {cell.j},\n      "k": {cell.k},\n'
+        f'      "matrix_residual": {n(cell.matrix_residual)},\n      "note": null,\n'
+        f'      "phi": {pair(cell.phi)},\n      "phi_err": {n(cell.phi_err)},\n'
+        f'      "product": {pair(cell.product)},\n      "product_err": {n(cell.product_err)},\n'
+        f'      "psi": {pair(cell.psi)},\n      "psi_err": {n(cell.psi_err)}\n    }}'
+    )
+
+
 @dataclass
 class CriterionReport:
     """Per-(j, k) functional-equation cells plus the radiality verdict."""
@@ -207,21 +230,10 @@ class CriterionReport:
         return [self.cells[key] for key in sorted(self.cells)]
 
     def to_json(self) -> str:
-        cells = [
-            {
-                "j": cell.j,
-                "k": cell.k,
-                "phi": {"re": cell.phi.real, "im": cell.phi.imag},
-                "phi_err": cell.phi_err,
-                "psi": {"re": cell.psi.real, "im": cell.psi.imag},
-                "psi_err": cell.psi_err,
-                "product": {"re": cell.product.real, "im": cell.product.imag},
-                "product_err": cell.product_err,
-                "matrix_residual": cell.matrix_residual,
-                "note": None,
-            }
-            for cell in self._sorted_cells()
-        ]
+        """The bytes of ``json.dumps(payload, sort_keys=True, indent=2)``: json
+        writes the envelope, and the cell table, written here with the same
+        indentation and number forms, replaces its empty "cells" list, the
+        first key of the sorted envelope."""
         payload = {
             "s": self.s,
             "k_range": [0, self.k_max],
@@ -240,9 +252,13 @@ class CriterionReport:
                 "verdict_multiplier": self.verdict_multiplier,
             },
             "truncation_size": self.truncation_size,
-            "cells": cells,
+            "cells": [],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        cells = ",\n".join([_cell_json(cell) for cell in self._sorted_cells()])
+        if not cells:
+            return text
+        return text.replace('"cells": []', f'"cells": [\n{cells}\n  ]', 1)
 
     def to_csv(self) -> str:
         lines = ["s,j,k,abs_phi,abs_psi,abs_product,matrix_discrepancy"]

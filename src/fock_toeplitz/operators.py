@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, PreconditionError
 from .fock_space import SobolevOrder, order_value
-from .mellin import family_transform, mellin_weighted_cached
+# mellin_weighted_cached is unused here, but perfbench/spans.py wraps this binding
+from .mellin import TRANSFORMS, family_transform, mellin_weighted_cached  # noqa: F401
 from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma, log_gamma_array
 from .symbols import RadialProfile, SymbolSpec
 
@@ -116,25 +117,24 @@ def _transform_column(
     as arrays (log_scale, value, error): the transform is value * exp(log_scale).
 
     A Gaussian-polynomial column is one vectorised closed-form evaluation
-    (never cached); an evaluator column is one cached quadrature per entry,
-    whose failure is re-raised as an :class:`AccuracyError` naming (j, m).
+    (never cached); an evaluator column is read from the shared transform
+    table, which computes the arguments it lacks in one column quadrature.
+    The first failing entry is re-raised as an :class:`AccuracyError`
+    naming (j, m).
     """
+    zeta = 2.0 * m + j + 2
     if profile.evaluator is None:
-        return family_transform(profile.terms, 2.0 * m + j + 2 + 2.0 * s)
-    log_scale, values, errors = np.zeros(m.size), np.zeros(m.size, dtype=complex), np.zeros(m.size)
-    for i, column in enumerate(m.tolist()):
-        try:
-            transform = mellin_weighted_cached(profile, s, float(2 * column + j + 2), quad)
-        except AccuracyError as exc:
-            raise AccuracyError(
-                f"entry quadrature failed for symbol {name!r} at mode j={j}, "
-                f"column m={column}: {exc}",
-                estimate=exc.estimate,
-            ) from exc
-        log_scale[i] = transform.log_scale
-        values[i] = transform.value
-        errors[i] = transform.abs_error_estimate
-    return log_scale, values, errors
+        return family_transform(profile.terms, zeta + 2.0 * s)
+    values, errors, failures = TRANSFORMS.column(profile, s, zeta, quad)
+    if failures:
+        i = min(failures)
+        exc = failures[i]
+        raise AccuracyError(
+            f"entry quadrature failed for symbol {name!r} at mode j={j}, "
+            f"column m={m.tolist()[i]}: {exc}",
+            estimate=exc.estimate,
+        ) from exc
+    return np.zeros(m.size), values, errors
 
 
 def _diagonal(

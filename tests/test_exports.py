@@ -1,5 +1,6 @@
-"""The matrix CSV and JSON bytes are a stable contract: they must equal,
-byte for byte, what the straightforward per-entry exporters below write."""
+"""The matrix and criterion-report bytes are a stable contract: they must
+equal, byte for byte, what the straightforward per-entry exporters below
+write."""
 
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fock_toeplitz.criterion import Cell, CriterionReport, Verdict, functional_equation_residuals
 from fock_toeplitz.operators import (
     TruncatedOperator,
     matrix_to_csv,
@@ -116,3 +118,102 @@ def test_real_matrices_match_reference_bytes(kind):
     op = toeplitz_matrix(spec, 2.3, 24, QuadratureSpec.for_exponent(80.0))
     assert matrix_to_csv(op) == reference_csv(op)
     assert matrix_to_json(op) == reference_json(op)
+
+
+def reference_report_json(report):
+    """The whole report through json's indented encoder, cell by cell."""
+    cells = [
+        {
+            "j": cell.j,
+            "k": cell.k,
+            "phi": {"re": cell.phi.real, "im": cell.phi.imag},
+            "phi_err": cell.phi_err,
+            "psi": {"re": cell.psi.real, "im": cell.psi.imag},
+            "psi_err": cell.psi_err,
+            "product": {"re": cell.product.real, "im": cell.product.imag},
+            "product_err": cell.product_err,
+            "matrix_residual": cell.matrix_residual,
+            "note": None,
+        }
+        for cell in (report.cells[key] for key in sorted(report.cells))
+    ]
+    payload = {
+        "s": report.s,
+        "k_range": [0, report.k_max],
+        "j_range": [min(report.j_modes), max(report.j_modes)] if report.j_modes else [0, 0],
+        "j_modes": list(report.j_modes),
+        "verdict": {
+            "kind": report.verdict.kind,
+            "modes": list(report.verdict.modes),
+            "reason": report.verdict.reason,
+        },
+        "commutation_asserted": report.commutation_asserted,
+        "matrix_window_residual": report.matrix_window_residual,
+        "tolerances": {
+            "quad_abs": report.quad_abs_tol,
+            "quad_rel": report.quad_rel_tol,
+            "verdict_multiplier": report.verdict_multiplier,
+        },
+        "truncation_size": report.truncation_size,
+        "cells": cells,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+any_floats = st.one_of(floats, non_finite)
+# |phi| and |psi| must stay finite for Cell.product_err; the program refuses
+# factors beyond double range before it builds a cell
+parts = st.one_of(st.sampled_from(SPECIAL_FLOATS[:6]), st.floats(-1e300, 1e300), non_finite)
+complexes = st.builds(complex, parts, parts)
+
+
+@st.composite
+def reports(draw):
+    keys = draw(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 60)), unique=True, max_size=6)
+    )
+    cells = {
+        (j, k): Cell(
+            j, k, draw(complexes), draw(any_floats), draw(complexes), draw(any_floats),
+            draw(any_floats),
+        )
+        for j, k in keys
+    }
+    j_modes = tuple(sorted({j for j, _ in keys}))
+    verdict = draw(
+        st.sampled_from(
+            [
+                Verdict("consistent_radial"),
+                Verdict("nonradial_mode_detected", modes=j_modes),
+                Verdict("inconclusive", reason='window "cells": [] residual'),
+            ]
+        )
+    )
+    return CriterionReport(
+        s=draw(floats),
+        k_max=draw(st.integers(1, 60)),
+        j_modes=j_modes,
+        cells=cells,
+        verdict=verdict,
+        commutation_asserted=draw(st.booleans()),
+        matrix_window_residual=draw(any_floats),
+        verdict_multiplier=3.0,
+        truncation_size=draw(st.integers(1, 160)),
+        quad_abs_tol=1e-13,
+        quad_rel_tol=1e-11,
+    )
+
+
+@given(reports())
+def test_report_json_matches_reference_bytes(report):
+    assert report.to_json() == reference_report_json(report)
+
+
+def test_real_report_matches_reference_bytes():
+    v = SymbolSpec.from_modes(
+        {0: PROFILES["polynomial"], 2: PROFILES["exp_decay"], -1: PROFILES["gauss_decay"]},
+        name="v",
+    )
+    report = functional_equation_residuals(PROFILES["polynomial"], v, 1.7, 20)
+    assert report.to_json() == reference_report_json(report)

@@ -56,12 +56,12 @@ def test_regression_grid(s, N):
 
 
 def test_family_columns_bypass_quadrature_and_cache(monkeypatch):
-    calls = []
-    quadrature = mellin.gaussian_weighted_integral_with_estimate
+    columns = []
+    quadrature = mellin.gaussian_weighted_column
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return quadrature(*args, **kwargs)
+    def counting(f, alphas, *args, **kwargs):
+        columns.append(len(alphas))
+        return quadrature(f, alphas, *args, **kwargs)
 
     transforms = []
     uncached = mellin.mellin_weighted
@@ -70,20 +70,26 @@ def test_family_columns_bypass_quadrature_and_cache(monkeypatch):
         transforms.append(args)
         return uncached(*args, **kwargs)
 
-    monkeypatch.setattr(mellin, "gaussian_weighted_integral_with_estimate", counting)
+    monkeypatch.setattr(mellin, "gaussian_weighted_column", counting)
     monkeypatch.setattr(mellin, "mellin_weighted", counting_transform)
-    cache = mellin.mellin_weighted_cached.cache_info()
+    table = mellin.TRANSFORMS.info()
     toeplitz_matrix(MIXED, 3.217, 40)
     # a family-only criterion report reads whole columns, never a scalar transform
     report = functional_equation_residuals(MIXED.mode(0), MIXED, 3.217, 20)
     assert report.verdict.kind == "nonradial_mode_detected"
-    assert calls == [] and transforms == []
-    assert mellin.mellin_weighted_cached.cache_info() == cache
+    assert columns == [] and transforms == []
+    assert mellin.TRANSFORMS.info() == table
 
-    # an evaluator profile at the same point does reach the quadrature
-    evaluator = RadialProfile.from_callable(MIXED.mode(2), 1.5, 1.0)
-    toeplitz_matrix(SymbolSpec.from_modes({2: evaluator}), 3.217, 4)
-    assert len(calls) == 2
+    # an evaluator column at the same point is one quadrature for all its entries
+    evaluator = SymbolSpec.from_modes({2: RadialProfile.from_callable(MIXED.mode(2), 1.5, 1.0)})
+    toeplitz_matrix(evaluator, 3.217, 4)
+    assert columns == [2]
+    after = mellin.TRANSFORMS.info()
+    assert (after.hits, after.misses) == (table.hits, table.misses + 2)
+    # and a rebuild reads the table without quadrature
+    toeplitz_matrix(evaluator, 3.217, 4)
+    assert columns == [2]
+    assert mellin.TRANSFORMS.info().hits == table.hits + 2
 
 
 def test_gauss_decay_config_is_a_family_profile():

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fock_toeplitz.errors import DomainError
-from fock_toeplitz.mellin import MellinValue, mellin_weighted
+import fock_toeplitz.mellin as mellin
+from fock_toeplitz.errors import AccuracyError, DomainError
+from fock_toeplitz.mellin import (
+    MellinValue,
+    TransformTable,
+    mellin_weighted,
+    mellin_weighted_cached,
+)
 from fock_toeplitz.special_functions import QuadratureSpec
 from fock_toeplitz.symbols import RadialProfile
 
@@ -140,3 +146,57 @@ class TestMellinWeighted:
         value = mellin_weighted(via_quadrature(ONE), 1.0, -1.5, QUAD)
         assert isinstance(value, MellinValue)
         assert value.value == pytest.approx(transform(ONE, 1.0, -1.5), rel=1e-10)
+
+
+class TestTransformTable:
+    def test_column_matches_uncached_points(self):
+        table = TransformTable()
+        zetas = np.array([2.0, 3.5, 7.0, 41.0])
+        values, errors, failures = table.column(EXP_DECAY, 1.25, zetas, QUAD)
+        assert failures == {}
+        for zeta, value, error in zip(zetas, values, errors):
+            point = mellin_weighted(EXP_DECAY, 1.25, zeta, QUAD)
+            assert (point.value, point.abs_error_estimate) == (value, error)
+        # a second read computes only the argument the table lacks
+        again = table.column(EXP_DECAY, 1.25, np.array([41.0, 9.0]), QUAD)
+        assert again[0][0] == values[3] and again[1][0] == errors[3]
+        assert table.info() == mellin.TableInfo(hits=1, misses=5, tables=1, transforms=5)
+
+    def test_cached_point_reads_the_shared_table(self):
+        profile = via_quadrature(ONE)
+        before = mellin.TRANSFORMS.info()
+        first = mellin_weighted_cached(profile, 0.5, 3.0, QUAD)
+        assert first == mellin_weighted_cached(profile, 0.5, 3.0, QUAD)
+        assert first == mellin_weighted(profile, 0.5, 3.0, QUAD)
+        after = mellin.TRANSFORMS.info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+    def test_least_recently_used_tables_go_first(self, monkeypatch):
+        monkeypatch.setattr(mellin, "_MAX_CACHED_TRANSFORMS", 5)
+        table = TransformTable()
+        for s in (0.0, 1.0, 2.0):
+            table.column(EXP_DECAY, s, np.array([2.0, 3.0]), QUAD)
+        # three tables of two exceed five: the oldest (s = 0) went
+        assert table.info() == mellin.TableInfo(hits=0, misses=6, tables=2, transforms=4)
+        table.column(EXP_DECAY, 1.0, np.array([2.0]), QUAD)  # a hit: s = 1 is now newest
+        table.column(EXP_DECAY, 3.0, np.array([2.0, 3.0]), QUAD)
+        assert table.info() == mellin.TableInfo(hits=1, misses=8, tables=2, transforms=4)
+        table.column(EXP_DECAY, 1.0, np.array([3.0]), QUAD)
+        assert table.info().hits == 2
+        # a column larger than the bound is kept whole
+        table.column(EXP_DECAY, 4.0, np.arange(2.0, 9.0), QUAD)
+        assert table.info()[2:] == (1, 7)
+
+    def test_failures_are_named_and_not_stored(self):
+        decay = RadialProfile.from_callable(
+            lambda r: np.exp(-1.3 * np.asarray(r, dtype=float)), 0.0, 1.0
+        )
+        table = TransformTable()
+        values, _, failures = table.column(decay, 0.0, np.array([2.0, 344.0, 4.0]), QUAD)
+        assert list(failures) == [1] and isinstance(failures[1], AccuracyError)
+        assert "alpha=344" in str(failures[1]) and np.isnan(values[1])
+        assert table.info().transforms == 2
+        # a column that stores nothing leaves no empty table behind
+        table.column(decay, 1.0, np.array([342.0]), QUAD)
+        table.column(decay, 2.0, np.array([]), QUAD)
+        assert table.info()[2:] == (1, 2)

@@ -131,6 +131,37 @@ class TestToeplitzMatrix:
             toeplitz_matrix(decay, 12.0, 160)
         assert info.value.estimate == math.inf
 
+    def test_failure_set_is_pinned(self):
+        # exp(-1.3 r) at j=2 on N x s: the builds that fail and the column
+        # they name, as the per-entry scalar quadrature failed before the
+        # column quadrature replaced it; none may be added or lost
+        decay = SymbolSpec.from_modes(
+            {
+                2: RadialProfile.from_callable(
+                    lambda r: np.exp(-1.3 * np.asarray(r, dtype=float)),
+                    growth_exponent=0.0,
+                    growth_constant=1.0,
+                )
+            },
+            name="decay",
+        )
+        failed = {}
+        for N in (20, 100, 160):
+            for s in (0.0, 12.0, 20.0, 150.0):
+                try:
+                    toeplitz_matrix(decay, s, N)
+                except AccuracyError as exc:
+                    failed[(N, s)] = str(exc)
+        message = (
+            "entry quadrature failed for symbol 'decay' at mode j=2, column m={}: quadrature "
+            "level sum is not finite (overflows double range) for alpha=344"
+        )
+        assert failed == {
+            (100, 150.0): message.format(20),
+            (160, 20.0): message.format(150),
+            (160, 150.0): message.format(20),
+        }
+
     def test_family_entry_beyond_double_range_names_the_entry(self):
         # r^300 at s = 0: entry m is Gamma(m + 151) / Gamma(m + 1), which
         # leaves double range from m = 46 on; this used to end in the anonymous
