@@ -104,15 +104,12 @@ def cmd_commutator(args) -> int:
     ]
     rows = []
     for s, comm in zip(config.s_values, comms):
+        # a product's band is at most N - 1, so its window is never empty
         window = comm.exactness_window
-        residual = window_max_abs(comm, window) if window >= 0 else math.nan
-        w = window + 1
-        block = np.abs(comm.entries[:w, :w]) if window >= 0 else np.zeros((1, 1))
+        residual = window_max_abs(comm, window)
+        block = np.abs(comm.entries[: window + 1, : window + 1])
         row, col = np.unravel_index(int(np.argmax(block)), block.shape)
-        commutes = bool(
-            window >= 0
-            and residual <= max(config.verdict_multiplier * comm.entry_error, 1e-10)
-        )
+        commutes = bool(residual <= max(config.verdict_multiplier * comm.entry_error, 1e-10))
         rows.append(
             {
                 "s": s,

@@ -308,7 +308,7 @@ def _cells(
             _refuse_overflow(j, k, s, psi_ok, np.isfinite(product) & np.isfinite(product_err))
             scale = (2.0 * math.pi) ** 2 * np.exp(-0.5 * (log_norms[k] + log_norms[k + j]))
             formula = -scale * phis * psis
-            entry = comm.entries[k + j, k]
+            entry = comm.diagonals.get(j, np.zeros(N))[k - max(0, -j)]
             denominator = np.maximum(np.abs(formula), np.abs(entry))
             residual = np.abs(entry - formula) / denominator
         below = denominator <= 3.0 * (scale * product_err + comm.entry_error) + 1e-300

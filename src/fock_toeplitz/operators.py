@@ -9,20 +9,24 @@ symbol with angular modes {j -> v_j} produces the banded matrix
 one diagonal per mode: the angular integral is exact by orthogonality, so
 only the radial Mellin transform carries numerical error (rounding for
 Gaussian-polynomial profiles, quadrature for evaluator profiles; both are
-combined with the basis norms in the log domain), and entries
-outside the declared band are zero by construction.  Truncation effects are
+combined with the basis norms in the log domain).  Truncation effects are
 handled through exactness windows (entries with both indices <= window agree
 with the untruncated composition) rather than by growing N adaptively.
 
-Matrix construction is deterministic and embarrassingly parallel over
-entries; the operator objects are immutable after construction.
+An operator is stored as its diagonals, so an entry outside the declared
+band cannot be represented.  A product of operators with diagonal sets A
+and B is O(N |A| |B|) slice products; Berezin transforms, window maxima and
+the exporters read the diagonals too, and only ``entries``, a lazy dense
+view, costs N^2.  Operators are immutable after construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,39 +59,56 @@ MAX_TRUNCATION = 160
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """N x N compression of an operator to span{e_0, ..., e_{N-1}}.
+    """N x N compression of an operator to span{e_0, ..., e_{N-1}}, stored by
+    diagonals.
 
-    ``entries[n, m]`` is <T e_m, e_n>.  ``exact_band`` is the bandwidth J
-    outside which entries vanish identically; ``exactness_window`` is the
-    largest W such that entries with both indices <= W are free of
-    truncation leakage under composition.  ``entry_error`` bounds the
-    absolute quadrature error of any single entry.
+    ``diagonals[d][i]`` is <T e_m, e_{m+d}> at column m = i + max(0, -d), so
+    diagonal d holds the N - |d| entries of ``np.diagonal(entries, -d)``; a
+    diagonal that is not stored is zero.  ``exact_band`` is the bandwidth J,
+    and no diagonal with |d| > J is stored.  ``entries[n, m]`` =
+    <T e_m, e_n> is a lazy, read-only dense view, built on first read.
+    ``exactness_window`` is the largest W such that entries with both
+    indices <= W are free of truncation leakage under composition.
+    ``entry_error`` bounds the absolute quadrature error of any single entry.
     """
 
-    entries: np.ndarray
+    diagonals: dict[int, np.ndarray]
+    size: int
     s: float
     exact_band: int
     label: str
     entry_error: float = 0.0
 
     def __post_init__(self):
-        matrix = np.asarray(self.entries, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
-            raise DomainError(f"entries must be a square matrix, got shape {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise DomainError("matrix entries must all be finite")
-        band = self.exact_band
-        if np.triu(matrix, band + 1).any() or np.tril(matrix, -band - 1).any():
-            raise DomainError(
-                f"operator {self.label!r}: nonzero entry outside declared band "
-                f"{self.exact_band}"
-            )
-        matrix.setflags(write=False)
-        object.__setattr__(self, "entries", matrix)
+        n = self.size
+        if int(n) != n or n < 1:
+            raise DomainError(f"operator {self.label!r}: size must be an integer >= 1, got {n!r}")
+        diagonals = {}
+        for d in sorted(self.diagonals):
+            # a read-only view: the caller's array keeps its own flags
+            values = np.asarray(self.diagonals[d], dtype=complex).view()
+            where = f"operator {self.label!r}: diagonal d={d}"
+            if abs(d) > self.exact_band:
+                raise DomainError(f"{where} lies outside declared band {self.exact_band}")
+            if abs(d) >= n or values.shape != (n - abs(d),):
+                need = f"N={n} needs shape ({max(n - abs(d), 0)},)"
+                raise DomainError(f"{where} at {need}, got {values.shape}")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise DomainError(f"{where}: entry at column m={bad[0] + max(0, -d)} is not finite")
+            values.setflags(write=False)
+            diagonals[int(d)] = values
+        object.__setattr__(self, "diagonals", diagonals)
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense read-only N x N array, built on first read."""
+        matrix = np.zeros((self.size, self.size), dtype=complex)
+        for d, values in self.diagonals.items():
+            m = np.arange(max(0, -d), self.size - max(0, d))
+            matrix[m + d, m] = values
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def exactness_window(self) -> int:
@@ -181,16 +202,15 @@ def toeplitz_matrix(
     sv = order_value(s)
     N = _truncation(N)
     log_norms = _basis_log_norms(sv, N)
-    matrix = np.zeros((N, N), dtype=complex)
+    diagonals = {}
     worst_error = 0.0
     for j, profile in spec.mode_items:
         m = np.arange(max(0, -j), N - max(0, j))
-        matrix[m + j, m], errors = _diagonal(profile, j, m, sv, log_norms, quad, spec.name)
-        worst_error = max(worst_error, float(np.max(errors, initial=0.0)))
-    band = spec.max_mode
-    return TruncatedOperator(
-        matrix, sv, band, label if label is not None else spec.name, worst_error
-    )
+        if m.size:
+            diagonals[j], errors = _diagonal(profile, j, m, sv, log_norms, quad, spec.name)
+            worst_error = max(worst_error, float(np.max(errors)))
+    label = label if label is not None else spec.name
+    return TruncatedOperator(diagonals, N, sv, spec.max_mode, label, worst_error)
 
 
 def radial_eigenvalues(
@@ -211,42 +231,59 @@ def radial_eigenvalues(
 
 def _propagated_product_error(a: TruncatedOperator, b: TruncatedOperator) -> float:
     width = min(a.exact_band, b.exact_band) + 1
-    scale_a = float(np.max(np.abs(a.entries))) if a.entries.size else 0.0
-    scale_b = float(np.max(np.abs(b.entries))) if b.entries.size else 0.0
+    scale_a, scale_b = window_max_abs(a, a.size - 1), window_max_abs(b, b.size - 1)
     return width * (a.entry_error * scale_b + b.entry_error * scale_a)
 
 
-def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """AB - BA on the common truncation.
+# An overflowing product is refused by the result's constructor, which names
+# the operator and the entry, so numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
+def _product(a: TruncatedOperator, b: TruncatedOperator) -> tuple[dict[int, np.ndarray], int]:
+    """Diagonals and band of the truncated product AB.
 
-    The result's band is the sum of the bands, and its exactness window
-    W = N - 1 - (band_A + band_B) marks the indices where the truncated
-    product agrees with the untruncated composition.
+    Entry (c + d, c) on diagonal d = da + db sums A[c + d, c + db] B[c + db, c]
+    over the stored pairs (da, db), for the columns c where both factors
+    lie inside the N x N block: O(N |A| |B|) slice products, no dense matrix.
     """
     if a.size != b.size:
         raise PreconditionError(f"size mismatch: {a.size} vs {b.size}")
     if a.s != b.s:
         raise PreconditionError(f"order mismatch: s={a.s} vs s={b.s}")
-    matrix = a.entries @ b.entries - b.entries @ a.entries
-    band = min(a.exact_band + b.exact_band, a.size - 1)
+    n = a.size
+    out: dict[int, np.ndarray] = {}
+    for db, y in b.diagonals.items():
+        for da, x in a.diagonals.items():
+            d = da + db
+            if abs(d) >= n:
+                continue
+            total = out.setdefault(d, np.zeros(n - abs(d), dtype=complex))
+            lo, hi = max(0, -db, -d), n - max(0, db, d)
+            if hi > lo:
+                start = lo + db - max(0, -da)
+                product = x[start : start + hi - lo] * y[lo - max(0, -db) : hi - max(0, -db)]
+                total[lo - max(0, -d) : hi - max(0, -d)] += product
+    return out, min(a.exact_band + b.exact_band, n - 1)
+
+
+def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
+    """AB - BA on the common truncation.
+
+    The result's band is the sum of the bands, at most N - 1, and its
+    exactness window W = N - 1 - band marks the indices where the truncated
+    product agrees with the untruncated composition.
+    """
+    (ab, band), (ba, _) = _product(a, b), _product(b, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonals = {d: ab[d] - ba[d] for d in ab}
     error = 2.0 * _propagated_product_error(a, b)
-    return TruncatedOperator(matrix, a.s, band, f"[{a.label},{b.label}]", error)
+    return TruncatedOperator(diagonals, a.size, a.s, band, f"[{a.label},{b.label}]", error)
 
 
 def compose(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
     """Matrix product AB, standing in for operator composition on the window."""
-    if a.size != b.size:
-        raise PreconditionError(f"size mismatch: {a.size} vs {b.size}")
-    if a.s != b.s:
-        raise PreconditionError(f"order mismatch: s={a.s} vs s={b.s}")
-    band = min(a.exact_band + b.exact_band, a.size - 1)
-    return TruncatedOperator(
-        a.entries @ b.entries,
-        a.s,
-        band,
-        f"{a.label}*{b.label}",
-        _propagated_product_error(a, b),
-    )
+    diagonals, band = _product(a, b)
+    error = _propagated_product_error(a, b)
+    return TruncatedOperator(diagonals, a.size, a.s, band, f"{a.label}*{b.label}", error)
 
 
 def berezin(a: TruncatedOperator, z: complex, *, tail_tol: float = 1e-12) -> complex:
@@ -267,10 +304,13 @@ def berezin(a: TruncatedOperator, z: complex, *, tail_tol: float = 1e-12) -> com
             )
     log_norms = _basis_log_norms(a.s, n)
     coeff = z.conjugate() ** np.arange(n) * np.exp(-0.5 * log_norms)
-    numerator = np.vdot(coeff, a.entries @ coeff)
+    numerator = 0j
+    for d, values in a.diagonals.items():
+        rows, columns = coeff[max(0, d) : n + min(0, d)], coeff[max(0, -d) : n - max(0, d)]
+        numerator += np.vdot(rows, values * columns)
     denominator = float(np.vdot(coeff, coeff).real)
     # componentwise division keeps A = identity at exactly 1
-    return complex(float(numerator.real) / denominator, float(numerator.imag) / denominator)
+    return complex(numerator.real / denominator, numerator.imag / denominator)
 
 
 def window_max_abs(a: TruncatedOperator, window: int) -> float:
@@ -279,8 +319,10 @@ def window_max_abs(a: TruncatedOperator, window: int) -> float:
         raise PreconditionError(
             f"window must be an integer in [0, {a.size - 1}], got {window!r}"
         )
+    # the first w - |d| entries of diagonal d have both indices below w
     w = int(window) + 1
-    return float(np.max(np.abs(a.entries[:w, :w])))
+    inside = [values[: w - abs(d)] for d, values in a.diagonals.items() if abs(d) < w]
+    return max((float(np.max(np.abs(values))) for values in inside), default=0.0)
 
 
 def min_truncation_size(
@@ -305,14 +347,43 @@ def min_truncation_size(
     )
 
 
+_CSV_LINE = "{row},{col},{re},{im}\n"
+_JSON_ITEM = "    [\n      {row},\n      {col},\n      {re},\n      {im}\n    ],\n"
+
+
+@lru_cache(maxsize=64)
+def _zero_row(line: str, n: int) -> tuple[str, tuple[int, ...]]:
+    """One row of ``line`` texts with zero entries in every column, the row
+    index written as '#', and the offset at which each column's text starts."""
+    texts = [line.format(row="#", col=col, re="0.0", im="0.0") for col in range(n)]
+    return "".join(texts), tuple(itertools.accumulate(map(len, texts), initial=0))
+
+
+def _entry_table(a: TruncatedOperator, line: str) -> str:
+    """Every entry of ``a`` in row-major order as one ``line`` each.  Stored
+    entries are written with repr; the zero runs between them are cut from
+    the cached zero row, so only the band is formatted."""
+    n = a.size
+    zero_row, offsets = _zero_row(line, n)
+    # descending d visits each row's stored entries in ascending column order
+    bands = [(d, max(0, -d), a.diagonals[d].tolist()) for d in sorted(a.diagonals, reverse=True)]
+    parts = []
+    for row in range(n):
+        tag, done = str(row), 0
+        for d, first, values in bands:
+            col = row - d
+            if 0 <= col < n:
+                z = values[col - first]
+                parts.append(zero_row[offsets[done] : offsets[col]].replace("#", tag))
+                parts.append(line.format(row=tag, col=col, re=repr(z.real), im=repr(z.imag)))
+                done = col + 1
+        parts.append(zero_row[offsets[done] :].replace("#", tag))
+    return "".join(parts)
+
+
 def matrix_to_csv(a: TruncatedOperator) -> str:
     """Full matrix as 'row,col,re,im' lines (row-major, deterministic)."""
-    lines = [
-        f"{row},{col},{value.real!r},{value.imag!r}\n"
-        for row, values in enumerate(a.entries.tolist())
-        for col, value in enumerate(values)
-    ]
-    return "row,col,re,im\n" + "".join(lines)
+    return "row,col,re,im\n" + _entry_table(a, _CSV_LINE)
 
 
 def matrix_to_json(a: TruncatedOperator) -> str:
@@ -332,13 +403,6 @@ def matrix_to_json(a: TruncatedOperator) -> str:
         "entry_error": a.entry_error,
         "entries": [],
     }
-    table = ",\n".join(
-        [
-            f"    [\n      {row},\n      {col},\n"
-            f"      {value.real!r},\n      {value.imag!r}\n    ]"
-            for row, values in enumerate(a.entries.tolist())
-            for col, value in enumerate(values)
-        ]
-    )
+    table = _entry_table(a, _JSON_ITEM)[:-2]  # the last item takes no ",\n"
     text = json.dumps(envelope, sort_keys=True, indent=2)
     return text.replace('"entries": []', f'"entries": [\n{table}\n  ]', 1) + "\n"

@@ -1,0 +1,159 @@
+"""Products, Berezin transforms and window maxima read an operator's stored
+diagonals.  The dense N x N forms they replaced are kept here as references:
+the products sum the same terms in another order, so they agree to a bound
+set from the float64 epsilon and the number of terms per entry."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fock_toeplitz.errors import PreconditionError
+from fock_toeplitz.operators import (
+    TruncatedOperator,
+    _basis_log_norms,
+    berezin,
+    commutator,
+    compose,
+    window_max_abs,
+)
+
+EPS = sys.float_info.epsilon
+
+
+def dense_compose(a, b):
+    return a.entries @ b.entries
+
+
+def dense_commutator(a, b):
+    return a.entries @ b.entries - b.entries @ a.entries
+
+
+def dense_berezin(a, z):
+    n = a.size
+    coeff = complex(z).conjugate() ** np.arange(n) * np.exp(-0.5 * _basis_log_norms(a.s, n))
+    numerator = np.vdot(coeff, a.entries @ coeff)
+    denominator = float(np.vdot(coeff, coeff).real)
+    return complex(float(numerator.real) / denominator, float(numerator.imag) / denominator)
+
+
+def dense_window_max_abs(a, window):
+    w = window + 1
+    return float(np.max(np.abs(a.entries[:w, :w])))
+
+
+def max_abs(a):
+    return float(np.max(np.abs(a.entries)))
+
+
+def product_bound(a, b):
+    """Two t-term complex sums of products no larger than max|a| max|b| each
+    err by at most (t + 2) eps t max|a| max|b|; t is at most the smaller
+    number of stored diagonals, one term per diagonal of either factor."""
+    t = max(min(len(a.diagonals), len(b.diagonals)), 1)
+    width = 2 * t * (t + 2)
+    return EPS * width * max_abs(a) * max_abs(b)
+
+
+@st.composite
+def banded(draw, n, s=0.0):
+    band = draw(st.integers(0, n + 2))
+    reach = min(band, n - 1)  # a band at or beyond N - 1 is clipped there
+    side = draw(st.sampled_from(["both", "lower", "upper", "empty"]))
+    low, high = {
+        "both": (-reach, reach),
+        "lower": (1, reach),
+        "upper": (-reach, -1),
+        "empty": (0, -1),
+    }[side]
+    keys = draw(st.sets(st.integers(low, high), max_size=7)) if low <= high else set()
+    if draw(st.booleans()) and keys:
+        keys.add(reach if side != "upper" else -reach)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150, 3.7]))
+    diagonals = {}
+    for d in keys:
+        values = scale * (rng.standard_normal(n - abs(d)) + 1j * rng.standard_normal(n - abs(d)))
+        values[rng.random(n - abs(d)) < 0.2] = -0.0  # zeros inside the band
+        diagonals[d] = values
+    return TruncatedOperator(diagonals, n, s, band, "x")
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.integers(1, 40))
+    return draw(banded(n)), draw(banded(n))
+
+
+@given(pairs())
+def test_compose_matches_dense_product(pair):
+    a, b = pair
+    product = compose(a, b)
+    assert product.exact_band == min(a.exact_band + b.exact_band, a.size - 1)
+    assert np.max(np.abs(product.entries - dense_compose(a, b))) <= product_bound(a, b)
+    assert product.entry_error == 0.0
+
+
+@given(pairs())
+def test_commutator_matches_dense_product(pair):
+    a, b = pair
+    comm = commutator(a, b)
+    reference = dense_commutator(a, b)
+    # two products and one rounding of their difference
+    bound = 2.0 * product_bound(a, b) + EPS * float(np.max(np.abs(reference)))
+    assert np.max(np.abs(comm.entries - reference)) <= bound
+
+
+@given(pairs())
+def test_self_commutator_is_exactly_zero(pair):
+    a, _ = pair
+    comm = commutator(a, a)
+    assert all(not values.any() for values in comm.diagonals.values())
+
+
+@given(pairs(), st.integers(0, 39))
+def test_window_max_abs_equals_dense(pair, window):
+    a, _ = pair
+    window = min(window, a.size - 1)
+    assert window_max_abs(a, window) == dense_window_max_abs(a, window)
+
+
+@st.composite
+def kernel_points(draw):
+    # N >= 16 and |z| <= 1 meet the Berezin tail precondition at any s >= 0
+    n = draw(st.integers(16, 40))
+    s = draw(st.sampled_from([0.0, 0.5, 2.3]))
+    radius = draw(st.floats(0.0, 1.0))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    return n, s, radius * complex(math.cos(angle), math.sin(angle))
+
+
+@given(kernel_points(), st.data())
+def test_berezin_matches_dense(point, data):
+    n, s, z = point
+    a = data.draw(banded(n, s))
+    coeff = z.conjugate() ** np.arange(n) * np.exp(-0.5 * _basis_log_norms(s, n))
+    absolute = np.abs(coeff) @ np.abs(a.entries) @ np.abs(coeff) / np.vdot(coeff, coeff).real
+    bound = 2.0 * EPS * (n + len(a.diagonals) + 4) * absolute
+    assert abs(berezin(a, z) - dense_berezin(a, z)) <= bound
+
+
+@given(kernel_points())
+def test_berezin_of_identity_is_exactly_one(point):
+    n, s, z = point
+    identity = TruncatedOperator({0: np.ones(n)}, n, s, 0, "id")
+    assert berezin(identity, z) == 1.0 + 0.0j
+
+
+def test_products_refuse_mismatched_operators():
+    a = TruncatedOperator({0: np.ones(4)}, 4, 0.0, 0, "a")
+    for other in (
+        TruncatedOperator({0: np.ones(5)}, 5, 0.0, 0, "b"),
+        TruncatedOperator({0: np.ones(4)}, 4, 1.0, 0, "c"),
+    ):
+        for product in (commutator, compose):
+            with pytest.raises(PreconditionError):
+                product(a, other)

@@ -166,6 +166,23 @@ output:
         assert summary[0]["commutes"] is True
         assert summary[0]["window_residual"] <= 1e-10
 
+    def test_matrices_byte_identical_and_zero_outside_band(self, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            text = CONFIG_PAIR.format(s=2.3, N=9, k_max=2, out=out)
+            config = write(tmp_path, f"{run}.yaml", text)
+            assert main(["commutator", "--config", str(config), "--quiet"]) == 0
+            outputs.append([(out / f"commutator_s2p3.{e}").read_bytes() for e in ("csv", "json")])
+        assert outputs[0] == outputs[1]
+        band = json.loads(outputs[0][1])["exact_band"]
+        assert band == 1
+        lines = outputs[0][0].decode().splitlines()[1:]
+        assert len(lines) == 81
+        indices = [tuple(int(i) for i in line.split(",")[:2]) for line in lines]
+        outside = [line for line, (row, col) in zip(lines, indices) if abs(row - col) > band]
+        assert len(outside) == 81 - 9 - 2 * 8
+        assert all(line.endswith(",0.0,0.0") for line in outside)
 
 class TestCriterionCommand:
     def test_nonradial_detection_report(self, tmp_path):

@@ -76,14 +76,15 @@ labels = st.one_of(
 @st.composite
 def operators(draw):
     n = draw(st.integers(1, 12))
-    band = draw(st.integers(0, n - 1))
-    matrix = np.zeros((n, n), dtype=complex)
-    for row in range(n):
-        for col in range(max(0, row - band), min(n, row + band + 1)):
-            matrix[row, col] = complex(draw(floats), draw(floats))
+    band = draw(st.integers(0, n + 1))
+    reach = min(band, n - 1)
+    keys = draw(st.sets(st.integers(-reach, reach)))
+    diagonals = {
+        d: [complex(draw(floats), draw(floats)) for _ in range(n - abs(d))] for d in keys
+    }
     s = draw(st.one_of(st.sampled_from([0.0, 0.5, 2.3, 1 / 3]), st.floats(0.0, 200.0)))
     error = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-17]), st.floats(0.0, 1.0)))
-    return TruncatedOperator(matrix, s, band, draw(labels), error)
+    return TruncatedOperator(diagonals, n, s, band, draw(labels), error)
 
 
 @given(operators())
@@ -92,8 +93,20 @@ def test_exports_match_reference_bytes(op):
     assert matrix_to_json(op) == reference_json(op)
 
 
+def test_stored_zeros_keep_their_sign():
+    # a stored -0.0 is written as such; a zero outside the stored diagonals
+    # comes from the zero row as 0.0
+    op = TruncatedOperator({-2: [-0.0], 1: [complex(-0.0, 0.0), 0.0]}, 3, 0.0, 2, "zeros")
+    assert matrix_to_csv(op) == reference_csv(op)
+    assert matrix_to_json(op) == reference_json(op)
+    lines = matrix_to_csv(op).splitlines()
+    assert lines[1 + 2] == "0,2,-0.0,0.0"
+    assert lines[1 + 3] == "1,0,-0.0,0.0"
+    assert lines[1 + 1] == "0,1,0.0,0.0"
+
+
 def test_non_finite_entry_error_stays_with_json():
-    op = TruncatedOperator(np.eye(2, dtype=complex), 0.0, 0, "inf", math.inf)
+    op = TruncatedOperator({0: np.ones(2)}, 2, 0.0, 0, "inf", math.inf)
     assert matrix_to_json(op) == reference_json(op)
     assert '"entry_error": Infinity' in matrix_to_json(op)
 

@@ -256,12 +256,12 @@ class TestCommutator:
 
 class TestBerezin:
     def test_identity_is_exactly_one(self):
-        identity = TruncatedOperator(np.eye(16, dtype=complex), 0.0, 0, "id")
+        identity = TruncatedOperator({0: np.ones(16)}, 16, 0.0, 0, "id")
         for z in (0.0, 0.3 + 0.2j, 1.0j):
             assert berezin(identity, z) == 1.0 + 0.0j
 
     def test_zero_matrix(self):
-        zero = TruncatedOperator(np.zeros((16, 16), dtype=complex), 0.5, 0, "zero")
+        zero = TruncatedOperator({}, 16, 0.5, 0, "zero")
         assert berezin(zero, 0.7j) == 0.0
 
     @pytest.mark.parametrize("s", [0.0, 1.5])
@@ -279,7 +279,7 @@ class TestBerezin:
         # show a nonzero maximum over the grid |z| <= 3
         grid = [0.5 * k * cmath.exp(0.7j * k) for k in range(7)]
         n_size = min_truncation_size(3.0, 0.0, tail_tol=1e-12)
-        zero = TruncatedOperator(np.zeros((n_size, n_size), dtype=complex), 0.0, 0, "zero")
+        zero = TruncatedOperator({}, n_size, 0.0, 0, "zero")
         assert all(berezin(zero, z) == 0.0 for z in grid)
         for op in (toeplitz_matrix(Z, 0.0, n_size, QUAD), toeplitz_matrix(ABS2, 0.0, n_size, QUAD)):
             assert max(abs(berezin(op, z)) for z in grid) > 0.0
@@ -319,13 +319,13 @@ class TestBerezin:
 
 class TestWindowMaxAbs:
     def test_examples(self):
-        zero = TruncatedOperator(np.zeros((5, 5), dtype=complex), 0.0, 0, "zero")
+        zero = TruncatedOperator({}, 5, 0.0, 0, "zero")
         assert window_max_abs(zero, 3) == 0.0
-        identity = TruncatedOperator(np.eye(5, dtype=complex), 0.0, 0, "id")
+        identity = TruncatedOperator({0: np.ones(5)}, 5, 0.0, 0, "id")
         assert window_max_abs(identity, 0) == 1.0
 
     def test_bounds(self):
-        identity = TruncatedOperator(np.eye(5, dtype=complex), 0.0, 0, "id")
+        identity = TruncatedOperator({0: np.ones(5)}, 5, 0.0, 0, "id")
         with pytest.raises(PreconditionError):
             window_max_abs(identity, 5)
         with pytest.raises(PreconditionError):
@@ -333,36 +333,50 @@ class TestWindowMaxAbs:
 
 
 class TestTruncatedOperator:
-    def test_band_violation_rejected(self):
-        bad = np.zeros((4, 4), dtype=complex)
-        bad[3, 0] = 1.0
-        with pytest.raises(DomainError):
-            TruncatedOperator(bad, 0.0, 1, "bad")
+    @pytest.mark.parametrize("d", [2, -2, 3])
+    def test_diagonal_beyond_band_refused(self, d):
+        diagonals = {0: np.ones(4), d: np.full(4 - abs(d), -1e-300)}
+        message = rf"'bad': diagonal d={d} lies outside declared band 1"
+        with pytest.raises(DomainError, match=message):
+            TruncatedOperator(diagonals, 4, 0.0, 1, "bad")
 
-    @pytest.mark.parametrize("row, col", [(3, 1), (1, 3), (0, 2)])
-    def test_band_violation_on_either_side(self, row, col):
-        bad = np.diag(np.arange(1.0, 5.0)).astype(complex)
-        bad[row, col] = -1e-300
-        with pytest.raises(DomainError, match="outside declared band 1"):
-            TruncatedOperator(bad, 0.0, 1, "bad")
-        bad[row, col] = -0.0
-        TruncatedOperator(bad, 0.0, 1, "zero")
+    @pytest.mark.parametrize("d, length", [(0, 3), (1, 4), (-1, 2), (4, 1), (-5, 0)])
+    def test_diagonal_of_wrong_length_refused(self, d, length):
+        with pytest.raises(DomainError, match=rf"'short': diagonal d={d} at N=4 needs shape"):
+            TruncatedOperator({d: np.ones(length)}, 4, 0.0, 9, "short")
 
-    def test_band_at_or_beyond_size_accepts_dense(self):
-        dense = np.ones((3, 3), dtype=complex)
-        TruncatedOperator(dense, 0.0, 2, "dense")
-        TruncatedOperator(dense, 0.0, 7, "wide")
-        with pytest.raises(DomainError):
-            TruncatedOperator(dense, 0.0, 1, "narrow")
+    def test_band_at_or_beyond_size_accepts_every_diagonal(self):
+        dense = {d: np.ones(3 - abs(d)) for d in range(-2, 3)}
+        full = TruncatedOperator(dense, 3, 0.0, 2, "dense")
+        np.testing.assert_array_equal(full.entries, np.ones((3, 3)))
+        TruncatedOperator(dense, 3, 0.0, 7, "wide")
+        with pytest.raises(DomainError, match="'narrow': diagonal d=-2"):
+            TruncatedOperator(dense, 3, 0.0, 1, "narrow")
 
     def test_nonfinite_rejected(self):
-        bad = np.zeros((3, 3), dtype=complex)
-        bad[0, 0] = math.nan
-        with pytest.raises(DomainError):
-            TruncatedOperator(bad, 0.0, 0, "bad")
+        values = np.zeros(2, dtype=complex)
+        values[1] = complex(0.0, math.nan)
+        message = r"'bad': diagonal d=-1: entry at column m=2 is not finite"
+        with pytest.raises(DomainError, match=message):
+            TruncatedOperator({0: np.ones(3), -1: values}, 3, 0.0, 1, "bad")
 
-    def test_entries_read_only(self):
-        op = toeplitz_matrix(ONE, 0.0, 3, QUAD)
+    @pytest.mark.parametrize(
+        "product, label", [(commutator, r"\[big,big\]"), (compose, r"big\*big")]
+    )
+    def test_overflowing_product_names_the_operator(self, product, label):
+        big = TruncatedOperator({0: np.array([1e300, 1.0]), 1: np.array([1e300])}, 2, 0.0, 1, "big")
+        message = rf"'{label}': diagonal d=0: entry at column m=0 is not finite"
+        with pytest.raises(DomainError, match=message):
+            product(big, big)
+
+    def test_entries_view_and_diagonals_read_only(self):
+        op = toeplitz_matrix(RE_Z, 0.5, 4, QUAD)
+        assert op.entries is op.entries
+        for d, values in op.diagonals.items():
+            np.testing.assert_array_equal(np.diagonal(op.entries, -d), values)
+            with pytest.raises(ValueError):
+                values[0] = 5.0
+        assert np.count_nonzero(op.entries) == sum(v.size for v in op.diagonals.values())
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
