@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
 from .operators import (
     TruncatedOperator,
@@ -109,9 +109,9 @@ def phi(
     Identically zero for j = 0 and for constant u; satisfies the index
     symmetry Phi_j(k) = -Phi_{-j}(k+j).
     """
-    if int(k) != k or k < 0:
+    if not is_integer(k) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    if int(j) != j or j + k < 0:
+    if not is_integer(j) or j + k < 0:
         raise DomainError(f"need integer j with j + k >= 0, got j={j!r}, k={k!r}")
     sv = order_value(s)
     j, k = int(j), int(k)
@@ -372,7 +372,7 @@ def functional_equation_residuals(
                                             inconsistency at tested indices)
     """
     sv = order_value(s)
-    if int(k_max) != k_max or k_max < 1:
+    if not is_integer(k_max) or k_max < 1:
         raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
     k_max = int(k_max)
     if N is None:
@@ -457,7 +457,7 @@ def periodicity_probe(
     Constant u gives zero within the error estimate.
     """
     sv = order_value(s)
-    if int(j) != j or j < 1:
+    if not is_integer(j) or j < 1:
         raise DomainError(f"period j must be a positive integer, got {j!r}")
     z = [float(point) for point in z_grid]
     for point in z:

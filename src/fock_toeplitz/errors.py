@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its integer-argument test."""
 
 
 class DomainError(ValueError):
@@ -31,3 +31,11 @@ class ClassificationError(ValueError):
 
 class ConfigurationError(Exception):
     """Invalid experiment configuration or input file (CLI exit code 2)."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a finite number with an integer value."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):  # not a number, nan or infinite
+        return False

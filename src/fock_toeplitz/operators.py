@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, PreconditionError
+from .errors import AccuracyError, DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
 # mellin_weighted_cached is unused here, but perfbench/spans.py wraps this binding
 from .mellin import TRANSFORMS, family_transform, mellin_weighted_cached  # noqa: F401
@@ -81,7 +81,7 @@ class TruncatedOperator:
 
     def __post_init__(self):
         n = self.size
-        if int(n) != n or n < 1:
+        if not is_integer(n) or n < 1:
             raise DomainError(f"operator {self.label!r}: size must be an integer >= 1, got {n!r}")
         diagonals = {}
         for d in sorted(self.diagonals):
@@ -115,13 +115,16 @@ class TruncatedOperator:
         return self.size - 1 - self.exact_band
 
 
+@lru_cache(maxsize=64)
 def _basis_log_norms(s: float, n: int) -> np.ndarray:
-    """log Gamma(s + m + 1) for m = 0, ..., n-1, summed in that order."""
-    return log_gamma_array(s + np.arange(n) + 1.0)
+    """log Gamma(s + m + 1) for m = 0, ..., n-1, summed in that order; read-only."""
+    norms = log_gamma_array(s + np.arange(n) + 1.0)
+    norms.setflags(write=False)
+    return norms
 
 
 def _truncation(N: int) -> int:
-    if int(N) != N or N < 1 or N > MAX_TRUNCATION:
+    if not is_integer(N) or N < 1 or N > MAX_TRUNCATION:
         raise DomainError(f"N must be an integer in [1, {MAX_TRUNCATION}], got {N!r}")
     return int(N)
 
@@ -315,7 +318,7 @@ def berezin(a: TruncatedOperator, z: complex, *, tail_tol: float = 1e-12) -> com
 
 def window_max_abs(a: TruncatedOperator, window: int) -> float:
     """Largest entry magnitude over indices n, m <= window."""
-    if int(window) != window or window < 0 or window >= a.size:
+    if not is_integer(window) or window < 0 or window >= a.size:
         raise PreconditionError(
             f"window must be an integer in [0, {a.size - 1}], got {window!r}"
         )

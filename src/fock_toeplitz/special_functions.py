@@ -8,9 +8,9 @@ evaluated here by tanh-sinh (double-exponential) quadrature on a truncated
 interval (0, R].  The truncation radius R is tied to the exponent in play:
 R is chosen so that exp(-R^2) * R^alpha falls below the absolute tolerance,
 which makes the dropped tail negligible for any integrand of declared
-polynomial growth.  Refinement doubles the node density until two
-consecutive levels agree within tolerance; the last inter-level difference is
-the reported error estimate.
+polynomial growth.  Refinement halves the step (each level evaluates only its
+new, odd-index nodes) until two consecutive levels agree within tolerance;
+the last inter-level difference is the reported error estimate.
 
 A whole column of exponents is one vectorised pass per level: the integrand
 is evaluated once on the live nodes of every row, and each row keeps its own
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, is_integer
 
 __all__ = [
     "QuadratureSpec",
@@ -108,7 +108,7 @@ class QuadratureSpec:
     rel_tol: float = 1e-11
 
     def __post_init__(self):
-        if int(self.node_count) != self.node_count or self.node_count < 2:
+        if not is_integer(self.node_count) or self.node_count < 2:
             raise DomainError(f"node_count must be an integer >= 2, got {self.node_count!r}")
         for name in ("tail_cutoff", "abs_tol", "rel_tol"):
             value = getattr(self, name)
@@ -131,16 +131,17 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-@lru_cache(maxsize=16)
-def _unit_nodes(h: float) -> tuple:
+@lru_cache(maxsize=32)
+def _unit_nodes(h: float, odd: bool = False) -> tuple:
     """The radius-free parts of the step-``h`` tanh-sinh nodes on (0, R) at
-    u = h k, |u| <= 6, y = (pi/2) sinh u: the count of nodes with y < 0, and
-    the arrays e^{-2|y|}, 1 + e^{-2|y|}, cosh u and sech^2 y.  Nodes where
-    1 + e^{-2|y|} rounds to 1 sit at t = R exactly, which the rule excludes,
-    so they are left out here.  Read-only: the cache hands the same arrays
-    to every caller."""
+    u = h k, |u| <= 6 (only odd k when ``odd``), y = (pi/2) sinh u: the count
+    of nodes with y < 0, and the arrays e^{-2|y|}, 1 + e^{-2|y|}, cosh u and
+    sech^2 y.  Nodes where 1 + e^{-2|y|} rounds to 1 sit at t = R exactly,
+    which the rule excludes, so they are left out here.  Read-only: the
+    cache hands the same arrays to every caller."""
     k = int(math.floor(_U_MAX / h))
-    u = h * np.arange(-k, k + 1)
+    index = np.arange(-k, k + 1)
+    u = h * (index[index % 2 == 1] if odd else index)
     y = 0.5 * math.pi * np.sinh(u)
     ey = np.exp(-2.0 * np.abs(y))
     kept = (y < 0.0) | (1.0 + ey > 1.0)
@@ -152,12 +153,12 @@ def _unit_nodes(h: float) -> tuple:
 
 
 def _level_sums(
-    f: Callable, alpha: np.ndarray, cutoff: np.ndarray, h: float
+    f: Callable, alpha: np.ndarray, cutoff: np.ndarray, h: float, odd: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One trapezoid pass of the tanh-sinh rule at step ``h`` for each row
-    (alpha, cutoff): the sums and their L1 masses, which bound summation
-    rounding.  ``f`` is evaluated once, on the live nodes of all rows."""
-    lower, ey, one_plus_ey, cosh_u, sech2 = _unit_nodes(h)
+    """One trapezoid pass of the tanh-sinh rule at step ``h`` (odd nodes only
+    when ``odd``) for each row (alpha, cutoff): the sums and their L1 masses,
+    which bound summation rounding.  ``f`` is evaluated once, on all rows."""
+    lower, ey, one_plus_ey, cosh_u, sech2 = _unit_nodes(h, odd)
     # A node with t < R e^{-2|y|} < e^{-750/(alpha-1)} has an exactly zero
     # weight (its exp underflows), so the leading nodes below that bound
     # for every row are skipped.
@@ -230,18 +231,21 @@ def gaussian_weighted_column(
     values = np.full(alphas.size, np.nan, dtype=complex)
     errors = np.full(alphas.size, np.nan)
     failures: dict[int, AccuracyError] = {}
-    previous = np.zeros(alphas.size, dtype=complex)
+    previous, previous_mass = np.zeros(alphas.size, dtype=complex), np.zeros(alphas.size)
     estimate = np.full(alphas.size, np.inf)
     active = np.arange(alphas.size)
     eps = float(np.finfo(float).eps)
     h = 2.0 * _U_MAX / spec.node_count
     for level in range(_MAX_REFINEMENTS + 1):
-        step = max(1, _MAX_BATCH // _unit_nodes(h)[1].size)
+        # Halving h keeps the old nodes exactly: past level 0, sum the new (odd)
+        # nodes and add half the previous sum.
+        step = max(1, _MAX_BATCH // _unit_nodes(h, level > 0)[1].size)
         chunks = [
-            _level_sums(f, alphas[rows], cutoff[rows], h)
+            _level_sums(f, alphas[rows], cutoff[rows], h, level > 0)
             for rows in np.split(active, range(step, active.size, step))
         ]
-        current, l1_mass = (np.concatenate(part) for part in zip(*chunks))
+        sums, masses = (np.concatenate(part) for part in zip(*chunks))
+        current, l1_mass = 0.5 * previous[active] + sums, 0.5 * previous_mass[active] + masses
         h *= 0.5
         finite = np.isfinite(current) & np.isfinite(l1_mass)
         for row in active[~finite].tolist():
@@ -250,16 +254,16 @@ def gaussian_weighted_column(
                 f"for alpha={alphas[row]:g}",
                 estimate=math.inf,
             )
-        done = np.zeros(active.size, dtype=bool)
-        if level:
-            diff = np.abs(current - previous[active])
-            # Accumulated rounding of an n-term sum scales with its L1 mass.
-            rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
-            estimate[active] = diff + tail_bound[active] + rounding
-            done = finite & (diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(current)))
-            values[active[done]] = current[done]
-            errors[active[done]] = estimate[active[done]]
-        previous[active] = current
+        diff = np.abs(current - previous[active])
+        # Summation rounding scales with the L1 mass.  Nesting rounds once more per
+        # level; later levels halve it, so it adds < 2 eps * mass, inside the 8 eps.
+        rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
+        estimate[active] = diff + tail_bound[active] + rounding
+        tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(current))
+        done = finite & (level > 0) & (diff <= tolerance)  # level 0 has no level to agree with
+        values[active[done]] = current[done]
+        errors[active[done]] = estimate[active[done]]
+        previous[active], previous_mass[active] = current, l1_mass
         active = active[finite & ~done]
         if not active.size:
             break

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ClassificationError, DomainError, PreconditionError
+from .errors import ClassificationError, DomainError, PreconditionError, is_integer
 
 __all__ = [
     "RadialProfile",
@@ -311,7 +311,7 @@ def decompose(
     stays below ``drop_floor`` across all radii are dropped; survivors are
     cubic interpolants in the radius.
     """
-    if int(j_max) != j_max or j_max < 1:
+    if not is_integer(j_max) or j_max < 1:
         raise DomainError(f"j_max must be a positive integer, got {j_max!r}")
     values = np.asarray(samples)
     r = np.asarray(radii, dtype=float)

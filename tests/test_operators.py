@@ -2,6 +2,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -388,6 +389,37 @@ class TestBasisLogNorms:
         got = _basis_log_norms(s, 160)
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
+
+    def test_cached_and_read_only(self):
+        first = _basis_log_norms(2.5, 40)
+        assert _basis_log_norms(2.5, 40) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+
+
+def _unit_operator(size):
+    return TruncatedOperator({0: np.ones(3)}, size, 0.0, 0, "unit")
+
+
+SIZED_CALLS = {
+    "toeplitz_matrix": (lambda x: toeplitz_matrix(ONE, 0.0, x), DomainError, "N must"),
+    "radial_eigenvalues": (
+        lambda x: radial_eigenvalues(RadialProfile.monomial(0.0), 0.0, x),
+        DomainError,
+        "N must",
+    ),
+    "TruncatedOperator": (_unit_operator, DomainError, "size must"),
+    "window_max_abs": (lambda x: window_max_abs(_unit_operator(3), x), PreconditionError, "window must"),
+    "QuadratureSpec": (lambda x: QuadratureSpec(node_count=x), DomainError, "node_count must"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "4", 2.5])
+@pytest.mark.parametrize("call", sorted(SIZED_CALLS))
+def test_size_that_is_not_a_finite_integer_is_refused_by_name(call, value):
+    build, error, name = SIZED_CALLS[call]
+    with pytest.raises(error, match=f"{name}.*got {re.escape(repr(value))}$"):
+        build(value)
 
 
 class TestMinTruncationSize:

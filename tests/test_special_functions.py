@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import re
 from dataclasses import replace
@@ -33,9 +34,12 @@ def reference_tail_radius(alpha_max, abs_tol):
     return r
 
 
-def reference_level_sum(f, alpha, cutoff, h):
+def reference_level_sum(f, alpha, cutoff, h, odd=False):
+    """One level's sum and L1 mass over every node at step h, or over the
+    odd-index ones only."""
     k = int(math.floor(6.0 / h))
-    u = h * np.arange(-k, k + 1)
+    index = np.arange(-k, k + 1)
+    u = h * (index[index % 2 == 1] if odd else index)
     y = 0.5 * math.pi * np.sinh(u)
     ey = np.exp(-2.0 * np.abs(y))
     t = np.where(y >= 0.0, cutoff / (1.0 + ey), cutoff * ey / (1.0 + ey))
@@ -50,31 +54,41 @@ def reference_level_sum(f, alpha, cutoff, h):
         if t.size == 0:
             return 0j, 0.0
         terms = weights * np.asarray(f(t))
-        total, l1_mass = complex(np.sum(terms)), float(np.sum(np.abs(terms)))
-    if not (cmath.isfinite(total) and math.isfinite(l1_mass)):
-        raise AccuracyError(
-            f"quadrature level sum is not finite (overflows double range) for alpha={alpha:g}",
-            estimate=math.inf,
-        )
-    return total, l1_mass
+        return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-def reference_integral(f, alpha, spec, growth_exponent=0.0):
-    """The scalar level loop, with R widened to cover alpha + growth_exponent."""
+def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
+    """The scalar level loop, with R widened to cover alpha + growth_exponent:
+    (value, error estimate, level it stopped at).
+
+    ``nested`` is the rule in use: a level adds its odd-node sum to half the
+    previous level's sum.  Otherwise every level sums all of its nodes, the
+    rule before nesting, kept as a value oracle."""
     cutoff = max(spec.tail_cutoff, reference_tail_radius(alpha + growth_exponent, spec.abs_tol))
     tail_log = (alpha + growth_exponent) * math.log(cutoff) - cutoff * cutoff
     tail_bound = math.exp(tail_log) if tail_log < 700.0 else math.inf
     h = 2.0 * 6.0 / spec.node_count
-    previous, _ = reference_level_sum(f, alpha, cutoff, h)
     eps = float(np.finfo(float).eps)
-    for level in range(1, 9):
+    previous, previous_mass = 0j, 0.0
+    for level in range(9):
+        if nested and level:
+            total, mass = reference_level_sum(f, alpha, cutoff, h, odd=True)
+            current, l1_mass = 0.5 * previous + total, 0.5 * previous_mass + mass
+        else:
+            current, l1_mass = reference_level_sum(f, alpha, cutoff, h)
         h *= 0.5
-        current, l1_mass = reference_level_sum(f, alpha, cutoff, h)
-        diff = abs(current - previous)
-        rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
-        if diff <= max(spec.abs_tol, spec.rel_tol * abs(current)):
-            return current, diff + tail_bound + rounding
-        previous = current
+        if not (cmath.isfinite(current) and math.isfinite(l1_mass)):
+            raise AccuracyError(
+                "quadrature level sum is not finite (overflows double range) "
+                f"for alpha={alpha:g}",
+                estimate=math.inf,
+            )
+        if level:
+            diff = abs(current - previous)
+            rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
+            if diff <= max(spec.abs_tol, spec.rel_tol * abs(current)):
+                return current, diff + tail_bound + rounding, level
+        previous, previous_mass = current, l1_mass
     estimate = diff + tail_bound + rounding
     raise AccuracyError(
         f"quadrature did not reach tolerance (abs_tol={spec.abs_tol:g}, "
@@ -275,6 +289,48 @@ integrands = st.one_of(
 specs = st.sampled_from([DEFAULT_QUADRATURE, WIDE, RAGGED, QuadratureSpec(node_count=20)])
 
 
+class TestNestedLevels:
+    """Each level evaluates only its odd-index nodes and reuses the rest."""
+
+    @pytest.mark.parametrize("node_count", [7, 8, 20, 48])
+    def test_odd_nodes_and_coarse_nodes_are_the_fine_nodes(self, node_count):
+        from fock_toeplitz.special_functions import _unit_nodes
+
+        def sides(nodes):
+            lower, *arrays = nodes
+            rows = list(zip(*(array.tolist() for array in arrays)))
+            return sorted(rows[:lower]), sorted(rows[lower:])
+
+        h = 2.0 * 6.0 / node_count
+        for _ in range(8):
+            h *= 0.5
+            coarse, odd = sides(_unit_nodes(2.0 * h)), sides(_unit_nodes(h, True))
+            assert sides(_unit_nodes(h)) == tuple(sorted(c + o) for c, o in zip(coarse, odd))
+
+    @pytest.mark.parametrize("rate", [0.3, 1.3, 2.9])
+    @pytest.mark.parametrize("node_count", [7, 48])
+    def test_rows_stop_at_the_full_level_rule_level(self, monkeypatch, rate, node_count):
+        import fock_toeplitz.special_functions as special_functions
+
+        spec = QuadratureSpec(node_count=node_count)
+        level_sums = special_functions._level_sums
+        last_step = {}
+
+        def recording(f, alpha, cutoff, h, odd):
+            last_step.update(dict.fromkeys(alpha.tolist(), h))
+            return level_sums(f, alpha, cutoff, h, odd)
+
+        monkeypatch.setattr(special_functions, "_level_sums", recording)
+        f = decaying(rate, 0, 1.0)
+        alphas = np.linspace(0.5, 340.0, 25)
+        _, _, failures = gaussian_weighted_column(f, alphas, spec)
+        assert not failures
+        h0 = 2.0 * 6.0 / spec.node_count
+        for alpha in alphas.tolist():
+            _, _, level = reference_integral(f, alpha, spec, nested=False)
+            assert last_step[alpha] == h0 / 2**level
+
+
 class TestColumnAgainstScalarReference:
     """The column quadrature against the scalar level loop it replaced."""
 
@@ -291,7 +347,7 @@ class TestColumnAgainstScalarReference:
         )
         for row, alpha in enumerate(alphas):
             try:
-                expected, estimate = reference_integral(f, alpha, spec, growth)
+                expected, estimate, _ = reference_integral(f, alpha, spec, growth)
             except AccuracyError as exc:
                 assert type(failures[row]) is AccuracyError
                 assert str(failures[row]) == str(exc)
@@ -302,6 +358,10 @@ class TestColumnAgainstScalarReference:
                 continue
             assert row not in failures
             assert abs(values[row] - expected) <= max(1e-13 * abs(expected), estimate)
+            # a row at the stopping threshold may stall under one rule only
+            with contextlib.suppress(AccuracyError):
+                full, _, _ = reference_integral(f, alpha, spec, growth, nested=False)
+                assert abs(values[row] - full) <= max(1e-13 * abs(full), estimate)
             # a row does not depend on the rows beside it
             single = gaussian_weighted_integral_with_estimate(
                 f, alpha, spec, growth_exponent=growth
