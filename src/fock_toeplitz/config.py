@@ -17,7 +17,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .operators import MAX_TRUNCATION
-from .special_functions import QuadratureSpec
+from .special_functions import MAX_NODE_COUNT, QuadratureSpec
 from .symbols import RadialProfile, SymbolSpec
 
 __all__ = ["ExperimentConfig", "load_config", "build_symbol", "build_profile"]
@@ -59,10 +59,12 @@ def _as_number(name: str, value, *, minimum=None) -> float:
     return value
 
 
-def _as_int(name: str, value, *, minimum=None) -> int:
+def _as_int(name: str, value, *, minimum=None, maximum=None) -> int:
     number = _as_number(name, value, minimum=minimum)
     if int(number) != number:
         _fail(name, f"expected an integer, got {value!r}")
+    if maximum is not None and number > maximum:
+        _fail(name, f"must not exceed {maximum}, got {int(number)}")
     return int(number)
 
 
@@ -167,7 +169,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
             _fail(f"tolerances.{key}", "unknown field")
     quad_abs = _as_number("tolerances.quad_abs", tolerances.get("quad_abs", 1e-13))
     quad_rel = _as_number("tolerances.quad_rel", tolerances.get("quad_rel", 1e-11))
-    node_count = _as_int("tolerances.node_count", tolerances.get("node_count", 48), minimum=2)
+    node_count = _as_int(
+        "tolerances.node_count", tolerances.get("node_count", 48), minimum=2, maximum=MAX_NODE_COUNT
+    )
     multiplier = _as_number(
         "tolerances.verdict_multiplier", tolerances.get("verdict_multiplier", 3.0)
     )
@@ -188,9 +192,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     j_max = _as_int("j_max", document.get("j_max", mode_span), minimum=1)
     if "N" not in document:
         _fail("N", "required field is missing")
-    n_value = _as_int("N", document.get("N"), minimum=1)
-    if n_value > MAX_TRUNCATION:
-        _fail("N", f"must not exceed the truncation cap {MAX_TRUNCATION}, got {n_value}")
+    n_value = _as_int("N", document.get("N"), minimum=1, maximum=MAX_TRUNCATION)
     if n_value < k_max + j_max + 2:
         _fail("N", f"must satisfy N >= k_max + j_max + 2 = {k_max + j_max + 2}, got {n_value}")
 

@@ -14,8 +14,9 @@ downstream products propagate.
 Gaussian-polynomial profiles (terms c t^p exp(-b t^2)) have the exact
 transform sum c Gamma(a) / (2 pi (1+b)^a), a = (zeta + 2s + p)/2, kept in
 the log domain; only evaluator profiles go through quadrature, a whole
-column of arguments per call.  Their values are cached in one bounded
-:class:`TransformTable`, one table per (profile, s, spec) read by zeta.
+column of arguments per call.  Transforms of both kinds are cached in one
+bounded :class:`TransformTable`: per (profile, s, spec), arrays sorted by
+zeta, so a warm column is an index read.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ __all__ = [
     "mellin_weighted_cached",
 ]
 
-# Transforms the shared table keeps in all, as (value, error) pairs; about
-# 200 bytes each.
+# Transforms the shared table keeps in all, of both profile kinds; 40 bytes
+# each (zeta, log_scale, complex value, error).
 _MAX_CACHED_TRANSFORMS = 1 << 15
 
 
@@ -96,23 +97,26 @@ def family_transform(terms: tuple, alpha: np.ndarray) -> tuple[np.ndarray, np.nd
     return log_scale, value, error
 
 
-def _evaluator_column(
+def _column(
     v: RadialProfile, s: float, zetas: np.ndarray, spec: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray, dict[int, AccuracyError]]:
-    """M[v G_s] of an evaluator profile at the real arguments ``zetas`` by one
-    column quadrature: (values, errors, failures), as
-    :func:`~fock_toeplitz.special_functions.gaussian_weighted_column`."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, AccuracyError]]:
+    """Uncached M[v G_s] at ``zetas``, as :meth:`TransformTable.column` returns
+    it: the exact form for a family profile, one column quadrature for an
+    evaluator, both elementwise (a value does not depend on the others)."""
+    if v.evaluator is None:
+        return (*family_transform(v.terms, zetas + 2.0 * s), {})
     values, errors, failures = gaussian_weighted_column(
         v, zetas + 2.0 * s, spec, growth_exponent=v.growth_exponent
     )
     # numpy's complex / float multiplies by 1/pi; dividing each part rounds
     # as Python's complex division does
-    return (values.view(float) / math.pi).view(complex), errors / math.pi, failures
+    values = (values.view(float) / math.pi).view(complex)
+    return np.zeros(zetas.shape), values, errors / math.pi, failures
 
 
 class TableInfo(NamedTuple):
-    """Transforms read from a :class:`TransformTable`, transforms computed
-    for it, and the tables and transforms it holds."""
+    """Counters of a :class:`TransformTable` over both profile kinds: the
+    transforms read and computed, and the tables and transforms it holds."""
 
     hits: int
     misses: int
@@ -120,15 +124,23 @@ class TableInfo(NamedTuple):
     transforms: int
 
 
-class TransformTable:
-    """Bounded cache of evaluator transforms: one table per (profile, s,
-    spec), holding (value, error) by zeta.
+# A table is the arrays (zetas, log_scale, value, error), sorted by zeta and
+# ending in a nan zeta that no argument equals, so a sorted search never runs
+# past the end; a missing table is that entry alone.
+_EMPTY = tuple(np.full(1, np.nan, dtype) for dtype in (float, float, complex, float))
 
-    :meth:`column` computes every argument a table lacks in one column
-    quadrature.  Failed transforms are not stored.  Once the tables hold
-    more than ``_MAX_CACHED_TRANSFORMS`` in all, the least recently used
-    tables are dropped (never the one just written).  Tables are read and
-    written under a lock; quadrature runs outside it.
+
+class TransformTable:
+    """Bounded cache of transforms of both profile kinds: one table of
+    read-only arrays sorted by zeta per (profile, s, spec).
+
+    A read is a sorted search.  :meth:`column` computes every argument a
+    table lacks in one :func:`_column` call and replaces the table by a
+    merged copy, never writing an array in place, so a table read outside
+    the lock stays whole.  Failed transforms are not stored.  Once the
+    tables hold more than ``_MAX_CACHED_TRANSFORMS`` in all, the least
+    recently used tables are dropped (never the one just written).  Tables
+    are swapped under a lock; quadrature runs outside it.
     """
 
     def __init__(self):
@@ -138,39 +150,44 @@ class TransformTable:
 
     def column(
         self, v: RadialProfile, s: float, zetas: np.ndarray, spec: QuadratureSpec
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, AccuracyError]]:
-        """M[v G_s] of an evaluator profile at ``zetas``: (values, errors,
-        failures), with {index: AccuracyError} for the arguments whose
-        quadrature failed (their value and error are nan)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, AccuracyError]]:
+        """M[v G_s] at the real arguments ``zetas``: new arrays (log_scale,
+        values, errors), the transform being value * exp(log_scale), and
+        {index: AccuracyError} for the arguments whose quadrature failed
+        (their value and error are nan)."""
         zetas = np.asarray(zetas, dtype=float)
-        points = zetas.tolist()
         key = (v, s, spec)
         with self._lock:
-            table = self._tables.get(key, {})
-            if table:
+            table = self._tables.get(key, _EMPTY)
+            if table is not _EMPTY:
                 self._tables.move_to_end(key)
-            found = [table.get(zeta) for zeta in points]
-        missing = [i for i, pair in enumerate(found) if pair is None]
-        failures: dict[int, AccuracyError] = {}
-        if missing:
-            values, errors, failed = _evaluator_column(v, s, zetas[missing], spec)
-            for i, pair in zip(missing, zip(values.tolist(), errors.tolist())):
-                found[i] = pair
-            failures = {missing[row]: exc for row, exc in failed.items()}
-        stored = {points[i]: found[i] for i in missing if i not in failures}
+        at = np.searchsorted(table[0], zetas)
+        missing = np.flatnonzero(table[0][at] != zetas)
+        log_scale, values, errors = (array[at] for array in table[1:])
+        failures = {}
+        if missing.size:
+            *computed, failed = _column(v, s, zetas[missing], spec)
+            for out, part in zip((log_scale, values, errors), computed):
+                out[missing] = part
+            failures = {int(missing[row]): exc for row, exc in failed.items()}
+            keep = np.isfinite(zetas[missing])
+            keep[list(failed)] = False
         with self._lock:
-            self._hits += len(points) - len(missing)
-            self._misses += len(missing)
-            if stored:
-                table = self._tables.setdefault(key, {})
-                self._tables.move_to_end(key)
-                self._size -= len(table)
-                table.update(stored)
-                self._size += len(table)
+            self._hits += zetas.size - missing.size
+            self._misses += missing.size
+            if missing.size and keep.any():
+                old = self._tables.pop(key, _EMPTY)
+                added = (zetas[missing], *computed)
+                merged = [np.concatenate((a, b[keep])) for a, b in zip(old, added)]
+                # np.unique keeps each zeta's first, older entry; nan sorts last
+                first = np.unique(merged[0], return_index=True)[1]
+                self._tables[key] = table = tuple(array[first] for array in merged)
+                for array in table:
+                    array.setflags(write=False)
+                self._size += first.size - old[0].size
                 while self._size > _MAX_CACHED_TRANSFORMS and len(self._tables) > 1:
-                    self._size -= len(self._tables.popitem(last=False)[1])
-        values = np.array([pair[0] for pair in found], dtype=complex)
-        return values, np.array([pair[1] for pair in found]), failures
+                    self._size -= self._tables.popitem(last=False)[1][0].size - 1
+        return log_scale, values, errors, failures
 
     def info(self) -> TableInfo:
         with self._lock:
@@ -194,13 +211,10 @@ def _transform(
         raise DomainError(
             f"Mellin argument outside holomorphy half-plane: zeta + 2s = {alpha:g} <= 0"
         )
-    if v.evaluator is None:
-        log_scale, value, error = family_transform(v.terms, np.array([alpha]))
-        return MellinValue(zeta, complex(value[0]), float(error[0]), float(log_scale[0]))
-    values, errors, failures = column(v, sv, np.array([zeta]), spec)
+    log_scale, values, errors, failures = column(v, sv, np.array([zeta]), spec)
     if failures:
         raise failures[0]
-    return MellinValue(zeta, complex(values[0]), float(errors[0]))
+    return MellinValue(zeta, complex(values[0]), float(errors[0]), float(log_scale[0]))
 
 
 def mellin_weighted(
@@ -216,7 +230,7 @@ def mellin_weighted(
     (zeta + 2s <= 0) and propagates :class:`AccuracyError` from the
     quadrature engine on non-convergence.
     """
-    return _transform(v, s, zeta, spec, _evaluator_column)
+    return _transform(v, s, zeta, spec, _column)
 
 
 def mellin_weighted_cached(
@@ -225,7 +239,7 @@ def mellin_weighted_cached(
     zeta: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> MellinValue:
-    """:func:`mellin_weighted`, with evaluator transforms read through the
-    shared :data:`TRANSFORMS` table; results are identical to the uncached
+    """:func:`mellin_weighted`, read through the shared :data:`TRANSFORMS`
+    table for both profile kinds; results are identical to the uncached
     call."""
     return _transform(v, s, zeta, spec, TRANSFORMS.column)

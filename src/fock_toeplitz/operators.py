@@ -33,7 +33,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
 # mellin_weighted_cached is unused here, but perfbench/spans.py wraps this binding
-from .mellin import TRANSFORMS, family_transform, mellin_weighted_cached  # noqa: F401
+from .mellin import TRANSFORMS, mellin_weighted_cached  # noqa: F401
 from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma, log_gamma_array
 from .symbols import RadialProfile, SymbolSpec
 
@@ -140,16 +140,12 @@ def _transform_column(
     """Raw transforms M[profile G_s](2m + j + 2) behind the entries (m + j, m),
     as arrays (log_scale, value, error): the transform is value * exp(log_scale).
 
-    A Gaussian-polynomial column is one vectorised closed-form evaluation
-    (never cached); an evaluator column is read from the shared transform
-    table, which computes the arguments it lacks in one column quadrature.
-    The first failing entry is re-raised as an :class:`AccuracyError`
-    naming (j, m).
+    Both profile kinds are read from the shared transform table, so a
+    rebuild, or a criterion column that is a prefix of a diagonal built at
+    the same s, is an index read.  The first failing entry is re-raised as
+    an :class:`AccuracyError` naming (j, m).
     """
-    zeta = 2.0 * m + j + 2
-    if profile.evaluator is None:
-        return family_transform(profile.terms, zeta + 2.0 * s)
-    values, errors, failures = TRANSFORMS.column(profile, s, zeta, quad)
+    log_scale, values, errors, failures = TRANSFORMS.column(profile, s, 2.0 * m + j + 2, quad)
     if failures:
         i = min(failures)
         exc = failures[i]
@@ -158,7 +154,7 @@ def _transform_column(
             f"column m={m.tolist()[i]}: {exc}",
             estimate=exc.estimate,
         ) from exc
-    return np.zeros(m.size), values, errors
+    return log_scale, values, errors
 
 
 def _diagonal(

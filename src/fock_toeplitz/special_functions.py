@@ -45,6 +45,8 @@ __all__ = [
 _U_MAX = 6.0
 # Node density doublings allowed past the initial level before giving up.
 _MAX_REFINEMENTS = 8
+# Largest node_count a spec accepts: the last level then spans 2.6e5 nodes.
+MAX_NODE_COUNT = 1024
 # Largest rows x nodes array one level of a column forms; rows beyond it go
 # in further chunks.  2^13 doubles (64 KiB) measured as fast as 2^14 and
 # faster than 2^12 or 2^16, and keeps peak memory below that of one-entry
@@ -108,8 +110,9 @@ class QuadratureSpec:
     rel_tol: float = 1e-11
 
     def __post_init__(self):
-        if not is_integer(self.node_count) or self.node_count < 2:
-            raise DomainError(f"node_count must be an integer >= 2, got {self.node_count!r}")
+        if not is_integer(self.node_count) or not 2 <= self.node_count <= MAX_NODE_COUNT:
+            bound = f"an integer in [2, {MAX_NODE_COUNT}]"
+            raise DomainError(f"node_count must be {bound}, got {self.node_count!r}")
         for name in ("tail_cutoff", "abs_tol", "rel_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):

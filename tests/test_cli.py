@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fock_toeplitz
+import fock_toeplitz.special_functions as special_functions
 from fock_toeplitz.cli import main
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec, sample_polar
 
@@ -121,6 +122,22 @@ output: {directory: OUT}
         err = capsys.readouterr().err
         assert "'N'" in err and "160" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count", [1025, 10**6])
+    def test_node_count_above_cap_exits_2(self, tmp_path, capsys, monkeypatch, count):
+        def no_nodes(*args):
+            raise AssertionError("quadrature nodes formed")
+
+        monkeypatch.setattr(special_functions, "_unit_nodes", no_nodes)
+        text = CONFIG_MATRIX.format(out=tmp_path / "out") + f"tolerances: {{node_count: {count}}}\n"
+        config = write(tmp_path, "c.yaml", text)
+        assert main(["matrix", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "'tolerances.node_count'" in err and f"must not exceed 1024, got {count}" in err
+        assert not (tmp_path / "out").exists()
+        # the cap itself is accepted
+        config.write_text(text.replace(str(count), "1024"))
+        assert main(["matrix", "--config", str(config), "--quiet"]) == 0
 
 
 class TestCommutatorCommand:

@@ -1,5 +1,6 @@
 """The exact Gaussian-polynomial path: regression grid, isolation from the
-quadrature and the Mellin cache, and property tests against mpmath."""
+quadrature, warm rebuilds from the transform table, and property tests
+against mpmath."""
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fock_toeplitz.mellin as mellin
+import fock_toeplitz.operators as operators
 from fock_toeplitz.config import build_profile
 from fock_toeplitz.criterion import functional_equation_residuals, phi
 from fock_toeplitz.operators import toeplitz_matrix
@@ -55,7 +57,7 @@ def test_regression_grid(s, N):
             assert abs(op.entries[m + j, m] - exact) <= op.entry_error
 
 
-def test_family_columns_bypass_quadrature_and_cache(monkeypatch):
+def test_family_columns_skip_quadrature_and_rebuild_from_the_table(monkeypatch):
     columns = []
     quadrature = mellin.gaussian_weighted_column
 
@@ -72,24 +74,33 @@ def test_family_columns_bypass_quadrature_and_cache(monkeypatch):
 
     monkeypatch.setattr(mellin, "gaussian_weighted_column", counting)
     monkeypatch.setattr(mellin, "mellin_weighted", counting_transform)
-    table = mellin.TRANSFORMS.info()
+    table = mellin.TransformTable()
+    monkeypatch.setattr(operators, "TRANSFORMS", table)
+    # modes 0, 2 and -3 at N = 40 have 40, 38 and 37 entries
     toeplitz_matrix(MIXED, 3.217, 40)
-    # a family-only criterion report reads whole columns, never a scalar transform
+    assert table.info() == mellin.TableInfo(hits=0, misses=115, tables=3, transforms=115)
+    # a family-only criterion report reads whole columns, never a scalar transform,
+    # and every column it reads is a prefix of a diagonal built at the same s
     report = functional_equation_residuals(MIXED.mode(0), MIXED, 3.217, 20)
     assert report.verdict.kind == "nonradial_mode_detected"
     assert columns == [] and transforms == []
-    assert mellin.TRANSFORMS.info() == table
+    warm = table.info()
+    assert warm.hits > 0 and warm[1:] == (115, 3, 115)
+    # and a rebuild is all hits
+    toeplitz_matrix(MIXED, 3.217, 40)
+    assert table.info() == warm._replace(hits=warm.hits + 115)
+    assert columns == [] and transforms == []
 
     # an evaluator column at the same point is one quadrature for all its entries
     evaluator = SymbolSpec.from_modes({2: RadialProfile.from_callable(MIXED.mode(2), 1.5, 1.0)})
     toeplitz_matrix(evaluator, 3.217, 4)
     assert columns == [2]
-    after = mellin.TRANSFORMS.info()
-    assert (after.hits, after.misses) == (table.hits, table.misses + 2)
+    after = table.info()
+    assert (after.hits, after.misses) == (warm.hits + 115, warm.misses + 2)
     # and a rebuild reads the table without quadrature
     toeplitz_matrix(evaluator, 3.217, 4)
     assert columns == [2]
-    assert mellin.TRANSFORMS.info().hits == table.hits + 2
+    assert table.info().hits == after.hits + 2
 
 
 def test_gauss_decay_config_is_a_family_profile():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fock_toeplitz.special_functions as special_functions
 from fock_toeplitz.errors import AccuracyError, DomainError
 from fock_toeplitz.special_functions import (
     DEFAULT_QUADRATURE,
+    MAX_NODE_COUNT,
     QuadratureSpec,
     gaussian_weighted_column,
     gaussian_weighted_integral_with_estimate,
@@ -149,6 +151,21 @@ class TestQuadratureSpec:
             QuadratureSpec(rel_tol=-1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(tail_cutoff=0.0)
+
+    def test_node_count_above_the_cap_is_refused_before_any_node_is_formed(self, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("quadrature nodes formed")
+
+        monkeypatch.setattr(special_functions, "_unit_nodes", no_nodes)
+        # the last of the 8 refinements spans node_count * 2^8 + 1 nodes per row
+        assert MAX_NODE_COUNT == 1024
+        assert QuadratureSpec(node_count=MAX_NODE_COUNT).node_count == MAX_NODE_COUNT
+        for count in (MAX_NODE_COUNT + 1, 10**6):
+            refusal = rf"node_count must be an integer in \[2, 1024\], got {count}$"
+            with pytest.raises(DomainError, match=refusal):
+                QuadratureSpec(node_count=count)
+            with pytest.raises(DomainError, match=refusal):
+                QuadratureSpec.for_exponent(80.0, node_count=count)
 
     def test_tail_radius_bound(self):
         for alpha in (1.0, 10.0, 80.0):
