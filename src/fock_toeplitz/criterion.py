@@ -96,6 +96,14 @@ def _refuse_overflow(j: int, k: np.ndarray, s: float, psi_ok: np.ndarray, produc
         raise DomainError(f"{factor}(k+s) at k={k[first]}, s={s:g} overflows double range")
 
 
+def _check_cell(j, k) -> None:
+    """Refuse a cell (j, k) outside k >= 0, j + k >= 0, both integers."""
+    if not is_integer(k) or k < 0:
+        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
+    if not is_integer(j) or j + k < 0:
+        raise DomainError(f"need integer j with j + k >= 0, got j={j!r}, k={k!r}")
+
+
 def phi(
     j: int,
     k: int,
@@ -109,10 +117,7 @@ def phi(
     Identically zero for j = 0 and for constant u; satisfies the index
     symmetry Phi_j(k) = -Phi_{-j}(k+j).
     """
-    if not is_integer(k) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    if not is_integer(j) or j + k < 0:
-        raise DomainError(f"need integer j with j + k >= 0, got j={j!r}, k={k!r}")
+    _check_cell(j, k)
     sv = order_value(s)
     j, k = int(j), int(k)
     if j == 0:
@@ -131,9 +136,10 @@ def psi(
     """Second factor of the functional equation, M[v_j G_s](j + 2k + 2),
     with its propagated absolute error estimate.  Psi is Gamma-sized; a
     :class:`DomainError` names the cell where it leaves double range."""
+    _check_cell(j, k)
     sv = order_value(s)
-    k = np.array([k])
-    value, error = _psi_column(int(j), k, sv, v_j, quad, "v")
+    j, k = int(j), np.array([int(k)])
+    value, error = _psi_column(j, k, sv, v_j, quad, "v")
     finite = np.isfinite(value) & np.isfinite(error)
     _refuse_overflow(j, k, sv, finite, finite)
     return complex(value[0]), float(error[0])
@@ -461,8 +467,8 @@ def periodicity_probe(
         raise DomainError(f"period j must be a positive integer, got {j!r}")
     z = [float(point) for point in z_grid]
     for point in z:
-        if point <= -1.0:
-            raise DomainError(f"grid point {point!r} outside the holomorphy half-plane z > -1")
+        if not (math.isfinite(point) and point > -1.0):
+            raise DomainError(f"grid point {point!r} must be finite, in the half-plane z > -1")
     if not z:
         return 0.0, 0.0
     # H(z) = H(m + s) at m = z - s, for the grid and the grid shifted by j

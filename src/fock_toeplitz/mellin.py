@@ -15,8 +15,8 @@ Gaussian-polynomial profiles (terms c t^p exp(-b t^2)) have the exact
 transform sum c Gamma(a) / (2 pi (1+b)^a), a = (zeta + 2s + p)/2, kept in
 the log domain; only evaluator profiles go through quadrature, a whole
 column of arguments per call.  Transforms of both kinds are cached in one
-bounded :class:`TransformTable`: per (profile, s, spec), arrays sorted by
-zeta, so a warm column is an index read.
+bounded :class:`TransformTable` of arrays sorted by zeta, per (profile, s)
+and, for evaluator profiles, per spec, so a warm column is an index read.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ _EMPTY = tuple(np.full(1, np.nan, dtype) for dtype in (float, float, complex, fl
 
 class TransformTable:
     """Bounded cache of transforms of both profile kinds: one table of
-    read-only arrays sorted by zeta per (profile, s, spec).
+    read-only arrays sorted by zeta per (profile, s), and per spec for an
+    evaluator profile (an exact transform does not depend on the spec).
 
     A read is a sorted search.  :meth:`column` computes every argument a
     table lacks in one :func:`_column` call and replaces the table by a
@@ -156,7 +157,7 @@ class TransformTable:
         {index: AccuracyError} for the arguments whose quadrature failed
         (their value and error are nan)."""
         zetas = np.asarray(zetas, dtype=float)
-        key = (v, s, spec)
+        key = (v, s) if v.evaluator is None else (v, s, spec)
         with self._lock:
             table = self._tables.get(key, _EMPTY)
             if table is not _EMPTY:

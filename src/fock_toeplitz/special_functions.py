@@ -15,7 +15,9 @@ the last inter-level difference is the reported error estimate.
 A whole column of exponents is one vectorised pass per level: the integrand
 is evaluated once on the live nodes of every row, and each row keeps its own
 radius, stopping rule and error estimate, so a row's result does not depend
-on the rows beside it.
+on the rows beside it.  The level is formed on the rows x nodes grid, and
+rows with the same number of live nodes are summed as one block: numpy sums
+each row of a C-contiguous block pairwise, exactly as that row alone.
 
 All functions are pure and safe to call concurrently.
 """
@@ -48,10 +50,10 @@ _MAX_REFINEMENTS = 8
 # Largest node_count a spec accepts: the last level then spans 2.6e5 nodes.
 MAX_NODE_COUNT = 1024
 # Largest rows x nodes array one level of a column forms; rows beyond it go
-# in further chunks.  2^13 doubles (64 KiB) measured as fast as 2^14 and
-# faster than 2^12 or 2^16, and keeps peak memory below that of one-entry
-# quadrature.
-_MAX_BATCH = 1 << 13
+# in further chunks.  With the row sums grouped, per-chunk overhead dominates:
+# 64 cold matrix builds (2 vCPU host, medians of 6) took 1.03 s at 2^12,
+# 1.01 s at 2^13, 0.88 s at 2^14, 0.83 s at 2^15 and 0.94 s at 2^16.
+_MAX_BATCH = 1 << 15
 
 
 def log_gamma(x: float) -> float:
@@ -90,7 +92,9 @@ def tail_radius(alpha_max, abs_tol: float):
     growth = np.maximum(alpha_max, 0.0)
     r = np.maximum(2.0, np.sqrt(np.maximum(alpha_max, 1.0)))
     for _ in range(64):
-        r = np.sqrt(target + growth * np.log(r))
+        r, previous = np.sqrt(target + growth * np.log(r)), r
+        if np.array_equal(r, previous):  # a fixed point: later steps repeat it
+            break
     return r
 
 
@@ -176,23 +180,22 @@ def _level_sums(
     t[:, :lower] = radius * ey[:lower] / one_plus_ey[:lower]
     t[:, lower:] = radius / one_plus_ey[lower:]
     w = (h * (cutoff / 2.0) * (0.5 * math.pi))[:, None] * cosh_u * sech2
-    rows, cols = np.nonzero((w > 0.0) & (t > 0.0) & (t < radius))
-    t = t[rows, cols]
     # an overflowing sum is refused by the caller
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        weights = w[rows, cols] * np.exp((alpha[rows] - 1.0) * np.log(t) - t * t)
-        live = weights != 0.0
-        rows = rows[live]
-        terms = weights[live] * np.asarray(f(t[live])) if rows.size else np.zeros(0)
-        magnitudes = np.abs(terms)
-        # Each row's terms are contiguous and in node order, so summing its
-        # slice rounds exactly as a pass over that row alone.
-        bounds = np.searchsorted(rows, np.arange(alpha.size + 1)).tolist()
-        spans = list(zip(bounds, bounds[1:]))
-        add = np.add.reduce
-        totals = [add(terms[a:b]) for a, b in spans]
-        masses = [add(magnitudes[a:b]) for a, b in spans]
-    return np.array(totals, dtype=complex), np.array(masses)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore", divide="ignore"):
+        weights = w * np.exp((alpha[:, None] - 1.0) * np.log(t) - t * t)
+        live = (w > 0.0) & (t > 0.0) & (t < radius) & (weights != 0.0)
+        terms = weights[live] * np.asarray(f(t[live])) if live.any() else np.zeros(0)
+        # Each row's terms are contiguous and in node order.  numpy sums each row of
+        # a C-contiguous block pairwise, rounding exactly as a pass over that row.
+        counts = np.count_nonzero(live, axis=1)
+        starts = np.cumsum(counts) - counts
+        totals, masses = np.zeros(alpha.size, dtype=complex), np.zeros(alpha.size)
+        for count in set(counts.tolist()):  # the rows with one count form one block
+            rows = np.flatnonzero(counts == count)
+            block = terms[starts[rows, None] + np.arange(count)]
+            totals[rows] = np.add.reduce(block, axis=1)
+            masses[rows] = np.add.reduce(np.abs(block), axis=1)
+    return totals, masses
 
 
 def gaussian_weighted_column(

@@ -425,3 +425,42 @@ def test_cli_import_leaves_out_scipy_interpolate():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+CONFIG_DECAY = """\
+s_values: [0.5, 2.0]
+u:
+  name: u
+  modes:
+    - {{j: 0, kind: polynomial, coefficients: [0.5, 0.0, 1.0]}}
+v:
+  name: v
+  modes:
+    - {{j: 1, kind: exp_decay, rate: 1.3, scale: 1.0}}
+    - {{j: -2, kind: gauss_decay, rate: 0.7, scale: -1.5, power: 1}}
+N: 24
+k_max: 12
+j_max: 2
+output:
+  directory: {out}
+  formats: [json, csv]
+"""
+
+
+@pytest.mark.parametrize("command", ["matrix", "criterion"])
+def test_cli_run_leaves_out_numpy_ma(tmp_path, command):
+    # numpy.ma (imported lazily by np.unique) costs 15-22 ms in every CLI process
+    config = write(tmp_path, "c.yaml", CONFIG_DECAY.format(out=tmp_path / "out"))
+    src = str(Path(fock_toeplitz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from fock_toeplitz.cli import main; "
+        f"code = main([{command!r}, '--config', sys.argv[1], '--quiet']); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(config)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == "0 False"
+    assert any((tmp_path / "out").iterdir())

@@ -125,6 +125,19 @@ class TestPsi:
         with pytest.raises(DomainError, match=r"^Psi_1\(k\+s\) at k=2, s=168 "):
             psi(1, 2, 168.0, RadialProfile.monomial(1.0))
 
+    @pytest.mark.parametrize("k", [-5, math.nan, 1.5])
+    def test_k_is_checked_as_phi_checks_it(self, k):
+        # the Mellin integral diverges at k = -5; phi refuses the same k
+        refusal = rf"^k must be a nonnegative integer, got {k!r}$"
+        for factor in (phi, psi):
+            with pytest.raises(DomainError, match=refusal):
+                factor(1, k, 0.0, R2, QUAD)
+
+    def test_j_plus_k_is_checked_as_phi_checks_it(self):
+        for factor in (phi, psi):
+            with pytest.raises(DomainError, match=r"^need integer j with j \+ k >= 0, got j=-3, k=2$"):
+                factor(-3, 2, 0.0, R2, QUAD)
+
     def test_evaluator_quadrature_failure_names_the_column(self):
         with pytest.raises(AccuracyError, match=r"symbol 'v' at mode j=0, column m=159: ") as info:
             psi(0, 159, 12.0, DECAY)
@@ -374,3 +387,10 @@ class TestPeriodicityProbe:
             periodicity_probe(R2, 0.0, 1, [-1.5], QUAD)
         with pytest.raises(DomainError):
             periodicity_probe(R2, 0.0, 0, [0.0], QUAD)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("u", [R2, R2_CALLABLE])
+    def test_non_finite_grid_point_is_named(self, u, point):
+        with pytest.raises(DomainError, match=rf"^grid point {point!r} must be finite"):
+            periodicity_probe(u, 0.0, 1, [0.5, point], QUAD)

@@ -272,6 +272,20 @@ class TestArrayTable:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
+    def test_family_tables_are_shared_across_specs(self, monkeypatch):
+        # an exact transform does not depend on the quadrature spec
+        table = TransformTable()
+        monkeypatch.setattr(operators, "TRANSFORMS", table)
+        z = SymbolSpec.from_modes({1: RadialProfile.monomial(1.0)}, name="z")
+        first = toeplitz_matrix(z, 0.5, 64)
+        second = toeplitz_matrix(z, 0.5, 64, QUAD)
+        assert table.info() == mellin.TableInfo(hits=63, misses=63, tables=1, transforms=63)
+        assert first.diagonals[1].tolist() == second.diagonals[1].tolist()
+        # evaluator tables stay apart per spec
+        toeplitz_matrix(SymbolSpec.from_modes({1: EXP_DECAY}), 0.5, 8)
+        toeplitz_matrix(SymbolSpec.from_modes({1: EXP_DECAY}), 0.5, 8, QUAD)
+        assert table.info() == mellin.TableInfo(hits=63, misses=77, tables=3, transforms=77)
+
     def test_nan_arguments_are_computed_not_stored(self):
         table = TransformTable()
         _, values, _, failures = table.column(FAMILY, 0.0, np.array([np.nan, 2.0]), QUAD)

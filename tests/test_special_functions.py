@@ -3,6 +3,7 @@ import contextlib
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,6 +101,34 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     )
 
 
+def per_row_level_sums(f, alpha, cutoff, h, odd):
+    """The column level pass before row sums were grouped: live nodes gathered
+    by ``np.nonzero``, each row summed as its own slice of the terms."""
+    lower, ey, one_plus_ey, cosh_u, sech2 = special_functions._unit_nodes(h, odd)
+    dead = np.exp(-750.0 / np.maximum(alpha - 1.0, 1e-300)) / (2.0 * cutoff)
+    first = int(np.searchsorted(ey[:lower], dead.min()))
+    ey, one_plus_ey, cosh_u, sech2 = (a[first:] for a in (ey, one_plus_ey, cosh_u, sech2))
+    lower -= first
+    radius = cutoff[:, None]
+    t = np.empty((alpha.size, ey.size))
+    t[:, :lower] = radius * ey[:lower] / one_plus_ey[:lower]
+    t[:, lower:] = radius / one_plus_ey[lower:]
+    w = (h * (cutoff / 2.0) * (0.5 * math.pi))[:, None] * cosh_u * sech2
+    rows, cols = np.nonzero((w > 0.0) & (t > 0.0) & (t < radius))
+    t = t[rows, cols]
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        weights = w[rows, cols] * np.exp((alpha[rows] - 1.0) * np.log(t) - t * t)
+        live = weights != 0.0
+        rows = rows[live]
+        terms = weights[live] * np.asarray(f(t[live])) if rows.size else np.zeros(0)
+        magnitudes = np.abs(terms)
+        bounds = np.searchsorted(rows, np.arange(alpha.size + 1)).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        totals = [np.add.reduce(terms[a:b]) for a, b in spans]
+        masses = [np.add.reduce(magnitudes[a:b]) for a, b in spans]
+    return np.array(totals, dtype=complex), np.array(masses)
+
+
 def integral(f, alpha, spec=DEFAULT_QUADRATURE, **kwargs):
     """The value of the quadrature, without its error estimate."""
     return gaussian_weighted_integral_with_estimate(f, alpha, spec, **kwargs)[0]
@@ -173,7 +202,8 @@ class TestQuadratureSpec:
             assert math.exp(-r * r) * r**alpha < 1e-13
 
     def test_tail_radius_array_matches_scalar_loop(self):
-        alphas = np.linspace(0.5, 400.0, 2000)
+        # the array loop stops at its fixed point; the scalar loop runs 64 steps
+        alphas = np.concatenate([np.geomspace(1e-3, 2000.0, 2000), np.linspace(0.5, 400.0, 2000)])
         expected = [reference_tail_radius(alpha, 1e-13) for alpha in alphas.tolist()]
         assert tail_radius(alphas, 1e-13).tolist() == expected
 
@@ -408,3 +438,47 @@ class TestColumnAgainstScalarReference:
     def test_bad_alpha_is_a_domain_error(self):
         with pytest.raises(DomainError, match="got -1.0"):
             gaussian_weighted_column(lambda t: t, [2.0, -1.0])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_sums_of_a_block_round_as_each_row_alone(dtype):
+    # _level_sums sums the rows of a C-contiguous block with one axis-1 reduce,
+    # relying on numpy to sum each row pairwise, as it sums the row's 1-d slice
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 40), 127, 128, 129, 130, 255, 256, 257, 1023, 1025, 1601, 3137]:
+        shape = (5, n * (2 if dtype is complex else 1))
+        data = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+        block = np.ascontiguousarray(data.view(dtype))
+        assert np.add.reduce(block, axis=1).tolist() == [np.add.reduce(row).item() for row in block]
+
+
+alpha_draws = st.one_of(
+    st.floats(0.01, 0.99),  # below 1: t^(alpha-1) is largest at the lower end
+    st.just(1.0),
+    st.floats(1.0, 343.0),
+    st.floats(344.0, 600.0),  # the level sum overflows
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    integrand=integrands,
+    spec=specs,
+    alphas=st.lists(alpha_draws, min_size=1, max_size=6),
+    batch=st.sampled_from([1, special_functions._MAX_BATCH]),
+)
+def test_grouped_row_sums_equal_per_row_sums_bit_for_bit(integrand, spec, alphas, batch):
+    f, growth = integrand
+
+    def column():
+        with mock.patch.object(special_functions, "_MAX_BATCH", batch):
+            values, errors, failures = gaussian_weighted_column(
+                f, alphas, spec, growth_exponent=growth
+            )
+        # bit patterns, since a failed row's nan never equals itself
+        messages = {row: str(exc) for row, exc in failures.items()}
+        return values.tobytes(), errors.tobytes(), messages
+
+    grouped = column()
+    with mock.patch.object(special_functions, "_level_sums", per_row_level_sums):
+        assert column() == grouped
