@@ -102,11 +102,21 @@ def _column(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, AccuracyError]]:
     """Uncached M[v G_s] at ``zetas``, as :meth:`TransformTable.column` returns
     it: the exact form for a family profile, one column quadrature for an
-    evaluator, both elementwise (a value does not depend on the others)."""
+    evaluator, both elementwise (a value does not depend on the others).
+    Every transform of either kind comes through here, so here an argument
+    outside the holomorphy half-plane is refused."""
+    alpha = zetas + 2.0 * s
+    outside = ~(np.isfinite(alpha) & (alpha > 0.0))
+    if outside.any():
+        zeta = float(zetas[np.argmax(outside)])
+        raise DomainError(
+            f"Mellin argument outside holomorphy half-plane: zeta + 2s = {zeta + 2.0 * s:g} "
+            f"must be finite and > 0 (zeta={zeta!r}, s={s!r})"
+        )
     if v.evaluator is None:
-        return (*family_transform(v.terms, zetas + 2.0 * s), {})
+        return (*family_transform(v.terms, alpha), {})
     values, errors, failures = gaussian_weighted_column(
-        v, zetas + 2.0 * s, spec, growth_exponent=v.growth_exponent
+        v, alpha, spec, growth_exponent=v.growth_exponent, growth_constant=v.growth_constant
     )
     # numpy's complex / float multiplies by 1/pi; dividing each part rounds
     # as Python's complex division does
@@ -155,7 +165,8 @@ class TransformTable:
         """M[v G_s] at the real arguments ``zetas``: new arrays (log_scale,
         values, errors), the transform being value * exp(log_scale), and
         {index: AccuracyError} for the arguments whose quadrature failed
-        (their value and error are nan)."""
+        (their value and error are nan).  Raises :class:`DomainError` when
+        some zeta + 2s is not finite and positive."""
         zetas = np.asarray(zetas, dtype=float)
         key = (v, s) if v.evaluator is None else (v, s, spec)
         with self._lock:
@@ -171,7 +182,7 @@ class TransformTable:
             for out, part in zip((log_scale, values, errors), computed):
                 out[missing] = part
             failures = {int(missing[row]): exc for row, exc in failed.items()}
-            keep = np.isfinite(zetas[missing])
+            keep = np.ones(missing.size, dtype=bool)
             keep[list(failed)] = False
         with self._lock:
             self._hits += zetas.size - missing.size
@@ -207,11 +218,6 @@ def _transform(
 ) -> MellinValue:
     sv = order_value(s)
     zeta = float(zeta)
-    alpha = zeta + 2.0 * sv
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(
-            f"Mellin argument outside holomorphy half-plane: zeta + 2s = {alpha:g} <= 0"
-        )
     log_scale, values, errors, failures = column(v, sv, np.array([zeta]), spec)
     if failures:
         raise failures[0]

@@ -22,6 +22,7 @@ view, costs N^2.  Operators are immutable after construction.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -293,6 +294,8 @@ def berezin(a: TruncatedOperator, z: complex, *, tail_tol: float = 1e-12) -> com
     :class:`DomainError` asks for a larger truncation.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"Berezin point z must be finite, got {z!r}")
     n = a.size
     if abs(z) > 0.0:
         indicator = 2.0 * n * math.log(abs(z)) - log_gamma(a.s + n + 1.0)
@@ -334,7 +337,9 @@ def min_truncation_size(
     """Smallest N meeting the Berezin tail precondition for |z| <= max_abs_z."""
     sv = order_value(s)
     r = float(max_abs_z)
-    if r <= 0.0:
+    if not (math.isfinite(r) and r >= 0.0):
+        raise DomainError(f"max_abs_z must be finite and >= 0, got {max_abs_z!r}")
+    if r == 0.0:
         return max(floor, 1)
     log_tol = math.log(tail_tol)
     for n in range(max(floor, 1), MAX_TRUNCATION + 1):

@@ -13,10 +13,15 @@ new, odd-index nodes) until two consecutive levels agree within tolerance;
 the last inter-level difference is the reported error estimate.
 
 A whole column of exponents is one vectorised pass per level: the integrand
-is evaluated once on the live nodes of every row, and each row keeps its own
+is evaluated once, on one window of nodes per row, and each row keeps its own
 radius, stopping rule and error estimate, so a row's result does not depend
-on the rows beside it.  The level is formed on the rows x nodes grid, and
-rows with the same number of live nodes are summed as one block: numpy sums
+on the rows beside it.  Under the declared growth bound |f(t)| <= C (1+t)^m,
+a row's window holds every node whose term may reach tau = 1e-3 tol / n (tol
+the row's stopping tolerance, n nodes in the level; at level 0, the least
+double), and each node left out adds tau to the row's error estimate, at most
+1e-3 tol per level.  The bound is unimodal along the nodes, so it is read at
+a few dozen of them, by products and sums alone.  Windows are widened to
+powers of two, and the rows of one width are summed as one block: numpy sums
 each row of a C-contiguous block pairwise, exactly as that row alone.
 
 All functions are pure and safe to call concurrently.
@@ -49,11 +54,22 @@ _U_MAX = 6.0
 _MAX_REFINEMENTS = 8
 # Largest node_count a spec accepts: the last level then spans 2.6e5 nodes.
 MAX_NODE_COUNT = 1024
-# Largest rows x nodes array one level of a column forms; rows beyond it go
-# in further chunks.  With the row sums grouped, per-chunk overhead dominates:
-# 64 cold matrix builds (2 vCPU host, medians of 6) took 1.03 s at 2^12,
-# 1.01 s at 2^13, 0.88 s at 2^14, 0.83 s at 2^15 and 0.94 s at 2^16.
+# Rows x nodes that one pass of a level takes on; rows beyond it go in further
+# chunks.  64 cold matrix builds (2 vCPU host, least CPU time of 5, 3 rounds)
+# took 0.36 s at 2^13, 0.30 s at 2^14, 0.27 s at 2^15, 0.28 s at 2^16 and
+# 0.27 s at 2^17.
 _MAX_BATCH = 1 << 15
+# Past the first level a row leaves out the nodes whose terms are provably
+# below this share of its stopping tolerance, divided by the level's node
+# count, so that all of them together add at most 1e-3 of the tolerance.
+_DROP_SHARE = 1e-3
+# The pruning bound is a sum of a few logs and products of size up to ~1e3,
+# rounded by ~1e-12; nodes are kept down to e^-2 of the bound.
+_MASK_MARGIN = 2.0
+# The pruning bound is read at this many nodes of a row, up to twice as many.
+_MASK_SAMPLES = 64
+# Level 0 has no tolerance yet; it leaves out only terms below the least double.
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def log_gamma(x: float) -> float:
@@ -141,61 +157,80 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 @lru_cache(maxsize=32)
 def _unit_nodes(h: float, odd: bool = False) -> tuple:
     """The radius-free parts of the step-``h`` tanh-sinh nodes on (0, R) at
-    u = h k, |u| <= 6 (only odd k when ``odd``), y = (pi/2) sinh u: the count
-    of nodes with y < 0, and the arrays e^{-2|y|}, 1 + e^{-2|y|}, cosh u and
-    sech^2 y.  Nodes where 1 + e^{-2|y|} rounds to 1 sit at t = R exactly,
-    which the rule excludes, so they are left out here.  Read-only: the
-    cache hands the same arrays to every caller."""
+    u = h k, |u| <= 6 (only odd k when ``odd``), y = (pi/2) sinh u, in node
+    order: x = t/R, the weight factor cosh u sech^2 y, and for the pruning
+    mask the log of that factor, log x and x^2.  x is written from the nearer
+    endpoint, e^{-2|y|}/(1 + e^{-2|y|}) or 1/(1 + e^{-2|y|}), so that nodes
+    close to 0 keep full relative precision.  Nodes where 1 + e^{-2|y|}
+    rounds to 1 sit at t = R exactly, which the rule excludes, so they are
+    left out; every other x lies in (0, 1), and R x in (0, R).  Read-only:
+    the cache hands the same arrays to every caller."""
     k = int(math.floor(_U_MAX / h))
     index = np.arange(-k, k + 1)
     u = h * (index[index % 2 == 1] if odd else index)
     y = 0.5 * math.pi * np.sinh(u)
     ey = np.exp(-2.0 * np.abs(y))
     kept = (y < 0.0) | (1.0 + ey > 1.0)
-    u, ey = u[kept], ey[kept]
-    arrays = (ey, 1.0 + ey, np.cosh(u), 4.0 * ey / (1.0 + ey) ** 2)
+    u, y, ey = u[kept], y[kept], ey[kept]
+    x = np.where(y < 0.0, ey, 1.0) / (1.0 + ey)
+    weight = np.cosh(u) * (4.0 * ey / (1.0 + ey) ** 2)
+    arrays = (x, weight, np.log(weight), np.log(x), x * x)
     for array in arrays:
         array.setflags(write=False)
-    return (int(np.count_nonzero(y < 0.0)), *arrays)
+    return arrays
 
 
 def _level_sums(
-    f: Callable, alpha: np.ndarray, cutoff: np.ndarray, h: float, odd: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    f: Callable, alpha: np.ndarray, cutoff: np.ndarray, h: float, odd: bool, floor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One trapezoid pass of the tanh-sinh rule at step ``h`` (odd nodes only
-    when ``odd``) for each row (alpha, cutoff): the sums and their L1 masses,
-    which bound summation rounding.  ``f`` is evaluated once, on all rows."""
-    lower, ey, one_plus_ey, cosh_u, sech2 = _unit_nodes(h, odd)
-    # A node with t < R e^{-2|y|} < e^{-750/(alpha-1)} has an exactly zero
-    # weight (its exp underflows), so the leading nodes below that bound
-    # for every row are skipped.
-    dead = np.exp(-750.0 / np.maximum(alpha - 1.0, 1e-300)) / (2.0 * cutoff)
-    first = int(np.searchsorted(ey[:lower], dead.min()))
-    ey, one_plus_ey, cosh_u, sech2 = (a[first:] for a in (ey, one_plus_ey, cosh_u, sech2))
-    lower -= first
-    radius = cutoff[:, None]
-    # t = (cutoff/2)(1 + tanh y), written from the nearer endpoint so that
-    # nodes close to 0 keep full relative precision.
-    t = np.empty((alpha.size, ey.size))
-    t[:, :lower] = radius * ey[:lower] / one_plus_ey[:lower]
-    t[:, lower:] = radius / one_plus_ey[lower:]
-    w = (h * (cutoff / 2.0) * (0.5 * math.pi))[:, None] * cosh_u * sech2
+    when ``odd``) for each row (alpha, cutoff): the sums, their L1 masses,
+    which bound summation rounding, and the number of nodes each row left
+    out.  Row i sums one window of nodes that holds every node whose weighted
+    density w t^(alpha-1) e^{-t^2} may reach e^{floor_i} (all nodes when
+    floor_i is -inf).  ``f`` is evaluated once, on the windows of all rows."""
+    x, weight, log_weight, log_x, x_squared = _unit_nodes(h, odd)
+    n = x.size
+    scale = h * (cutoff / 2.0) * (0.5 * math.pi)
+    # Along the nodes, g = log w + (alpha-1) log t - t^2 is unimodal: dg/du is
+    # s' (p - q) with s = log t increasing, p = alpha - 1 - 2t^2 decreasing and
+    # q = (tanh y - sinh u / (pi cosh^2 u)) / (1 - x) increasing.  So g is read
+    # at every stride-th node, by products and sums alone: the nodes that reach
+    # the floor lie strictly between the samples beside the first and the last
+    # sample that reaches it (or that is highest, when none reaches it).
+    stride = max(1, n // _MASK_SAMPLES)
+    sampled = log_weight[::stride] + (alpha - 1.0)[:, None] * log_x[::stride]
+    sampled -= (cutoff * cutoff)[:, None] * x_squared[::stride]
+    lowest = floor - np.log(scale) - (alpha - 1.0) * np.log(cutoff)
+    reach = sampled >= np.minimum(lowest, sampled.max(axis=1))[:, None]
+    low = np.argmax(reach, axis=1)
+    high = reach.shape[1] - 1 - np.argmax(reach[:, ::-1], axis=1)
+    first = np.maximum((low - 1) * stride + 1, 0)
+    span = np.minimum((high + 1) * stride, n) - first
+    # Widths are powers of two (or all n nodes), so the rows form few blocks.
+    width = np.minimum(np.left_shift(1, np.frexp(span - 1)[1]), n)
+    first = np.minimum(first, n - width)
+    # the windows of all rows, in order of width, as one flat run of nodes
+    order = np.argsort(width, kind="stable")
+    sizes = width[order]
+    starts = np.cumsum(sizes) - sizes
+    rows = np.repeat(order, sizes)
+    nodes = np.repeat(first[order] - starts, sizes) + np.arange(sizes.sum())
+    totals, masses = np.zeros(alpha.size, dtype=complex), np.zeros(alpha.size)
     # an overflowing sum is refused by the caller
-    with np.errstate(under="ignore", over="ignore", invalid="ignore", divide="ignore"):
-        weights = w * np.exp((alpha[:, None] - 1.0) * np.log(t) - t * t)
-        live = (w > 0.0) & (t > 0.0) & (t < radius) & (weights != 0.0)
-        terms = weights[live] * np.asarray(f(t[live])) if live.any() else np.zeros(0)
-        # Each row's terms are contiguous and in node order.  numpy sums each row of
-        # a C-contiguous block pairwise, rounding exactly as a pass over that row.
-        counts = np.count_nonzero(live, axis=1)
-        starts = np.cumsum(counts) - counts
-        totals, masses = np.zeros(alpha.size, dtype=complex), np.zeros(alpha.size)
-        for count in set(counts.tolist()):  # the rows with one count form one block
-            rows = np.flatnonzero(counts == count)
-            block = terms[starts[rows, None] + np.arange(count)]
-            totals[rows] = np.add.reduce(block, axis=1)
-            masses[rows] = np.add.reduce(np.abs(block), axis=1)
-    return totals, masses
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        t = cutoff[rows] * x[nodes]
+        w = scale[rows] * weight[nodes]
+        terms = w * np.exp((alpha[rows] - 1.0) * np.log(t) - t * t) * np.asarray(f(t))
+        magnitudes = np.abs(terms)
+        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), alpha.size]
+        for a, b in zip(bounds, bounds[1:]):
+            # the rows of one width form one C-contiguous block; numpy sums each
+            # of its rows pairwise, as that row alone
+            block = slice(starts[a], starts[a] + (b - a) * sizes[a])
+            totals[order[a:b]] = np.add.reduce(terms[block].reshape(b - a, -1), axis=1)
+            masses[order[a:b]] = np.add.reduce(magnitudes[block].reshape(b - a, -1), axis=1)
+    return totals, masses, n - width
 
 
 def gaussian_weighted_column(
@@ -204,10 +239,11 @@ def gaussian_weighted_column(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     *,
     growth_exponent: float = 0.0,
+    growth_constant: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, AccuracyError]]:
     """I(f, alpha) for every alpha > 0 of a column, with absolute error
     estimates (inter-level difference + truncation-tail indicator + rounding
-    floor).
+    floor + bound on the terms left out).
 
     Returns (values, errors, failures): complex values and float estimates
     per alpha, and {row: AccuracyError} for the rows whose refinement
@@ -216,11 +252,15 @@ def gaussian_weighted_column(
     test); a failed row's value and error are nan.
 
     ``f`` maps a 1-d array of points in (0, R) to real or complex values of
-    the same shape, with at most the polynomial growth declared by
-    ``growth_exponent``.  Row i is integrated on (0, R_i], R_i the larger of
-    ``spec.tail_cutoff`` and ``tail_radius(alpha_i + growth_exponent)``.
-    Deterministic for a fixed spec, and a row's result does not depend on
-    the other rows of the column.
+    the same shape, with |f(t)| <= growth_constant (1+t)^growth_exponent.
+    Row i is integrated on (0, R_i], R_i the larger of ``spec.tail_cutoff``
+    and ``tail_radius(alpha_i + growth_exponent)``.  A row with alpha >= 1
+    leaves out the nodes whose terms that bound proves below tau: 1e-3 tol / n
+    (n nodes in the level, tol the row's stopping tolerance at the level
+    before), or the least double at level 0.  Its estimate gains
+    dropped = dropped_before / 2 + n_dropped tau.  Deterministic for a fixed
+    spec, and a row's result does not depend on the other rows of the
+    column.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     bad = ~(np.isfinite(alphas) & (alphas > 0.0))
@@ -228,30 +268,45 @@ def gaussian_weighted_column(
         raise DomainError(
             f"exponent alpha must be finite and > 0, got {float(alphas[np.argmax(bad)])!r}"
         )
+    if not (math.isfinite(growth_constant) and growth_constant > 0.0):
+        raise DomainError(f"growth_constant must be finite and positive, got {growth_constant!r}")
     exponents = alphas + growth_exponent
     cutoff = np.maximum(spec.tail_cutoff, tail_radius(exponents, spec.abs_tol))
     # Indicator of the discarded tail beyond R for the declared growth.
     tail_log = exponents * np.log(cutoff) - cutoff * cutoff
     tail_bound = np.where(tail_log < 700.0, np.exp(np.minimum(tail_log, 700.0)), np.inf)
+    # log of the growth bound C (1+R)^gamma of f on (0, R], plus the margin left
+    # for the rounding of the pruning mask; rows with alpha < 1 keep every node.
+    growth_log = math.log(growth_constant) + growth_exponent * np.log1p(cutoff) + _MASK_MARGIN
+    growth_log[alphas < 1.0] = np.inf
 
     values = np.full(alphas.size, np.nan, dtype=complex)
     errors = np.full(alphas.size, np.nan)
     failures: dict[int, AccuracyError] = {}
     previous, previous_mass = np.zeros(alphas.size, dtype=complex), np.zeros(alphas.size)
-    estimate = np.full(alphas.size, np.inf)
+    estimate, dropped = np.full(alphas.size, np.inf), np.zeros(alphas.size)
     active = np.arange(alphas.size)
     eps = float(np.finfo(float).eps)
     h = 2.0 * _U_MAX / spec.node_count
     for level in range(_MAX_REFINEMENTS + 1):
+        if not active.size:
+            break
         # Halving h keeps the old nodes exactly: past level 0, sum the new (odd)
         # nodes and add half the previous sum.
-        step = max(1, _MAX_BATCH // _unit_nodes(h, level > 0)[1].size)
+        nodes = _unit_nodes(h, level > 0)[0].size
+        # the bound each left-out term stays below
+        tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(previous[active]))
+        tau = tolerance * (_DROP_SHARE / nodes) if level else np.full(active.size, _TINY)
+        floor = np.log(tau) - growth_log[active]
+        step = max(1, _MAX_BATCH // nodes)
+        cuts = range(step, active.size, step)
         chunks = [
-            _level_sums(f, alphas[rows], cutoff[rows], h, level > 0)
-            for rows in np.split(active, range(step, active.size, step))
+            _level_sums(f, alphas[rows], cutoff[rows], h, level > 0, part)
+            for rows, part in zip(np.split(active, cuts), np.split(floor, cuts))
         ]
-        sums, masses = (np.concatenate(part) for part in zip(*chunks))
+        sums, masses, left_out = (np.concatenate(part) for part in zip(*chunks))
         current, l1_mass = 0.5 * previous[active] + sums, 0.5 * previous_mass[active] + masses
+        dropped[active] = 0.5 * dropped[active] + left_out * tau
         h *= 0.5
         finite = np.isfinite(current) & np.isfinite(l1_mass)
         for row in active[~finite].tolist():
@@ -264,15 +319,13 @@ def gaussian_weighted_column(
         # Summation rounding scales with the L1 mass.  Nesting rounds once more per
         # level; later levels halve it, so it adds < 2 eps * mass, inside the 8 eps.
         rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
-        estimate[active] = diff + tail_bound[active] + rounding
+        estimate[active] = diff + tail_bound[active] + rounding + dropped[active]
         tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(current))
         done = finite & (level > 0) & (diff <= tolerance)  # level 0 has no level to agree with
         values[active[done]] = current[done]
         errors[active[done]] = estimate[active[done]]
         previous[active], previous_mass[active] = current, l1_mass
         active = active[finite & ~done]
-        if not active.size:
-            break
     for row in active.tolist():
         failures[row] = AccuracyError(
             f"quadrature did not reach tolerance (abs_tol={spec.abs_tol:g}, "
@@ -289,11 +342,12 @@ def gaussian_weighted_integral_with_estimate(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     *,
     growth_exponent: float = 0.0,
+    growth_constant: float = 1.0,
 ) -> tuple[complex, float]:
     """I(f, alpha) for alpha > 0 and its absolute error estimate: the
     one-alpha :func:`gaussian_weighted_column`, whose failure it raises."""
     values, errors, failures = gaussian_weighted_column(
-        f, [alpha], spec, growth_exponent=growth_exponent
+        f, [alpha], spec, growth_exponent=growth_exponent, growth_constant=growth_constant
     )
     if failures:
         raise failures[0]

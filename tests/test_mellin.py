@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -286,12 +287,19 @@ class TestArrayTable:
         toeplitz_matrix(SymbolSpec.from_modes({1: EXP_DECAY}), 0.5, 8, QUAD)
         assert table.info() == mellin.TableInfo(hits=63, misses=77, tables=3, transforms=77)
 
-    def test_nan_arguments_are_computed_not_stored(self):
+    @pytest.mark.parametrize("profile", [FAMILY, EXP_DECAY])
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf, -np.inf, -7.0, -2.0])
+    def test_arguments_outside_the_half_plane_are_refused_by_name(self, profile, zeta):
+        # zeta + 2s must be finite and > 0 for both kinds (s = 1 here)
         table = TransformTable()
-        _, values, _, failures = table.column(FAMILY, 0.0, np.array([np.nan, 2.0]), QUAD)
-        assert failures == {} and np.isnan(values[0]) and not np.isnan(values[1])
-        table.column(FAMILY, 0.0, np.array([np.nan]), QUAD)
-        assert table.info() == mellin.TableInfo(hits=0, misses=3, tables=1, transforms=1)
+        refusal = f"zeta + 2s = {zeta + 2.0:g} must be finite and > 0 (zeta={zeta!r}, s=1.0)"
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            table.column(profile, 1.0, np.array([3.0, zeta]), QUAD)
+        assert table.info() == mellin.TableInfo(hits=0, misses=0, tables=0, transforms=0)
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            mellin_weighted(profile, 1.0, zeta, QUAD)
+        with pytest.raises(DomainError, match="zeta=-7.0, s=0.0"):
+            mellin.TRANSFORMS.column(RadialProfile.monomial(2.0), 0.0, [-7.0], QUAD)
 
     def test_least_recently_used_tables_go_first_across_kinds(self, monkeypatch):
         monkeypatch.setattr(mellin, "_MAX_CACHED_TRANSFORMS", 5)

@@ -275,6 +275,15 @@ class TestBerezin:
         with pytest.raises(DomainError, match="N = 4"):
             berezin(op, 3.0)
 
+    @pytest.mark.parametrize(
+        "z",
+        [complex("nan"), complex(0.5, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)],
+    )
+    def test_non_finite_point_is_refused_by_name(self, z):
+        op = toeplitz_matrix(Z, 0.5, 6, QUAD)
+        with pytest.raises(DomainError, match=re.escape(f"z must be finite, got {z!r}")):
+            berezin(op, z)
+
     def test_vanishing_probe(self):
         # zero operator has zero transform everywhere; nonzero test matrices
         # show a nonzero maximum over the grid |z| <= 3
@@ -428,6 +437,15 @@ class TestMinTruncationSize:
         n = min_truncation_size(2.0, s, tail_tol=1e-12)
         indicator = 2.0 * n * math.log(2.0) - math.lgamma(s + n + 1.0)
         assert indicator <= math.log(1e-12)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_radius_that_is_not_finite_and_nonnegative_is_refused_by_name(self, radius):
+        refusal = f"max_abs_z must be finite and >= 0, got {radius!r}"
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            min_truncation_size(radius, 0.0)
+
+    def test_zero_radius_needs_only_the_floor(self):
+        assert min_truncation_size(0.0, 0.0) == min_truncation_size(0.0, 3.0, floor=8) == 8
 
 
 class TestExports:

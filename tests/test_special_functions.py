@@ -37,48 +37,74 @@ def reference_tail_radius(alpha_max, abs_tol):
     return r
 
 
-def reference_level_sum(f, alpha, cutoff, h, odd=False):
-    """One level's sum and L1 mass over every node at step h, or over the
-    odd-index ones only."""
+def reference_level_sum(f, alpha, cutoff, h, odd=False, tolerance=None, growth=(0.0, 1.0)):
+    """One level's sum, L1 mass and bound on the terms left out, over the
+    nodes at step h, or over the odd-index ones only.
+
+    Given the row's stopping ``tolerance`` (0 at the first level) and
+    alpha >= 1, the level leaves out the nodes whose term bound, under
+    |f(t)| <= C (1+t)^gamma for ``growth`` = (gamma, C), stays below
+    e^-2 tau: tau = 1e-3 tolerance / n for n nodes, or the least double at the
+    first level.  The bound is unimodal along the nodes and is read at every
+    stride-th node, n // 64 of them: the window spans the nodes strictly
+    between the samples beside the first and last sample that reaches
+    e^-2 tau (beside the highest one, if none does), widened to a power of
+    two or every node.  The n_dropped nodes outside it add n_dropped tau."""
     k = int(math.floor(6.0 / h))
     index = np.arange(-k, k + 1)
     u = h * (index[index % 2 == 1] if odd else index)
     y = 0.5 * math.pi * np.sinh(u)
     ey = np.exp(-2.0 * np.abs(y))
-    t = np.where(y >= 0.0, cutoff / (1.0 + ey), cutoff * ey / (1.0 + ey))
-    sech2 = 4.0 * ey / (1.0 + ey) ** 2
-    w = h * (cutoff / 2.0) * (0.5 * math.pi) * np.cosh(u) * sech2
-    mask = (w > 0.0) & (t > 0.0) & (t < cutoff)
-    t, w = t[mask], w[mask]
+    kept = (y < 0.0) | (1.0 + ey > 1.0)  # the others would sit at t = cutoff
+    u, y, ey = u[kept], y[kept], ey[kept]
+    x = np.where(y < 0.0, ey, 1.0) / (1.0 + ey)
+    scale = h * (cutoff / 2.0) * (0.5 * math.pi)
+    w = scale * (np.cosh(u) * (4.0 * ey / (1.0 + ey) ** 2))
+    n, first, width, tau = x.size, 0, x.size, 0.0
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        weights = w * np.exp((alpha - 1.0) * np.log(t) - t * t)
-        live = weights != 0.0
-        t, weights = t[live], weights[live]
-        if t.size == 0:
-            return 0j, 0.0
+        if tolerance is not None and alpha >= 1.0:
+            tau = tolerance * (1e-3 / n) if tolerance else 2.0**-1074
+            gamma, constant = growth
+            stride = max(1, n // 64)
+            t = cutoff * x[::stride]
+            bound = np.log(w[::stride]) + (alpha - 1.0) * np.log(t) - t * t
+            bound += math.log(constant) + gamma * math.log1p(cutoff)
+            reach = np.flatnonzero(bound >= math.log(tau) - 2.0)
+            low, high = (reach[0], reach[-1]) if reach.size else (np.argmax(bound),) * 2
+            first = max((low - 1) * stride + 1, 0)
+            span = min((high + 1) * stride, n) - first
+            width = min(n, 2 ** math.ceil(math.log2(span)))
+            first = min(first, n - width)
+        t = cutoff * x[first : first + width]
+        weights = w[first : first + width] * np.exp((alpha - 1.0) * np.log(t) - t * t)
         terms = weights * np.asarray(f(t))
-        return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+        return complex(np.sum(terms)), float(np.sum(np.abs(terms))), (n - width) * tau
 
 
 def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     """The scalar level loop, with R widened to cover alpha + growth_exponent:
     (value, error estimate, level it stopped at).
 
-    ``nested`` is the rule in use: a level adds its odd-node sum to half the
-    previous level's sum.  Otherwise every level sums all of its nodes, the
-    rule before nesting, kept as a value oracle."""
+    ``nested`` is the rule in use: a level adds its pruned odd-node sum to
+    half the previous level's sum (0 before the first level).  Otherwise
+    every level sums all of its nodes, the rule before nesting, kept as a
+    value oracle."""
     cutoff = max(spec.tail_cutoff, reference_tail_radius(alpha + growth_exponent, spec.abs_tol))
     tail_log = (alpha + growth_exponent) * math.log(cutoff) - cutoff * cutoff
     tail_bound = math.exp(tail_log) if tail_log < 700.0 else math.inf
     h = 2.0 * 6.0 / spec.node_count
     eps = float(np.finfo(float).eps)
-    previous, previous_mass = 0j, 0.0
+    previous, previous_mass, dropped = 0j, 0.0, 0.0
     for level in range(9):
-        if nested and level:
-            total, mass = reference_level_sum(f, alpha, cutoff, h, odd=True)
+        if nested:
+            tolerance = max(spec.abs_tol, spec.rel_tol * abs(previous)) if level else 0.0
+            total, mass, left_out = reference_level_sum(
+                f, alpha, cutoff, h, level > 0, tolerance, (growth_exponent, 1.0)
+            )
             current, l1_mass = 0.5 * previous + total, 0.5 * previous_mass + mass
+            dropped = 0.5 * dropped + left_out
         else:
-            current, l1_mass = reference_level_sum(f, alpha, cutoff, h)
+            current, l1_mass, _ = reference_level_sum(f, alpha, cutoff, h)
         h *= 0.5
         if not (cmath.isfinite(current) and math.isfinite(l1_mass)):
             raise AccuracyError(
@@ -89,10 +115,10 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
         if level:
             diff = abs(current - previous)
             rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
+            estimate = diff + tail_bound + rounding + dropped
             if diff <= max(spec.abs_tol, spec.rel_tol * abs(current)):
-                return current, diff + tail_bound + rounding, level
+                return current, estimate, level
         previous, previous_mass = current, l1_mass
-    estimate = diff + tail_bound + rounding
     raise AccuracyError(
         f"quadrature did not reach tolerance (abs_tol={spec.abs_tol:g}, "
         f"rel_tol={spec.rel_tol:g}) for alpha={alpha:g}: "
@@ -101,14 +127,19 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     )
 
 
-def per_row_level_sums(f, alpha, cutoff, h, odd):
-    """The column level pass before row sums were grouped: live nodes gathered
-    by ``np.nonzero``, each row summed as its own slice of the terms."""
-    lower, ey, one_plus_ey, cosh_u, sech2 = special_functions._unit_nodes(h, odd)
-    dead = np.exp(-750.0 / np.maximum(alpha - 1.0, 1e-300)) / (2.0 * cutoff)
-    first = int(np.searchsorted(ey[:lower], dead.min()))
-    ey, one_plus_ey, cosh_u, sech2 = (a[first:] for a in (ey, one_plus_ey, cosh_u, sech2))
-    lower -= first
+def per_row_level_sums(f, alpha, cutoff, h, odd, floor=None):
+    """The column level pass before rows left out nodes, kept as the full
+    rule's oracle: every node whose weight does not underflow, gathered by
+    ``np.nonzero``, each row summed as its own slice of the terms; no node
+    is left out, whatever ``floor``."""
+    k = int(math.floor(6.0 / h))
+    index = np.arange(-k, k + 1)
+    u = h * (index[index % 2 == 1] if odd else index)
+    y = 0.5 * math.pi * np.sinh(u)
+    ey = np.exp(-2.0 * np.abs(y))
+    kept = (y < 0.0) | (1.0 + ey > 1.0)
+    u, ey, lower = u[kept], ey[kept], int(np.count_nonzero(y < 0.0))
+    one_plus_ey, cosh_u, sech2 = 1.0 + ey, np.cosh(u), 4.0 * ey / (1.0 + ey) ** 2
     radius = cutoff[:, None]
     t = np.empty((alpha.size, ey.size))
     t[:, :lower] = radius * ey[:lower] / one_plus_ey[:lower]
@@ -126,7 +157,7 @@ def per_row_level_sums(f, alpha, cutoff, h, odd):
         spans = list(zip(bounds, bounds[1:]))
         totals = [np.add.reduce(terms[a:b]) for a, b in spans]
         masses = [np.add.reduce(magnitudes[a:b]) for a, b in spans]
-    return np.array(totals, dtype=complex), np.array(masses)
+    return np.array(totals, dtype=complex), np.array(masses), np.zeros(alpha.size, dtype=int)
 
 
 def integral(f, alpha, spec=DEFAULT_QUADRATURE, **kwargs):
@@ -343,16 +374,13 @@ class TestNestedLevels:
     def test_odd_nodes_and_coarse_nodes_are_the_fine_nodes(self, node_count):
         from fock_toeplitz.special_functions import _unit_nodes
 
-        def sides(nodes):
-            lower, *arrays = nodes
-            rows = list(zip(*(array.tolist() for array in arrays)))
-            return sorted(rows[:lower]), sorted(rows[lower:])
+        def nodes(h, odd=False):
+            return sorted(zip(*(array.tolist() for array in _unit_nodes(h, odd))))
 
         h = 2.0 * 6.0 / node_count
         for _ in range(8):
             h *= 0.5
-            coarse, odd = sides(_unit_nodes(2.0 * h)), sides(_unit_nodes(h, True))
-            assert sides(_unit_nodes(h)) == tuple(sorted(c + o) for c, o in zip(coarse, odd))
+            assert nodes(h) == sorted(nodes(2.0 * h) + nodes(h, True))
 
     @pytest.mark.parametrize("rate", [0.3, 1.3, 2.9])
     @pytest.mark.parametrize("node_count", [7, 48])
@@ -363,9 +391,9 @@ class TestNestedLevels:
         level_sums = special_functions._level_sums
         last_step = {}
 
-        def recording(f, alpha, cutoff, h, odd):
+        def recording(f, alpha, cutoff, h, *args):
             last_step.update(dict.fromkeys(alpha.tolist(), h))
-            return level_sums(f, alpha, cutoff, h, odd)
+            return level_sums(f, alpha, cutoff, h, *args)
 
         monkeypatch.setattr(special_functions, "_level_sums", recording)
         f = decaying(rate, 0, 1.0)
@@ -467,18 +495,46 @@ alpha_draws = st.one_of(
     alphas=st.lists(alpha_draws, min_size=1, max_size=6),
     batch=st.sampled_from([1, special_functions._MAX_BATCH]),
 )
-def test_grouped_row_sums_equal_per_row_sums_bit_for_bit(integrand, spec, alphas, batch):
+def test_pruned_rows_stay_within_both_estimates_of_the_full_rule(integrand, spec, alphas, batch):
     f, growth = integrand
 
     def column():
         with mock.patch.object(special_functions, "_MAX_BATCH", batch):
-            values, errors, failures = gaussian_weighted_column(
-                f, alphas, spec, growth_exponent=growth
-            )
-        # bit patterns, since a failed row's nan never equals itself
-        messages = {row: str(exc) for row, exc in failures.items()}
-        return values.tobytes(), errors.tobytes(), messages
+            return gaussian_weighted_column(f, alphas, spec, growth_exponent=growth)
 
-    grouped = column()
+    values, errors, failures = column()
     with mock.patch.object(special_functions, "_level_sums", per_row_level_sums):
-        assert column() == grouped
+        full_values, full_errors, full_failures = column()
+
+    def overflows(failed):
+        return {row: str(exc) for row, exc in failed.items() if exc.estimate == math.inf}
+
+    assert overflows(failures) == overflows(full_failures)
+    for row in range(len(alphas)):
+        # a row at the stopping threshold may stall under one rule only
+        if row not in failures and row not in full_failures:
+            # the pruned estimate holds the bound on the terms left out
+            gap = abs(values[row] - full_values[row])
+            assert gap <= errors[row] + full_errors[row]
+
+
+def test_a_decaying_column_evaluates_the_profile_on_a_quarter_of_the_full_rule_points(
+    monkeypatch,
+):
+    # the full rule's points: every node of every level each row runs
+    evaluated, full_points = [], []
+
+    def f(t):
+        evaluated.append(t.size)
+        return np.exp(-1.3 * t)
+
+    def full_rule(f, alpha, cutoff, h, odd, *args):
+        full_points.append(alpha.size * special_functions._unit_nodes(h, odd)[0].size)
+        return per_row_level_sums(f, alpha, cutoff, h, odd)
+
+    alphas = np.linspace(2.0, 340.0, 60)
+    assert not gaussian_weighted_column(f, alphas)[2]
+    pruned = sum(evaluated)
+    monkeypatch.setattr(special_functions, "_level_sums", full_rule)
+    assert not gaussian_weighted_column(f, alphas)[2]
+    assert pruned <= 0.25 * sum(full_points), (pruned, sum(full_points))
