@@ -285,7 +285,7 @@ def check_08_adjoint_symmetry() -> CheckResult:
     ]
     worst = 0.0
     for s in S_VALUES:
-        n_size = min_truncation_size(2.0, s, tail_tol=1e-12)
+        n_size = min_truncation_size(2.0, s)
         forward = compose(toeplitz_matrix(u, s, n_size, QUAD), toeplitz_matrix(v, s, n_size, QUAD))
         reversed_conj = compose(
             toeplitz_matrix(v.conjugate(), s, n_size, QUAD),

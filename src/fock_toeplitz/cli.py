@@ -76,7 +76,7 @@ def cmd_matrix(args) -> int:
         raise ConfigurationError("field 'u': matrix command needs at least one symbol (u or v)")
 
     ops = [
-        (s, name, sym, toeplitz_matrix(sym, s, config.N, config.quad, label=sym.name))
+        (s, name, sym, toeplitz_matrix(sym, s, config.N, config.quad))
         for s in config.s_values
         for name, sym in symbols
     ]

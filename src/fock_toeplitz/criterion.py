@@ -69,21 +69,14 @@ def _h_column(
     u: RadialProfile, m: np.ndarray, s: float, quad: QuadratureSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """H(m + s) = M[u G_s](2m + 2) / Gamma(m + s + 1) at the points ``m``,
-    with errors: u's diagonal column scaled so that Phi_j(k) = H(k) - H(k+j)."""
-    log_scale, value, error = _transform_column(u, 0, m, s, quad, "u")
-    scale = np.exp(log_scale - log_gamma_array(m + s + 1.0))
-    return value * scale, error * scale
-
-
-def _psi_column(
-    j: int, k: np.ndarray, s: float, v_j: RadialProfile, quad: QuadratureSpec, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Psi_j(k+s) = M[v_j G_s](j + 2k + 2) at the integers ``k``, with errors;
-    infinite where it leaves double range (see :func:`_refuse_overflow`)."""
-    log_scale, value, error = _transform_column(v_j, j, k, s, quad, name)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(log_scale)
-        return value * scale, error * scale
+    with errors: u's diagonal column scaled so that Phi_j(k) = H(k) - H(k+j).
+    A :class:`DomainError` names the first m where H leaves double range."""
+    h, h_err = _transform_column(u, 0, m, s, quad, "u", log_gamma_array(m + s + 1.0))
+    finite = np.isfinite(h) & np.isfinite(h_err)
+    if not finite.all():
+        where = f"m={m[np.argmin(finite)]:g}, s={s:g}"
+        raise DomainError(f"H(m+s) = M[u G_s](2m+2) / Gamma(m+s+1) at {where} leaves double range")
+    return h, h_err
 
 
 def _refuse_overflow(j: int, k: np.ndarray, s: float, psi_ok: np.ndarray, product_ok: np.ndarray):
@@ -139,7 +132,7 @@ def psi(
     _check_cell(j, k)
     sv = order_value(s)
     j, k = int(j), np.array([int(k)])
-    value, error = _psi_column(j, k, sv, v_j, quad, "v")
+    value, error = _transform_column(v_j, j, k, sv, quad, "v")
     finite = np.isfinite(value) & np.isfinite(error)
     _refuse_overflow(j, k, sv, finite, finite)
     return complex(value[0]), float(error[0])
@@ -306,7 +299,7 @@ def _cells(
             phis, phi_err = np.zeros(k.size, dtype=complex), np.zeros(k.size)
         else:
             phis, phi_err = h[k] - h[k + j], h_err[k] + h_err[k + j]
-        psis, psi_err = _psi_column(j, k, s, profile, quad, v.name)
+        psis, psi_err = _transform_column(profile, j, k, s, quad, v.name)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             product = phis * psis
             product_err = np.abs(phis) * psi_err + np.abs(psis) * phi_err + phi_err * psi_err

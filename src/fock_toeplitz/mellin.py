@@ -47,7 +47,6 @@ __all__ = [
     "TableInfo",
     "TransformTable",
     "TRANSFORMS",
-    "family_transform",
     "mellin_weighted",
     "mellin_weighted_cached",
 ]
@@ -59,20 +58,19 @@ _MAX_CACHED_TRANSFORMS = 1 << 15
 
 @dataclass(frozen=True)
 class MellinValue:
-    """A transform value at a real argument, with its error estimate.
+    """A transform value at one real argument, with its error estimate.
 
     The transform is ``value * exp(log_scale)``, and its absolute error
     ``abs_error_estimate * exp(log_scale)``; ``log_scale`` is 0 for
     quadrature values and carries the Gamma magnitude of exact ones.
     """
 
-    argument: float
     value: complex
     abs_error_estimate: float
     log_scale: float = 0.0
 
 
-def family_transform(terms: tuple, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _family_transform(terms: tuple, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact M[v G_s] of v = sum c r^p exp(-b r^2) at exponents alpha = zeta + 2s.
 
     Returns arrays (log_scale, value, error) shaped like ``alpha``, with
@@ -114,7 +112,7 @@ def _column(
             f"must be finite and > 0 (zeta={zeta!r}, s={s!r})"
         )
     if v.evaluator is None:
-        return (*family_transform(v.terms, alpha), {})
+        return (*_family_transform(v.terms, alpha), {})
     values, errors, failures = gaussian_weighted_column(
         v, alpha, spec, growth_exponent=v.growth_exponent, growth_constant=v.growth_constant
     )
@@ -217,11 +215,10 @@ def _transform(
     column: Callable,
 ) -> MellinValue:
     sv = order_value(s)
-    zeta = float(zeta)
-    log_scale, values, errors, failures = column(v, sv, np.array([zeta]), spec)
+    log_scale, values, errors, failures = column(v, sv, np.array([float(zeta)]), spec)
     if failures:
         raise failures[0]
-    return MellinValue(zeta, complex(values[0]), float(errors[0]), float(log_scale[0]))
+    return MellinValue(complex(values[0]), float(errors[0]), float(log_scale[0]))
 
 
 def mellin_weighted(

@@ -56,6 +56,9 @@ __all__ = [
 # profiles: their raw quadrature value overflows once (2m+j+2+2s)/2 passes
 # about 172.  With exp(-1.3 r), N=160 fails from s=12; at s=0, from N=174.
 MAX_TRUNCATION = 160
+# Berezin transforms need the kernel coefficients beyond the truncation,
+# |z|^(2N) / Gamma(s+N+1), below this; min_truncation_size searches for it.
+_KERNEL_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +127,11 @@ def _basis_log_norms(s: float, n: int) -> np.ndarray:
     return norms
 
 
+def _kernel_tail_log(r: float, s: float, n: int) -> float:
+    """log of the kernel tail indicator r^(2n) / Gamma(s+n+1), for r > 0."""
+    return 2.0 * n * math.log(r) - log_gamma(s + n + 1.0)
+
+
 def _truncation(N: int) -> int:
     if not is_integer(N) or N < 1 or N > MAX_TRUNCATION:
         raise DomainError(f"N must be an integer in [1, {MAX_TRUNCATION}], got {N!r}")
@@ -137,9 +145,15 @@ def _transform_column(
     s: float,
     quad: QuadratureSpec,
     name: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw transforms M[profile G_s](2m + j + 2) behind the entries (m + j, m),
-    as arrays (log_scale, value, error): the transform is value * exp(log_scale).
+    log_divisor: "float | np.ndarray" = 0.0,
+    factor: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """factor * M[profile G_s](2m + j + 2) / exp(log_divisor), the transforms
+    behind the entries (m + j, m), with their absolute errors.  This is the
+    one reader of the table's (log_scale, value, error) columns: log_scale is
+    added to -log_divisor before anything is exponentiated.  A value or
+    error beyond double range comes back infinite or nan, for the caller to
+    refuse by name.
 
     Both profile kinds are read from the shared transform table, so a
     rebuild, or a criterion column that is a prefix of a diagonal built at
@@ -155,7 +169,9 @@ def _transform_column(
             f"column m={m.tolist()[i]}: {exc}",
             estimate=exc.estimate,
         ) from exc
-    return log_scale, values, errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = factor * np.exp(log_scale - log_divisor)
+        return values * scale, errors * scale
 
 
 def _diagonal(
@@ -170,10 +186,8 @@ def _diagonal(
     """Entries <T e_m, e_{m+j}> of one mode at the columns ``m``, with their
     absolute errors; a :class:`DomainError` names the first column whose
     entry or error leaves double range."""
-    log_scale, value, error = _transform_column(profile, j, m, s, quad, name)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = 2.0 * math.pi * np.exp(log_scale - 0.5 * (log_norms[m] + log_norms[m + j]))
-        values, errors = value * scale, error * scale
+    log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
+    values, errors = _transform_column(profile, j, m, s, quad, name, log_divisor, 2.0 * math.pi)
     finite = np.isfinite(values) & np.isfinite(errors)
     if not finite.all():
         raise DomainError(
@@ -188,8 +202,6 @@ def toeplitz_matrix(
     s: "float | SobolevOrder",
     N: int,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    label: str | None = None,
 ) -> TruncatedOperator:
     """Truncated Toeplitz matrix of the symbol on the first N basis vectors.
 
@@ -209,8 +221,7 @@ def toeplitz_matrix(
         if m.size:
             diagonals[j], errors = _diagonal(profile, j, m, sv, log_norms, quad, spec.name)
             worst_error = max(worst_error, float(np.max(errors)))
-    label = label if label is not None else spec.name
-    return TruncatedOperator(diagonals, N, sv, spec.max_mode, label, worst_error)
+    return TruncatedOperator(diagonals, N, sv, spec.max_mode, spec.name, worst_error)
 
 
 def radial_eigenvalues(
@@ -286,11 +297,11 @@ def compose(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
     return TruncatedOperator(diagonals, a.size, a.s, band, f"{a.label}*{b.label}", error)
 
 
-def berezin(a: TruncatedOperator, z: complex, *, tail_tol: float = 1e-12) -> complex:
+def berezin(a: TruncatedOperator, z: complex) -> complex:
     """Berezin transform <A K_z, K_z> / ||K_z||^2 on the truncation.
 
     Valid when the kernel coefficients beyond the truncation are negligible
-    at z, i.e. |z|^(2N) / Gamma(s+N+1) <= tail_tol; otherwise a
+    at z, i.e. |z|^(2N) / Gamma(s+N+1) <= 1e-12; otherwise a
     :class:`DomainError` asks for a larger truncation.
     """
     z = complex(z)
@@ -298,10 +309,10 @@ def berezin(a: TruncatedOperator, z: complex, *, tail_tol: float = 1e-12) -> com
         raise DomainError(f"Berezin point z must be finite, got {z!r}")
     n = a.size
     if abs(z) > 0.0:
-        indicator = 2.0 * n * math.log(abs(z)) - log_gamma(a.s + n + 1.0)
-        if indicator > math.log(tail_tol):
+        indicator = _kernel_tail_log(abs(z), a.s, n)
+        if indicator > math.log(_KERNEL_TAIL_TOL):
             raise DomainError(
-                f"kernel tail indicator exp({indicator:.2f}) exceeds {tail_tol:g} at "
+                f"kernel tail indicator exp({indicator:.2f}) exceeds {_KERNEL_TAIL_TOL:g} at "
                 f"|z| = {abs(z):g}; increase the truncation size beyond N = {n}"
             )
     log_norms = _basis_log_norms(a.s, n)
@@ -327,26 +338,17 @@ def window_max_abs(a: TruncatedOperator, window: int) -> float:
     return max((float(np.max(np.abs(values))) for values in inside), default=0.0)
 
 
-def min_truncation_size(
-    max_abs_z: float,
-    s: "float | SobolevOrder",
-    *,
-    tail_tol: float = 1e-12,
-    floor: int = 8,
-) -> int:
-    """Smallest N meeting the Berezin tail precondition for |z| <= max_abs_z."""
+def min_truncation_size(max_abs_z: float, s: "float | SobolevOrder") -> int:
+    """Smallest N >= 8 meeting the Berezin tail precondition for |z| <= max_abs_z."""
     sv = order_value(s)
     r = float(max_abs_z)
     if not (math.isfinite(r) and r >= 0.0):
         raise DomainError(f"max_abs_z must be finite and >= 0, got {max_abs_z!r}")
-    if r == 0.0:
-        return max(floor, 1)
-    log_tol = math.log(tail_tol)
-    for n in range(max(floor, 1), MAX_TRUNCATION + 1):
-        if 2.0 * n * math.log(r) - log_gamma(sv + n + 1.0) <= log_tol:
+    for n in range(8, MAX_TRUNCATION + 1):
+        if r == 0.0 or _kernel_tail_log(r, sv, n) <= math.log(_KERNEL_TAIL_TOL):
             return n
     raise DomainError(
-        f"no truncation within the cap {MAX_TRUNCATION} meets tail_tol={tail_tol:g} "
+        f"no truncation within the cap {MAX_TRUNCATION} meets tail_tol={_KERNEL_TAIL_TOL:g} "
         f"at |z| = {r:g}"
     )
 

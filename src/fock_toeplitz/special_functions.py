@@ -272,8 +272,9 @@ def gaussian_weighted_column(
         raise DomainError(f"growth_constant must be finite and positive, got {growth_constant!r}")
     exponents = alphas + growth_exponent
     cutoff = np.maximum(spec.tail_cutoff, tail_radius(exponents, spec.abs_tol))
-    # Indicator of the discarded tail beyond R for the declared growth.
-    tail_log = exponents * np.log(cutoff) - cutoff * cutoff
+    # Indicator of the discarded tail beyond R for the declared growth bound
+    # C (1+t)^gamma: C R^(alpha+gamma) e^(-R^2).
+    tail_log = math.log(growth_constant) + exponents * np.log(cutoff) - cutoff * cutoff
     tail_bound = np.where(tail_log < 700.0, np.exp(np.minimum(tail_log, 700.0)), np.inf)
     # log of the growth bound C (1+R)^gamma of f on (0, R], plus the margin left
     # for the rounding of the pruning mask; rows with alpha < 1 keep every node.

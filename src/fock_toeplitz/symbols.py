@@ -226,10 +226,6 @@ class SymbolSpec:
         return cls(items, name)
 
     @property
-    def modes(self) -> dict[int, RadialProfile]:
-        return dict(self.mode_items)
-
-    @property
     def mode_indices(self) -> tuple[int, ...]:
         return tuple(j for j, _ in self.mode_items)
 
@@ -301,7 +297,6 @@ def decompose(
     j_max: int,
     *,
     drop_floor: float = DEFAULT_DROP_FLOOR,
-    name: str = "decomposed",
 ) -> SymbolSpec:
     """Recover angular modes j in [-j_max, j_max] from polar-grid samples.
 
@@ -309,7 +304,7 @@ def decompose(
     The angular DFT is exact for trigonometric polynomials of degree
     <= j_max provided M >= 2 j_max + 2 (enforced).  Modes whose magnitude
     stays below ``drop_floor`` across all radii are dropped; survivors are
-    cubic interpolants in the radius.
+    cubic interpolants in the radius, in a symbol named "decomposed".
     """
     if not is_integer(j_max) or j_max < 1:
         raise DomainError(f"j_max must be a positive integer, got {j_max!r}")
@@ -333,7 +328,7 @@ def decompose(
         if float(np.max(np.abs(column))) < drop_floor:
             continue
         modes[j] = RadialProfile.from_samples(r, column)
-    return SymbolSpec.from_modes(modes, name=name)
+    return SymbolSpec.from_modes(modes, name="decomposed")
 
 
 def polar_l2_norm(radii: Sequence[float], samples: np.ndarray, s: float) -> float:

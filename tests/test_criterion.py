@@ -92,6 +92,14 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(-3, 2, 0.0, R2, QUAD)
 
+    @pytest.mark.filterwarnings("error")
+    def test_h_beyond_double_range_is_named(self):
+        huge = RadialProfile.monomial(1000.0)  # H(0) = Gamma(501) / (2 pi)
+        with pytest.raises(DomainError, match=r"^H\(m\+s\) .* at m=0, s=0 leaves double range$"):
+            phi(1, 0, 0.0, huge, QUAD)
+        with pytest.raises(DomainError, match=r"at m=0.5, s=0 leaves double range$"):
+            periodicity_probe(huge, 0.0, 1, [0.5], QUAD)
+
 
 class TestPsi:
     def test_zero_profile(self):
@@ -182,6 +190,17 @@ class TestFunctionalEquationResiduals:
         # largest windowed commutator entry sits at the window edge (W, W-1)
         # with value sqrt(s + W), W = N - 1 - band = 8
         assert report.matrix_window_residual == pytest.approx(math.sqrt(0.5 + 8.0), rel=1e-9)
+
+    def test_phi_and_psi_alive_at_different_k_without_a_product_is_inconsistent(self):
+        # Phi_1 exceeds its error bar only at k = 0 and Psi_1 only at k = 1, so
+        # no product does: the cells contradict each other.
+        cells = {
+            (1, 0): Cell(1, 0, 1.0 + 0j, 1e-3, 0j, 1e-3, 0.0),
+            (1, 1): Cell(1, 1, 0j, 1e-3, 1.0 + 0j, 1e-3, 0.0),
+        }
+        verdict = criterion._decide(cells, (1,), 0.0, True, 3.0)
+        assert verdict.kind == "inconclusive"
+        assert verdict.reason.startswith("internal inconsistency: products vanish")
 
     def test_hypothesis_flag_off_without_observation(self):
         report = functional_equation_residuals(

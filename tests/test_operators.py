@@ -288,7 +288,7 @@ class TestBerezin:
         # zero operator has zero transform everywhere; nonzero test matrices
         # show a nonzero maximum over the grid |z| <= 3
         grid = [0.5 * k * cmath.exp(0.7j * k) for k in range(7)]
-        n_size = min_truncation_size(3.0, 0.0, tail_tol=1e-12)
+        n_size = min_truncation_size(3.0, 0.0)
         zero = TruncatedOperator({}, n_size, 0.0, 0, "zero")
         assert all(berezin(zero, z) == 0.0 for z in grid)
         for op in (toeplitz_matrix(Z, 0.0, n_size, QUAD), toeplitz_matrix(ABS2, 0.0, n_size, QUAD)):
@@ -317,7 +317,7 @@ class TestBerezin:
             },
             name="v",
         )
-        n_size = min_truncation_size(2.0, s, tail_tol=1e-12)
+        n_size = min_truncation_size(2.0, s)
         forward = compose(toeplitz_matrix(u, s, n_size, QUAD), toeplitz_matrix(v, s, n_size, QUAD))
         backward = compose(
             toeplitz_matrix(v.conjugate(), s, n_size, QUAD),
@@ -434,7 +434,7 @@ def test_size_that_is_not_a_finite_integer_is_refused_by_name(call, value):
 class TestMinTruncationSize:
     @pytest.mark.parametrize("s", [0.0, 0.5, 2.3])
     def test_indicator_below_tolerance(self, s):
-        n = min_truncation_size(2.0, s, tail_tol=1e-12)
+        n = min_truncation_size(2.0, s)
         indicator = 2.0 * n * math.log(2.0) - math.lgamma(s + n + 1.0)
         assert indicator <= math.log(1e-12)
 
@@ -444,8 +444,13 @@ class TestMinTruncationSize:
         with pytest.raises(DomainError, match=re.escape(refusal)):
             min_truncation_size(radius, 0.0)
 
+    def test_radius_no_truncation_within_the_cap_meets_is_refused_by_name(self):
+        refusal = "no truncation within the cap 160 meets tail_tol=1e-12 at |z| = 1000"
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            min_truncation_size(1e3, 0.0)
+
     def test_zero_radius_needs_only_the_floor(self):
-        assert min_truncation_size(0.0, 0.0) == min_truncation_size(0.0, 3.0, floor=8) == 8
+        assert min_truncation_size(0.0, 0.0) == min_truncation_size(0.0, 3.0) == 8
 
 
 class TestExports:

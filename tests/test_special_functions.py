@@ -331,6 +331,24 @@ class TestGaussianWeightedIntegral:
         assert info.value.estimate is not None
         assert info.value.estimate > 0.0
 
+    @pytest.mark.parametrize("alpha", [0.5, 6.0])
+    @pytest.mark.parametrize("constant", [2.0, 7.5])
+    def test_tail_term_carries_the_growth_constant(self, constant, alpha):
+        # At a loose abs_tol the tail indicator R^(alpha+gamma) e^(-R^2), about
+        # abs_tol / 10, dominates the estimate; under |f| <= C (1+t)^gamma the
+        # dropped tail scales with C, and so must its term.
+        spec = QuadratureSpec(tail_cutoff=1.0, abs_tol=1e-3, rel_tol=1e-11)
+        radius = float(tail_radius(alpha + 1.0, spec.abs_tol))
+        tail = radius ** (alpha + 1.0) * math.exp(-radius * radius)
+        _, errors, failures = gaussian_weighted_column(
+            lambda t: constant * (1.0 + t) * np.exp(-t),
+            [alpha],
+            spec,
+            growth_exponent=1.0,
+            growth_constant=constant,
+        )
+        assert failures == {} and errors[0] >= constant * tail
+
     @pytest.mark.parametrize("alpha", [343.7, 344.0])
     def test_overflowing_level_sum_raises(self, alpha):
         # the level sum of e^{-1.3t} t^(alpha-1) e^{-t^2} overflows (at 343.7 in
