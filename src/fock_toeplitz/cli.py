@@ -38,9 +38,10 @@ __all__ = ["main"]
 
 
 def _s_tag(s: float) -> str:
-    if s == int(s):
+    text = repr(float(s))
+    if "e" not in text and s == int(s):
         return str(int(s))
-    return repr(float(s)).replace(".", "p").replace("-", "m")
+    return text.replace(".", "p").replace("-", "m").replace("+", "")
 
 
 def _dump_json(payload) -> str:

@@ -157,6 +157,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw_s, list) or not raw_s:
         _fail("s_values", "expected a nonempty list")
     s_values = [_as_number(f"s_values[{i}]", v, minimum=0.0) for i, v in enumerate(raw_s)]
+    for i, s in enumerate(s_values):
+        if s in s_values[:i]:
+            _fail(f"s_values[{i}]", f"repeats s_values[{s_values.index(s)}] = {s!r}")
 
     u = build_symbol(document["u"], "u") if "u" in document else None
     v = build_symbol(document["v"], "v") if "v" in document else None

@@ -353,43 +353,52 @@ def min_truncation_size(max_abs_z: float, s: "float | SobolevOrder") -> int:
     )
 
 
-_CSV_LINE = "{row},{col},{re},{im}\n"
-_JSON_ITEM = "    [\n      {row},\n      {col},\n      {re},\n      {im}\n    ],\n"
+# A line is a head naming (row, col) and a tail holding the entry's parts.
+_CSV_LINE = ("{},{}", ",{!r},{!r}\n")
+_JSON_ITEM = ("    [\n      {},\n      {}", ",\n      {!r},\n      {!r}\n    ],\n")
 
 
-@lru_cache(maxsize=64)
-def _zero_row(line: str, n: int) -> tuple[str, tuple[int, ...]]:
-    """One row of ``line`` texts with zero entries in every column, the row
-    index written as '#', and the offset at which each column's text starts."""
-    texts = [line.format(row="#", col=col, re="0.0", im="0.0") for col in range(n)]
-    return "".join(texts), tuple(itertools.accumulate(map(len, texts), initial=0))
+@lru_cache(maxsize=8)
+def _tagged_row(line: tuple[str, str], width: int, digits: int) -> tuple[str, list[int]]:
+    """Zero lines of ``line`` in columns 0, ..., width-1 tagged with ``digits`` '#'s for the
+    row, and where each line starts, as in every row whose index has that many digits."""
+    pattern = line[0].format("#" * digits, "{}") + line[1].format(0.0, 0.0)
+    texts = list(map(pattern.format, range(width)))
+    return "".join(texts), list(itertools.accumulate(map(len, texts), initial=0))
 
 
-def _entry_table(a: TruncatedOperator, line: str) -> str:
-    """Every entry of ``a`` in row-major order as one ``line`` each.  Stored
-    entries are written with repr; the zero runs between them are cut from
-    the cached zero row, so only the band is formatted."""
-    n = a.size
-    zero_row, offsets = _zero_row(line, n)
+@lru_cache(maxsize=2 * MAX_TRUNCATION)
+def _zero_row(line: tuple[str, str], width: int, tag: str) -> str:
+    """Zero lines of row ``tag`` in columns 0, ..., width-1; any N <= width is a prefix."""
+    return _tagged_row(line, width, len(tag))[0].replace("#" * len(tag), tag)
+
+
+def _entry_lines(a: TruncatedOperator, line: tuple[str, str], head: str) -> list[str]:
+    """``head``, then every entry of ``a`` in row-major order as one ``line``
+    each, as pieces to join.  Only the stored entries are formatted, each
+    with repr; every other byte is cut from the row's cached zero lines."""
+    n, width, tail = a.size, max(a.size, MAX_TRUNCATION), line[1]
+    zero_tail = len(tail.format(0.0, 0.0))
     # descending d visits each row's stored entries in ascending column order
-    bands = [(d, max(0, -d), a.diagonals[d].tolist()) for d in sorted(a.diagonals, reverse=True)]
-    parts = []
-    for row in range(n):
-        tag, done = str(row), 0
-        for d, first, values in bands:
+    bands = [
+        (d, max(0, -d), list(map(tail.format, values.real.tolist(), values.imag.tolist())))
+        for d, values in sorted(a.diagonals.items(), reverse=True)
+    ]
+    parts = [head]
+    for row, tag in enumerate(map(str, range(n))):
+        zeros, starts, done = _zero_row(line, width, tag), _tagged_row(line, width, len(tag))[1], 0
+        for d, first, texts in bands:
             col = row - d
             if 0 <= col < n:
-                z = values[col - first]
-                parts.append(zero_row[offsets[done] : offsets[col]].replace("#", tag))
-                parts.append(line.format(row=tag, col=col, re=repr(z.real), im=repr(z.imag)))
+                parts += zeros[starts[done] : starts[col + 1] - zero_tail], texts[col - first]
                 done = col + 1
-        parts.append(zero_row[offsets[done] :].replace("#", tag))
-    return "".join(parts)
+        parts.append(zeros[starts[done] : starts[n]])
+    return parts
 
 
 def matrix_to_csv(a: TruncatedOperator) -> str:
     """Full matrix as 'row,col,re,im' lines (row-major, deterministic)."""
-    return "row,col,re,im\n" + _entry_table(a, _CSV_LINE)
+    return "".join(_entry_lines(a, _CSV_LINE, "row,col,re,im\n"))
 
 
 def matrix_to_json(a: TruncatedOperator) -> str:
@@ -409,6 +418,8 @@ def matrix_to_json(a: TruncatedOperator) -> str:
         "entry_error": a.entry_error,
         "entries": [],
     }
-    table = _entry_table(a, _JSON_ITEM)[:-2]  # the last item takes no ",\n"
-    text = json.dumps(envelope, sort_keys=True, indent=2)
-    return text.replace('"entries": []', f'"entries": [\n{table}\n  ]', 1) + "\n"
+    head, _, tail = json.dumps(envelope, sort_keys=True, indent=2).partition('"entries": []')
+    parts = _entry_lines(a, _JSON_ITEM, head + '"entries": [\n')
+    last = parts.pop() or parts.pop()  # the last piece is empty when entry (N-1, N-1) is stored
+    parts += last[:-2], f"\n  ]{tail}\n"  # the last item takes no ",\n"
+    return "".join(parts)

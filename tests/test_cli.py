@@ -10,7 +10,7 @@ import pytest
 
 import fock_toeplitz
 import fock_toeplitz.special_functions as special_functions
-from fock_toeplitz.cli import main
+from fock_toeplitz.cli import _s_tag, main
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec, sample_polar
 
 CONFIG_MATRIX = """\
@@ -122,6 +122,24 @@ output: {directory: OUT}
         err = capsys.readouterr().err
         assert "'N'" in err and "160" in err
         assert not (tmp_path / "out").exists()
+
+    def test_huge_orders_get_short_file_names(self, tmp_path):
+        text = CONFIG_MATRIX.format(out=tmp_path / "out").replace(
+            "s_values: [0.0]", "s_values: [1.0e+300, 2.5e+22]"
+        )
+        config = write(tmp_path, "c.yaml", text)
+        assert main(["matrix", "--config", str(config), "--quiet", "--format", "csv"]) == 0
+        names = sorted(path.name for path in (tmp_path / "out").iterdir())
+        assert names == ["matrix_u_s1e300.csv", "matrix_u_s2p5e22.csv"]
+
+    @pytest.mark.parametrize(
+        "s, tag",
+        [(0.0, "0"), (1.0, "1"), (2.3, "2p3"), (1e-05, "1em05"), (1e15, "1000000000000000"),
+         (2.0**53, "9007199254740992"), (1e16, "1e16"), (2.5e22, "2p5e22"), (1e300, "1e300")],
+    )
+    def test_s_tags(self, s, tag):
+        # tags below 1e16 are those of earlier releases; above, repr's exponent is kept
+        assert _s_tag(s) == tag
 
     @pytest.mark.parametrize("count", [1025, 10**6])
     def test_node_count_above_cap_exits_2(self, tmp_path, capsys, monkeypatch, count):
@@ -306,6 +324,18 @@ output: {directory: OUT}
         assert main(["criterion", "--config", str(config_b), "--quiet"]) == 0
         name = "criterion_s2p3.json"
         assert (tmp_path / "out_a" / name).read_bytes() == (tmp_path / "out_b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["matrix", "commutator", "criterion", "decompose"])
+def test_repeated_order_exits_2_naming_both_entries(tmp_path, capsys, command):
+    # a repeated order would be built twice and written to the same files
+    text = CONFIG_PAIR.format(s="1.0, 1.0, 0.5", N=8, k_max=4, out=tmp_path / "out")
+    config = write(tmp_path, "c.yaml", text)
+    extra = ["--samples", str(tmp_path / "samples.csv")] if command == "decompose" else []
+    assert main([command, "--config", str(config), "--quiet", *extra]) == 2
+    err = capsys.readouterr().err
+    assert "'s_values[1]'" in err and "repeats s_values[0]" in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestDecomposeCommand:

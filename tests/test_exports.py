@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fock_toeplitz import operators as operators_module
 from fock_toeplitz.criterion import Cell, CriterionReport, Verdict, functional_equation_residuals
 from fock_toeplitz.operators import (
+    MAX_TRUNCATION,
     TruncatedOperator,
     matrix_to_csv,
     matrix_to_json,
@@ -111,6 +113,33 @@ def test_non_finite_entry_error_stays_with_json():
     assert '"entry_error": Infinity' in matrix_to_json(op)
 
 
+# sizes where the row index gains a digit, and the cap on either side; the
+# constructor does not check the cap, so N = MAX_TRUNCATION + 1 is built directly
+EDGE_SIZES = [9, 10, 11, 99, 100, 101, MAX_TRUNCATION, MAX_TRUNCATION + 1]
+
+
+def edge_operator(n):
+    diagonals = {
+        d: np.linspace(-1.0, 2.0, n - abs(d)) + 1j * np.linspace(0.5, -3.0, n - abs(d)) / (d + 3)
+        for d in (0, 1, -1, n - 1, -(n - 1))
+    }
+    diagonals[0][0] = -0.0
+    diagonals[0][n - 1] = complex(5e-324, -0.0)
+    diagonals[-1][n // 2] = 1e-320j
+    return TruncatedOperator(diagonals, n, 0.5, n - 1, f"edge{n}", 1e-15)
+
+
+def test_exports_match_reference_bytes_across_row_digits_and_the_cap():
+    # the zero rows are cached per row across all sizes, so the order in
+    # which sizes are exported must not matter
+    ops = [edge_operator(n) for n in EDGE_SIZES]
+    expected = {op.size: (reference_csv(op), reference_json(op)) for op in ops}
+    operators_module._zero_row.cache_clear()
+    operators_module._tagged_row.cache_clear()
+    for op in ops[::-1] + ops:
+        assert (matrix_to_csv(op), matrix_to_json(op)) == expected[op.size], op.size
+
+
 def decay(r):
     return np.exp(-1.3 * np.asarray(r, dtype=float))
 
@@ -129,6 +158,16 @@ def test_real_matrices_match_reference_bytes(kind):
         {0: RadialProfile.monomial(2.0), 2: PROFILES[kind], -1: PROFILES[kind]}, name=kind
     )
     op = toeplitz_matrix(spec, 2.3, 24, QuadratureSpec.for_exponent(80.0))
+    assert matrix_to_csv(op) == reference_csv(op)
+    assert matrix_to_json(op) == reference_json(op)
+
+
+def test_real_matrix_at_the_cap_matches_reference_bytes():
+    spec = SymbolSpec.from_modes(
+        {0: PROFILES["polynomial"], 2: PROFILES["exp_decay"]}, name="cap"
+    )
+    op = toeplitz_matrix(spec, 0.5, MAX_TRUNCATION)
+    assert op.size == MAX_TRUNCATION
     assert matrix_to_csv(op) == reference_csv(op)
     assert matrix_to_json(op) == reference_json(op)
 
