@@ -17,12 +17,13 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .criterion import functional_equation_residuals
+from .criterion import _commutes, functional_equation_residuals
 from .errors import (
     AccuracyError,
     ClassificationError,
@@ -110,7 +111,7 @@ def cmd_commutator(args) -> int:
         residual = window_max_abs(comm, window)
         block = np.abs(comm.entries[: window + 1, : window + 1])
         row, col = np.unravel_index(int(np.argmax(block)), block.shape)
-        commutes = bool(residual <= max(config.verdict_multiplier * comm.entry_error, 1e-10))
+        commutes = _commutes(residual, comm, config.verdict_multiplier)
         rows.append(
             {
                 "s": s,
@@ -175,7 +176,9 @@ def cmd_criterion(args) -> int:
 
 
 def _read_polar_samples(path: Path):
-    """Parse a polar-sample CSV (r, theta, re, im) into grid arrays."""
+    """Parse a polar-sample CSV (r, theta, re, im) into grid arrays.  Each
+    radius, finite and >= 0, holds exactly one finite sample at each of the
+    M uniform angles 2 pi m / M; a refusal names the file and line."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -187,34 +190,48 @@ def _read_polar_samples(path: Path):
             continue
         if number == 1 and stripped.lower().replace(" ", "") == "r,theta,re,im":
             continue
+        where = f"samples {path}:{number}"
         parts = stripped.split(",")
         if len(parts) != 4:
-            raise ConfigurationError(f"samples {path}:{number}: expected 'r,theta,re,im'")
+            raise ConfigurationError(f"{where}: expected 'r,theta,re,im'")
         try:
-            rows.append(tuple(float(p) for p in parts))
+            r, theta, re, im = (float(p) for p in parts)
         except ValueError as exc:
-            raise ConfigurationError(f"samples {path}:{number}: {exc}") from exc
+            raise ConfigurationError(f"{where}: {exc}") from exc
+        if not (math.isfinite(r) and r >= 0.0):
+            raise ConfigurationError(f"{where}: r={r!r} must be finite and >= 0")
+        if not all(map(math.isfinite, (theta, re, im))):
+            raise ConfigurationError(f"{where}: theta, re and im must be finite")
+        rows.append((number, r, theta, complex(re, im)))
     if not rows:
         raise ConfigurationError(f"samples {path}: no data rows")
-    radii = sorted({r for r, _, _, _ in rows})
-    per_radius: dict[float, dict[int, complex]] = {r: {} for r in radii}
-    counts = {r: 0 for r in radii}
-    for r, theta, re, im in rows:
-        counts[r] += 1
-        per_radius[r][theta] = complex(re, im)
+    counts = Counter(r for _, r, _, _ in rows)
+    radii = sorted(counts)
     m_angles = counts[radii[0]]
-    if any(c != m_angles for c in counts.values()):
-        raise ConfigurationError(f"samples {path}: unequal angle counts across radii")
+    for number, r, _, _ in rows:
+        if counts[r] != m_angles:
+            raise ConfigurationError(
+                f"samples {path}:{number}: unequal angle counts across radii: "
+                f"r={r!r} has {counts[r]}, r={radii[0]!r} has {m_angles}"
+            )
+    row_of = {r: i for i, r in enumerate(radii)}
     values = np.zeros((len(radii), m_angles), dtype=complex)
-    for i, r in enumerate(radii):
-        for theta, val in per_radius[r].items():
-            index = int(round(theta * m_angles / (2.0 * math.pi))) % m_angles
-            expected = 2.0 * math.pi * index / m_angles
-            if abs(theta - expected) > 1e-9 * (1.0 + abs(theta)):
-                raise ConfigurationError(
-                    f"samples {path}: theta={theta!r} is not on the uniform grid of {m_angles}"
-                )
-            values[i, index] = val
+    line_of: dict[tuple[int, int], int] = {}
+    for number, r, theta, value in rows:
+        where = f"samples {path}:{number}"
+        index = int(round(theta * m_angles / (2.0 * math.pi))) % m_angles
+        expected = 2.0 * math.pi * index / m_angles
+        if abs(theta - expected) > 1e-9 * (1.0 + abs(theta)):
+            raise ConfigurationError(
+                f"{where}: theta={theta!r} is not on the uniform grid of {m_angles}"
+            )
+        cell = (row_of[r], index)
+        if cell in line_of:
+            raise ConfigurationError(
+                f"{where}: repeats line {line_of[cell]}, the sample at r={r!r}, angle index {index}"
+            )
+        line_of[cell] = number
+        values[cell] = value
     return np.asarray(radii, dtype=float), values
 
 

@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .criterion import DEFAULT_VERDICT_MULTIPLIER
 from .errors import ConfigurationError
 from .operators import MAX_TRUNCATION
-from .special_functions import MAX_NODE_COUNT, QuadratureSpec
-from .symbols import RadialProfile, SymbolSpec
+from .special_functions import DEFAULT_QUADRATURE, MAX_NODE_COUNT, QuadratureSpec
+from .symbols import DEFAULT_DROP_FLOOR, RadialProfile, SymbolSpec
 
 __all__ = ["ExperimentConfig", "load_config", "build_symbol", "build_profile"]
 
@@ -38,7 +39,7 @@ class ExperimentConfig:
     assert_commutation: bool
     out_dir: Path
     formats: tuple[str, ...]
-    drop_floor: float = 1e-12
+    drop_floor: float
 
     def want(self, fmt: str) -> bool:
         return fmt in self.formats
@@ -167,26 +168,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
     tolerances = document.get("tolerances", {}) or {}
     if not isinstance(tolerances, dict):
         _fail("tolerances", "expected a mapping")
+    defaults = {
+        "quad_abs": DEFAULT_QUADRATURE.abs_tol,
+        "quad_rel": DEFAULT_QUADRATURE.rel_tol,
+        "verdict_multiplier": DEFAULT_VERDICT_MULTIPLIER,
+        "drop_floor": DEFAULT_DROP_FLOOR,
+    }
     for key in tolerances:
-        if key not in {"quad_abs", "quad_rel", "node_count", "verdict_multiplier", "drop_floor"}:
+        if key not in defaults and key != "node_count":
             _fail(f"tolerances.{key}", "unknown field")
-    quad_abs = _as_number("tolerances.quad_abs", tolerances.get("quad_abs", 1e-13))
-    quad_rel = _as_number("tolerances.quad_rel", tolerances.get("quad_rel", 1e-11))
-    node_count = _as_int(
-        "tolerances.node_count", tolerances.get("node_count", 48), minimum=2, maximum=MAX_NODE_COUNT
-    )
-    multiplier = _as_number(
-        "tolerances.verdict_multiplier", tolerances.get("verdict_multiplier", 3.0)
-    )
-    drop_floor = _as_number("tolerances.drop_floor", tolerances.get("drop_floor", 1e-12))
-    for name, value in (
-        ("tolerances.quad_abs", quad_abs),
-        ("tolerances.quad_rel", quad_rel),
-        ("tolerances.verdict_multiplier", multiplier),
-        ("tolerances.drop_floor", drop_floor),
-    ):
-        if value <= 0:
-            _fail(name, "must be positive")
+    node_count = tolerances.get("node_count", DEFAULT_QUADRATURE.node_count)
+    node_count = _as_int("tolerances.node_count", node_count, minimum=2, maximum=MAX_NODE_COUNT)
+    positive = {}
+    for key, default in defaults.items():
+        positive[key] = _as_number(f"tolerances.{key}", tolerances.get(key, default))
+        if positive[key] <= 0:
+            _fail(f"tolerances.{key}", "must be positive")
 
     k_max = _as_int("k_max", document.get("k_max", 12), minimum=1)
     mode_span = max(
@@ -196,8 +193,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "N" not in document:
         _fail("N", "required field is missing")
     n_value = _as_int("N", document.get("N"), minimum=1, maximum=MAX_TRUNCATION)
-    if n_value < k_max + j_max + 2:
-        _fail("N", f"must satisfy N >= k_max + j_max + 2 = {k_max + j_max + 2}, got {n_value}")
 
     assert_commutation = document.get("assert_commutation", True)
     if not isinstance(assert_commutation, bool):
@@ -220,8 +215,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     quad = QuadratureSpec.for_exponent(
         2.0 * max(s_values) + 2.0 * (k_max + j_max + 2),
         node_count=node_count,
-        abs_tol=quad_abs,
-        rel_tol=quad_rel,
+        abs_tol=positive["quad_abs"],
+        rel_tol=positive["quad_rel"],
     )
     return ExperimentConfig(
         s_values=s_values,
@@ -231,9 +226,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         k_max=k_max,
         j_max=j_max,
         quad=quad,
-        verdict_multiplier=multiplier,
+        verdict_multiplier=positive["verdict_multiplier"],
         assert_commutation=assert_commutation,
         out_dir=out_dir,
         formats=tuple(formats),
-        drop_floor=drop_floor,
+        drop_floor=positive["drop_floor"],
     )

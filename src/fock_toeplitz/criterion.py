@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 DEFAULT_VERDICT_MULTIPLIER = 3.0
+# reports store Psi raw, so a Psi column beyond double range is refused by cell
+_PSI_OVERFLOW = "Psi_{j}(k+s) at k={}, s={s:g} overflows double range"
 
 
 def _h_column(
@@ -71,22 +73,14 @@ def _h_column(
     """H(m + s) = M[u G_s](2m + 2) / Gamma(m + s + 1) at the points ``m``,
     with errors: u's diagonal column scaled so that Phi_j(k) = H(k) - H(k+j).
     A :class:`DomainError` names the first m where H leaves double range."""
-    h, h_err = _transform_column(u, 0, m, s, quad, "u", log_gamma_array(m + s + 1.0))
-    finite = np.isfinite(h) & np.isfinite(h_err)
-    if not finite.all():
-        where = f"m={m[np.argmin(finite)]:g}, s={s:g}"
-        raise DomainError(f"H(m+s) = M[u G_s](2m+2) / Gamma(m+s+1) at {where} leaves double range")
-    return h, h_err
+    overflow = "H(m+s) = M[u G_s](2m+2) / Gamma(m+s+1) at m={:g}, s={s:g} leaves double range"
+    return _transform_column(u, 0, m, s, quad, "u", overflow, log_gamma_array(m + s + 1.0))
 
 
-def _refuse_overflow(j: int, k: np.ndarray, s: float, psi_ok: np.ndarray, product_ok: np.ndarray):
-    """Raise a :class:`DomainError` for the first k whose Psi, or else whose
-    product, leaves double range: reports store both raw."""
-    ok = psi_ok & product_ok
-    if not ok.all():
-        first = int(np.argmin(ok))
-        factor = f"Phi_{j} * Psi_{j}" if psi_ok[first] else f"Psi_{j}"
-        raise DomainError(f"{factor}(k+s) at k={k[first]}, s={s:g} overflows double range")
+def _commutes(window_residual: float, comm: TruncatedOperator, multiplier: float) -> bool:
+    """The commutation test: the window residual is at most ``multiplier``
+    times the entry error, floored at 1e-10."""
+    return bool(window_residual <= max(multiplier * comm.entry_error, 1e-10))
 
 
 def _check_cell(j, k) -> None:
@@ -130,11 +124,9 @@ def psi(
     with its propagated absolute error estimate.  Psi is Gamma-sized; a
     :class:`DomainError` names the cell where it leaves double range."""
     _check_cell(j, k)
-    sv = order_value(s)
-    j, k = int(j), np.array([int(k)])
-    value, error = _transform_column(v_j, j, k, sv, quad, "v")
-    finite = np.isfinite(value) & np.isfinite(error)
-    _refuse_overflow(j, k, sv, finite, finite)
+    value, error = _transform_column(
+        v_j, int(j), np.array([int(k)]), order_value(s), quad, "v", _PSI_OVERFLOW
+    )
     return complex(value[0]), float(error[0])
 
 
@@ -280,13 +272,15 @@ def _require_window(N: int, k_max: int, band: int) -> None:
 
 
 def _cells(
-    u: RadialProfile, v: SymbolSpec, s: float, N: int, k_max: int, quad: QuadratureSpec
+    u: RadialProfile, v: SymbolSpec, s: float, N: int, k_max: int, quad: QuadratureSpec,
+    multiplier: float,
 ) -> tuple[dict[tuple[int, int], Cell], TruncatedOperator]:
     """Build T_u, T_v and their commutator once, then every cell with k <= k_max,
     one mode at a time.
 
     Each cell is cross-checked against C[k+j, k]; the closed side is
-    -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
+    -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)); the
+    residual is zero where both sides are below ``multiplier`` times the errors.
     """
     op_u = toeplitz_matrix(SymbolSpec.from_modes({0: u}, name="u"), s, N, quad)
     comm = commutator(op_u, toeplitz_matrix(v, s, N, quad))
@@ -299,18 +293,20 @@ def _cells(
             phis, phi_err = np.zeros(k.size, dtype=complex), np.zeros(k.size)
         else:
             phis, phi_err = h[k] - h[k + j], h_err[k] + h_err[k + j]
-        psis, psi_err = _transform_column(profile, j, k, s, quad, v.name)
+        psis, psi_err = _transform_column(profile, j, k, s, quad, v.name, _PSI_OVERFLOW)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             product = phis * psis
             product_err = np.abs(phis) * psi_err + np.abs(psis) * phi_err + phi_err * psi_err
-            psi_ok = np.isfinite(psis) & np.isfinite(psi_err)
-            _refuse_overflow(j, k, s, psi_ok, np.isfinite(product) & np.isfinite(product_err))
+            ok = np.isfinite(product) & np.isfinite(product_err)
+            if not ok.all():
+                where = f"k={k[np.argmin(ok)]}, s={s:g}"
+                raise DomainError(f"Phi_{j} * Psi_{j}(k+s) at {where} overflows double range")
             scale = (2.0 * math.pi) ** 2 * np.exp(-0.5 * (log_norms[k] + log_norms[k + j]))
             formula = -scale * phis * psis
             entry = comm.diagonals.get(j, np.zeros(N))[k - max(0, -j)]
             denominator = np.maximum(np.abs(formula), np.abs(entry))
             residual = np.abs(entry - formula) / denominator
-        below = denominator <= 3.0 * (scale * product_err + comm.entry_error) + 1e-300
+        below = denominator <= multiplier * (scale * product_err + comm.entry_error) + 1e-300
         residual[below | (j == 0)] = 0.0
         columns = (k, phis, phi_err, psis, psi_err, residual)
         for key, *fields in zip(*(column.tolist() for column in columns)):
@@ -339,7 +335,7 @@ def commutator_cross_check(
     if k_max is None:
         k_max = max(N - 2 * band - 1, 0)
     _require_window(N, k_max, band)
-    cells, _ = _cells(u, v, order_value(s), N, int(k_max), quad)
+    cells, _ = _cells(u, v, order_value(s), N, int(k_max), quad, DEFAULT_VERDICT_MULTIPLIER)
     return {key: cell.matrix_residual for key, cell in cells.items()}
 
 
@@ -377,10 +373,9 @@ def functional_equation_residuals(
     if N is None:
         N = k_max + 2 * v.max_mode + 2
     _require_window(N, k_max, v.max_mode)
-    cells, comm = _cells(u, v, sv, N, k_max, quad)
+    cells, comm = _cells(u, v, sv, N, k_max, quad, verdict_multiplier)
     window_residual = window_max_abs(comm, comm.exactness_window)
-    floor = max(verdict_multiplier * comm.entry_error, 1e-10)
-    in_force = assert_commutation or window_residual <= floor
+    in_force = assert_commutation or _commutes(window_residual, comm, verdict_multiplier)
     return CriterionReport(
         s=sv,
         k_max=k_max,

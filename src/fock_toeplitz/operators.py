@@ -145,15 +145,17 @@ def _transform_column(
     s: float,
     quad: QuadratureSpec,
     name: str,
+    overflow: str,
     log_divisor: "float | np.ndarray" = 0.0,
     factor: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """factor * M[profile G_s](2m + j + 2) / exp(log_divisor), the transforms
     behind the entries (m + j, m), with their absolute errors.  This is the
     one reader of the table's (log_scale, value, error) columns: log_scale is
-    added to -log_divisor before anything is exponentiated.  A value or
-    error beyond double range comes back infinite or nan, for the caller to
-    refuse by name.
+    added to -log_divisor before anything is exponentiated.  The first m
+    whose value or error leaves double range is refused with a
+    :class:`DomainError` whose message is ``overflow.format(m, name=name,
+    j=j, s=s)``.
 
     Both profile kinds are read from the shared transform table, so a
     rebuild, or a criterion column that is a prefix of a diagonal built at
@@ -171,7 +173,11 @@ def _transform_column(
         ) from exc
     with np.errstate(over="ignore", invalid="ignore"):
         scale = factor * np.exp(log_scale - log_divisor)
-        return values * scale, errors * scale
+        values, errors = values * scale, errors * scale
+    finite = np.isfinite(values) & np.isfinite(errors)
+    if not finite.all():
+        raise DomainError(overflow.format(m[np.argmin(finite)], name=name, j=j, s=s))
+    return values, errors
 
 
 def _diagonal(
@@ -186,15 +192,9 @@ def _diagonal(
     """Entries <T e_m, e_{m+j}> of one mode at the columns ``m``, with their
     absolute errors; a :class:`DomainError` names the first column whose
     entry or error leaves double range."""
+    overflow = "entry of symbol {name!r} at mode j={j}, column m={} leaves double range"
     log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
-    values, errors = _transform_column(profile, j, m, s, quad, name, log_divisor, 2.0 * math.pi)
-    finite = np.isfinite(values) & np.isfinite(errors)
-    if not finite.all():
-        raise DomainError(
-            f"entry of symbol {name!r} at mode j={j}, column m={m[np.argmin(finite)]} "
-            "leaves double range"
-        )
-    return values, errors
+    return _transform_column(profile, j, m, s, quad, name, overflow, log_divisor, 2.0 * math.pi)
 
 
 def toeplitz_matrix(

@@ -143,11 +143,12 @@ class QuadratureSpec:
         cls,
         alpha_max: float,
         *,
-        node_count: int = 48,
-        abs_tol: float = 1e-13,
-        rel_tol: float = 1e-11,
+        node_count: int = node_count,
+        abs_tol: float = abs_tol,
+        rel_tol: float = rel_tol,
     ) -> "QuadratureSpec":
-        """Spec whose truncation radius covers exponents up to ``alpha_max``."""
+        """Spec whose truncation radius covers exponents up to ``alpha_max``;
+        the other controls default to the fields' defaults above."""
         return cls(node_count, float(tail_radius(alpha_max, abs_tol)), abs_tol, rel_tol)
 
 

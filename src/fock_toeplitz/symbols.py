@@ -167,19 +167,6 @@ class RadialProfile:
             evaluator=lambda r, _f=inner: np.conjugate(_f(r)),
         )
 
-    def scaled(self, factor: complex) -> "RadialProfile":
-        """factor * v, preserving growth metadata."""
-        if self.evaluator is None:
-            return RadialProfile.gaussian_terms([(factor * c, p, b) for c, p, b in self.terms])
-        if factor == 0:
-            return RadialProfile.zero()
-        inner = self
-        return RadialProfile(
-            self.growth_exponent,
-            self.growth_constant * abs(factor),
-            evaluator=lambda r, _f=inner, _a=factor: _a * np.asarray(_f(r)),
-        )
-
 
 def _fit_exponent_on_samples(radii: np.ndarray, magnitudes: np.ndarray):
     """Smallest ladder exponent consistent with the measured growth rate.

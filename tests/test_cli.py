@@ -265,8 +265,8 @@ output: {directory: OUT}
         assert "radial" in capsys.readouterr().err
 
     def test_undersized_truncation_exits_2(self, tmp_path, capsys):
-        # load_config accepts N = k_max + j_max + 2 = 14, but cross-checking
-        # every cell needs N >= k_max + 2*max|j| + 1 = 15 for the j = 2 mode
+        # cross-checking every cell needs N >= k_max + 2*max|j| + 1 = 15 for
+        # the j = 2 mode
         text = (
             CONFIG_PAIR.format(s=0.0, N=14, k_max=10, out=tmp_path / "out")
             .replace("j: 1, kind: monomial, power: 1", "j: 2, kind: monomial, power: 2")
@@ -276,6 +276,15 @@ output: {directory: OUT}
         assert main(["criterion", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "N = 14" in err and "k_max = 10" in err and "max|j| = 2" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_below_default_k_max_exits_2_naming_the_window(self, tmp_path, capsys):
+        # the default k_max = 12 with j = 1 needs N >= 12 + 2*1 + 1 = 15
+        text = CONFIG_PAIR.format(s=0.0, N=8, k_max=1, out=tmp_path / "out")
+        config = write(tmp_path, "c.yaml", text.replace("k_max: 1\n", ""))
+        assert main(["criterion", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "N = 8" in err and "k_max = 12" in err and "max|j| = 1" in err
         assert not (tmp_path / "out").exists()
 
     def test_n_above_cap_exits_2(self, tmp_path, capsys):
@@ -416,6 +425,43 @@ output:
         config = self.config(tmp_path, j_max=2)
         assert main(["decompose", "--config", str(config), "--samples", str(bad), "--quiet"]) == 2
 
+    @pytest.mark.parametrize(
+        "case, needle",
+        [
+            ("repeated row", "repeats line 39"),
+            ("nan radius", "r=nan must be finite and >= 0"),
+            ("infinite radius", "r=inf must be finite and >= 0"),
+            ("negative radius", "r=-0.5 must be finite and >= 0"),
+            ("nan value", "theta, re and im must be finite"),
+            ("infinite value", "theta, re and im must be finite"),
+        ],
+    )
+    def test_bad_sample_rows_exit_2_naming_the_line(self, tmp_path, capsys, case, needle):
+        # line 2 + 12 i + m holds radius i at angle 2 pi m / 12
+        spec = SymbolSpec.from_modes({1: RadialProfile.polynomial([0.0, 0.5])})
+        samples = self.sample_csv(tmp_path, spec, np.linspace(0.05, 6.0, 50), 12)
+        lines = samples.read_text().splitlines()
+        bad_line = 2 + 12 * 3 + 2
+        if case == "repeated row":
+            # radius 3 gets angle 1 twice and angle 2 never
+            lines[bad_line - 1] = lines[bad_line - 2]
+        elif case.endswith("radius"):
+            radius = {"nan": "nan", "infinite": "inf", "negative": "-0.5"}[case.split()[0]]
+            bad_line = len(lines) + 1
+            lines += [radius + line[line.index(","):] for line in lines[1:13]]
+        else:
+            r, theta, _, im = lines[bad_line - 1].split(",")
+            value = "nan" if case == "nan value" else "-inf"
+            lines[bad_line - 1] = ",".join([r, theta, value, im])
+        samples.write_text("\n".join(lines) + "\n")
+        config = self.config(tmp_path, j_max=2)
+        assert main(
+            ["decompose", "--config", str(config), "--samples", str(samples), "--quiet"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"samples {samples}:{bad_line}: " in err and needle in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExitCodes:
     def test_runtime_domain_error_exits_1(self, tmp_path, capsys):
@@ -494,3 +540,125 @@ def test_cli_run_leaves_out_numpy_ma(tmp_path, command):
     )
     assert done.stdout.strip() == "0 False"
     assert any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("command", ["matrix", "commutator"])
+def test_n_below_default_k_max_builds(tmp_path, command):
+    # only criterion reads k_max, so N = 8 with the default k_max = 12 builds
+    text = CONFIG_PAIR.format(s=0.0, N=8, k_max=1, out=tmp_path / "out")
+    config = write(tmp_path, "c.yaml", text.replace("k_max: 1\n", ""))
+    assert main([command, "--config", str(config), "--quiet", "--format", "json"]) == 0
+    name = "matrix_u_s0.json" if command == "matrix" else "commutator_s0.json"
+    assert json.loads((tmp_path / "out" / name).read_text())["N"] == 8
+
+
+CONFIG_BASE = """\
+s_values: [0.0]
+u:
+  name: one
+  modes:
+    - {j: 0, kind: monomial, power: 0}
+N: 4
+k_max: 1
+j_max: 1
+"""
+MODE = "{j: 0, kind: monomial, power: 0}"
+
+
+@pytest.mark.parametrize(
+    "old, new, needle",
+    [
+        ("N: 4", "N: four", "'N': expected a number"),
+        ("N: 4", "N: true", "'N': expected a number"),
+        ("N: 4", "N: 4.5", "'N': expected an integer"),
+        ("N: 4", "N: 0", "'N': must be >= 1"),
+        ("s_values: [0.0]", "s_values: [.nan]", "'s_values[0]': must be finite"),
+        ("s_values: [0.0]", "s_values: [-1.0]", "'s_values[0]': must be >= 0.0"),
+        ("s_values: [0.0]", "s_values: []", "'s_values': expected a nonempty list"),
+        ("k_max: 1", "k_max: 0", "'k_max': must be >= 1"),
+        ("j_max: 1", "j_max: 0", "'j_max': must be >= 1"),
+        (MODE, "{j: 0, kind: exp_decay, rate: 0}", "'u.modes[0].rate': must be positive"),
+        (MODE, "{j: 0, kind: gauss_decay, rate: -1.0}", "'u.modes[0].rate': must be positive"),
+        (MODE, "{j: 0, kind: bessel}", "'u.modes[0].kind': unknown profile kind 'bessel'"),
+        (MODE, "{j: 0, kind: monomial, power: -1}", "'u.modes[0].power': must be >= 0.0"),
+        (MODE, "{j: 0, kind: polynomial, coefficients: []}", "'u.modes[0].coefficients'"),
+        (MODE, "{j: 0, kind: polynomial, coefficients: [[1, 2, 3]]}", "coefficients[0]': expected"),
+        (MODE, "{j: 0, kind: polynomial, coefficients: [[1, .inf]]}", "[0][1]': must be finite"),
+        (MODE, "{j: x, kind: zero}", "'u.modes[0].j': expected a number"),
+        (MODE, "5", "'u.modes[0]': expected a mapping"),
+        ("  modes:\n    - " + MODE, "  modes: []", "'u.modes': expected a nonempty list"),
+        (MODE, MODE + "\n    - {j: 0, kind: zero}", "'u.modes[1].j': duplicate mode j=0"),
+        ("", "v: [1, 2]\n", "'v': expected a mapping"),
+        ("N: 4", "N: [4", "is not valid YAML"),
+        (None, "- 1\n", "top level must be a mapping"),
+        ("", "tolerances: [1]\n", "'tolerances': expected a mapping"),
+        ("", "tolerances: {quad_tol: 1}\n", "'tolerances.quad_tol': unknown field"),
+        ("", "tolerances: {quad_abs: .inf}\n", "'tolerances.quad_abs': must be finite"),
+        ("", "tolerances: {quad_rel: 0}\n", "'tolerances.quad_rel': must be positive"),
+        ("", "tolerances: {verdict_multiplier: -3}\n", "'tolerances.verdict_multiplier': must be"),
+        ("", "tolerances: {drop_floor: 0}\n", "'tolerances.drop_floor': must be positive"),
+        ("", "tolerances: {node_count: 1}\n", "'tolerances.node_count': must be >= 2"),
+        ("", "assert_commutation: 'yes'\n", "'assert_commutation': expected true/false"),
+        ("", "output: 7\n", "'output': expected a mapping"),
+        ("", "output: {formats: []}\n", "'output.formats': expected a nonempty list"),
+        ("", "output: {formats: json}\n", "'output.formats': expected a nonempty list"),
+        ("", "output: {formats: [json, xml]}\n", "'output.formats[1]': must be one of"),
+    ],
+)
+def test_config_refusals_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, old, new, needle):
+    if old is None:
+        text = new
+    elif old:
+        assert old in CONFIG_BASE
+        text = CONFIG_BASE.replace(old, new)
+    else:
+        text = CONFIG_BASE + new
+    monkeypatch.chdir(tmp_path)  # the default output directory is ./out
+    config = write(tmp_path, "c.yaml", text)
+    assert main(["matrix", "--config", str(config), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_coefficient_pairs_and_zero_kind(tmp_path):
+    # u = 2i + 0.5 r^2 has eigenvalues 2i + 0.5 (s + k + 1); the zero mode adds nothing
+    modes = "{j: 0, kind: polynomial, coefficients: [[0.0, 2.0], 0, [0.5, 0]]}"
+    text = CONFIG_BASE.replace(MODE, modes + "\n    - {j: 1, kind: zero}")
+    config = write(tmp_path, "c.yaml", text + f"output: {{directory: {tmp_path / 'out'}}}\n")
+    assert main(["matrix", "--config", str(config), "--quiet"]) == 0
+    matrix = read_matrix_csv(tmp_path / "out" / "matrix_u_s0.csv")
+    expected = np.diag(2.0j + 0.5 * np.arange(1.0, 5.0))
+    np.testing.assert_allclose(matrix, expected, rtol=1e-12, atol=0.0)
+
+
+def readme_experiment_file() -> str:
+    """The YAML block under the README's "Experiment file" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Experiment file"):]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_experiment_file_runs_byte_identically_across_hash_seeds(tmp_path):
+    config = write(tmp_path, "experiment.yaml", readme_experiment_file())
+    src = str(Path(fock_toeplitz.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = tmp_path / f"out{seed}"
+        for command in ("criterion", "matrix"):
+            done = subprocess.run(
+                [sys.executable, "-m", "fock_toeplitz.cli", command, "--config", str(config),
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert done.returncode == 0, done.stderr
+            if command == "criterion":
+                verdicts = [line for line in done.stdout.splitlines() if "verdict" in line]
+                assert verdicts == [
+                    f"s={s}: verdict nonradial_mode_detected([1])" for s in ("0", "0.5", "1", "2.3")
+                ]
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(outputs[0]) == 4 * 2 + 4 * 2 * 2  # criterion and matrix (u, v), JSON and CSV
+    assert outputs[0] == outputs[1]

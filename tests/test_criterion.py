@@ -202,6 +202,36 @@ class TestFunctionalEquationResiduals:
         assert verdict.kind == "inconclusive"
         assert verdict.reason.startswith("internal inconsistency: products vanish")
 
+    def test_vanishing_nonradial_mode_is_consistent_radial(self):
+        # a j = 1 mode that is identically zero: Phi_1 is alive, Psi_1 never
+        # is, so the closing rule of the verdict applies
+        zero = RadialProfile.from_callable(lambda r: 0.0 * np.asarray(r, dtype=float), 0.0, 1.0)
+        report = functional_equation_residuals(R2, SymbolSpec.from_modes({1: zero}), 0.0, 6, QUAD)
+        assert report.verdict == criterion.Verdict("consistent_radial")
+        assert str(report.verdict) == "consistent_radial"
+
+    def test_verdict_text(self):
+        verdict = criterion.Verdict("inconclusive", reason="u constant")
+        assert str(verdict) == "inconclusive('u constant')"
+        assert str(criterion.Verdict("nonradial_mode_detected", modes=(-1, 2))) == (
+            "nonradial_mode_detected([-1, 2])"
+        )
+
+    def test_k_max_must_be_positive(self):
+        with pytest.raises(DomainError, match=r"^k_max must be a positive integer, got 0$"):
+            functional_equation_residuals(R2, Z, 0.0, 0, QUAD)
+
+    def test_matrix_residual_floor_uses_the_verdict_multiplier(self):
+        # a cell's residual is zeroed where both sides sit below the report's
+        # own multiplier times their errors: at 1e30 that is every cell
+        default = functional_equation_residuals(R2, Z2, 0.5, 6, QUAD)
+        assert any(cell.matrix_residual > 0.0 for cell in default.cells.values())
+        wide = functional_equation_residuals(R2, Z2, 0.5, 6, QUAD, verdict_multiplier=1e30)
+        assert wide.cells.keys() == default.cells.keys()
+        assert all(cell.matrix_residual == 0.0 for cell in wide.cells.values())
+        same = functional_equation_residuals(R2, Z2, 0.5, 6, QUAD, verdict_multiplier=3.0)
+        assert same.to_json() == default.to_json()
+
     def test_hypothesis_flag_off_without_observation(self):
         report = functional_equation_residuals(
             R2, Z, 0.0, 6, QUAD, assert_commutation=False
@@ -400,6 +430,9 @@ class TestPeriodicityProbe:
         # H(z) = (z+1)/(2 pi) for u = r^2, so |H(z) - H(z+1)| = 1/(2 pi)
         value, _ = periodicity_probe(R2, 0.0, 1, [0.0, 0.5, 1.0], QUAD)
         assert value == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-10)
+
+    def test_empty_grid(self):
+        assert periodicity_probe(R2, 0.0, 1, [], QUAD) == (0.0, 0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

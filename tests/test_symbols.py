@@ -69,10 +69,6 @@ class TestRadialProfile:
         p = RadialProfile.polynomial([1.0 + 2.0j])
         assert p.conjugate()(1.0) == pytest.approx(1.0 - 2.0j)
 
-    def test_scaled(self):
-        p = RadialProfile.monomial(1.0).scaled(0.5)
-        assert p(2.0) == pytest.approx(1.0)
-
     def test_gaussian_terms(self):
         # (2 + 0.5 - 1.5) r e^{-r^2/2} + 3 = r e^{-r^2/2} + 3
         p = RadialProfile.gaussian_terms(
@@ -99,12 +95,9 @@ class TestRadialProfile:
         with pytest.raises(DomainError):
             RadialProfile.gaussian_terms([bad])
 
-    def test_scaled_and_conjugate_stay_in_family(self):
+    def test_conjugate_stays_in_family(self):
         p = RadialProfile.gaussian_terms([(1.0 + 2.0j, 1.5, 0.3)])
-        assert p.scaled(2.0j).terms == (((1.0 + 2.0j) * 2.0j, 1.5, 0.3),)
         assert p.conjugate().terms == ((1.0 - 2.0j, 1.5, 0.3),)
-        assert RadialProfile.monomial(2.5).scaled(3.0).evaluator is None
-        assert p.scaled(0.0).is_zero
 
     def test_from_samples_interpolates(self):
         r = np.linspace(0.1, 10.0, 60)
