@@ -18,6 +18,13 @@ band cannot be represented.  A product of operators with diagonal sets A
 and B is O(N |A| |B|) slice products; Berezin transforms, window maxima and
 the exporters read the diagonals too, and only ``entries``, a lazy dense
 view, costs N^2.  Operators are immutable after construction.
+
+Each assembled mode diagonal is memoized by ``_diagonal``, a bounded
+``functools.lru_cache`` keyed by (profile, j, s, N, quadrature spec, symbol
+name) and holding read-only (values, errors) arrays: a rebuild reads
+neither the transform table nor quadrature, so ``TRANSFORMS.info()`` does
+not count it, and the memo's own counters are ``_diagonal.cache_info()``.
+A refusal is raised again on every call, never stored.
 """
 
 from __future__ import annotations
@@ -56,6 +63,10 @@ __all__ = [
 # profiles: their raw quadrature value overflows once (2m+j+2+2s)/2 passes
 # about 172.  With exp(-1.3 r), N=160 fails from s=12; at s=0, from N=174.
 MAX_TRUNCATION = 160
+# Assembled diagonals that _diagonal keeps for rebuilds.  An entry is at most
+# N = 160 complex values and their errors, 3.8 KB, so the memo holds at most
+# about 1 MB.
+_MAX_MEMO_DIAGONALS = 256
 # Berezin transforms need the kernel coefficients beyond the truncation,
 # |z|^(2N) / Gamma(s+N+1), below this; min_truncation_size searches for it.
 _KERNEL_TAIL_TOL = 1e-12
@@ -114,6 +125,15 @@ class TruncatedOperator:
         matrix.setflags(write=False)
         return matrix
 
+    @cached_property
+    def _entry_reprs(self) -> dict[int, tuple[list[str], list[str]]]:
+        """repr of the real and the imaginary part of each stored entry, by
+        diagonal, made once for both exporters."""
+        return {
+            d: (list(map(repr, values.real.tolist())), list(map(repr, values.imag.tolist())))
+            for d, values in self.diagonals.items()
+        }
+
     @property
     def exactness_window(self) -> int:
         return self.size - 1 - self.exact_band
@@ -158,9 +178,9 @@ def _transform_column(
     j=j, s=s)``.
 
     Both profile kinds are read from the shared transform table, so a
-    rebuild, or a criterion column that is a prefix of a diagonal built at
-    the same s, is an index read.  The first failing entry is re-raised as
-    an :class:`AccuracyError` naming (j, m).
+    criterion column that is a prefix of a diagonal built at the same s is
+    an index read.  The first failing entry is re-raised as an
+    :class:`AccuracyError` naming (j, m).
     """
     log_scale, values, errors, failures = TRANSFORMS.column(profile, s, 2.0 * m + j + 2, quad)
     if failures:
@@ -180,21 +200,23 @@ def _transform_column(
     return values, errors
 
 
+@lru_cache(maxsize=_MAX_MEMO_DIAGONALS)
 def _diagonal(
-    profile: RadialProfile,
-    j: int,
-    m: np.ndarray,
-    s: float,
-    log_norms: np.ndarray,
-    quad: QuadratureSpec,
-    name: str,
+    profile: RadialProfile, j: int, s: float, N: int, quad: QuadratureSpec, name: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Entries <T e_m, e_{m+j}> of one mode at the columns ``m``, with their
-    absolute errors; a :class:`DomainError` names the first column whose
-    entry or error leaves double range."""
+    """Entries <T e_m, e_{m+j}> of one mode at its columns m in the N x N
+    block, with their absolute errors, as read-only arrays; a
+    :class:`DomainError` names the first column whose entry or error leaves
+    double range.  Memoized: a rebuild reads neither the transform table
+    nor quadrature, and a refusal is raised again, never stored."""
+    m = np.arange(max(0, -j), N - max(0, j))
+    log_norms = _basis_log_norms(s, N)
     overflow = "entry of symbol {name!r} at mode j={j}, column m={} leaves double range"
     log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
-    return _transform_column(profile, j, m, s, quad, name, overflow, log_divisor, 2.0 * math.pi)
+    diagonal = _transform_column(profile, j, m, s, quad, name, overflow, log_divisor, 2.0 * math.pi)
+    for array in diagonal:
+        array.setflags(write=False)
+    return diagonal
 
 
 def toeplitz_matrix(
@@ -213,13 +235,11 @@ def toeplitz_matrix(
     """
     sv = order_value(s)
     N = _truncation(N)
-    log_norms = _basis_log_norms(sv, N)
     diagonals = {}
     worst_error = 0.0
     for j, profile in spec.mode_items:
-        m = np.arange(max(0, -j), N - max(0, j))
-        if m.size:
-            diagonals[j], errors = _diagonal(profile, j, m, sv, log_norms, quad, spec.name)
+        if abs(j) < N:
+            diagonals[j], errors = _diagonal(profile, j, sv, N, quad, spec.name)
             worst_error = max(worst_error, float(np.max(errors)))
     return TruncatedOperator(diagonals, N, sv, spec.max_mode, spec.name, worst_error)
 
@@ -237,7 +257,7 @@ def radial_eigenvalues(
     """
     sv = order_value(s)
     N = _truncation(N)
-    return _diagonal(v0, 0, np.arange(N), sv, _basis_log_norms(sv, N), quad, "radial")[0]
+    return _diagonal(v0, 0, sv, N, quad, "radial")[0].copy()
 
 
 def _propagated_product_error(a: TruncatedOperator, b: TruncatedOperator) -> float:
@@ -302,21 +322,27 @@ def berezin(a: TruncatedOperator, z: complex) -> complex:
 
     Valid when the kernel coefficients beyond the truncation are negligible
     at z, i.e. |z|^(2N) / Gamma(s+N+1) <= 1e-12; otherwise a
-    :class:`DomainError` asks for a larger truncation.
+    :class:`DomainError` asks for a larger truncation.  At z = 0 it is
+    A[0, 0].
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Berezin point z must be finite, got {z!r}")
+    if z == 0.0:
+        first = a.diagonals.get(0)
+        return 0j if first is None else complex(first[0])
     n = a.size
-    if abs(z) > 0.0:
-        indicator = _kernel_tail_log(abs(z), a.s, n)
-        if indicator > math.log(_KERNEL_TAIL_TOL):
-            raise DomainError(
-                f"kernel tail indicator exp({indicator:.2f}) exceeds {_KERNEL_TAIL_TOL:g} at "
-                f"|z| = {abs(z):g}; increase the truncation size beyond N = {n}"
-            )
-    log_norms = _basis_log_norms(a.s, n)
-    coeff = z.conjugate() ** np.arange(n) * np.exp(-0.5 * log_norms)
+    indicator = _kernel_tail_log(abs(z), a.s, n)
+    if indicator > math.log(_KERNEL_TAIL_TOL):
+        raise DomainError(
+            f"kernel tail indicator exp({indicator:.2f}) exceeds {_KERNEL_TAIL_TOL:g} at "
+            f"|z| = {abs(z):g}; increase the truncation size beyond N = {n}"
+        )
+    # the coefficients conj(z)^k / sqrt(Gamma(s+k+1)), scaled by their largest
+    # magnitude, which the ratio does not see; unscaled they underflow by s = 200
+    k = np.arange(n)
+    log_abs = k * math.log(abs(z)) - 0.5 * _basis_log_norms(a.s, n)
+    coeff = (z.conjugate() / abs(z)) ** k * np.exp(log_abs - np.max(log_abs))
     numerator = 0j
     for d, values in a.diagonals.items():
         rows, columns = coeff[max(0, d) : n + min(0, d)], coeff[max(0, -d) : n - max(0, d)]
@@ -353,9 +379,10 @@ def min_truncation_size(max_abs_z: float, s: "float | SobolevOrder") -> int:
     )
 
 
-# A line is a head naming (row, col) and a tail holding the entry's parts.
-_CSV_LINE = ("{},{}", ",{!r},{!r}\n")
-_JSON_ITEM = ("    [\n      {},\n      {}", ",\n      {!r},\n      {!r}\n    ],\n")
+# A line is a head naming (row, col) and a tail holding the reprs of the
+# entry's parts (str and repr of a float agree).
+_CSV_LINE = ("{},{}", ",{},{}\n")
+_JSON_ITEM = ("    [\n      {},\n      {}", ",\n      {},\n      {}\n    ],\n")
 
 
 @lru_cache(maxsize=8)
@@ -375,14 +402,15 @@ def _zero_row(line: tuple[str, str], width: int, tag: str) -> str:
 
 def _entry_lines(a: TruncatedOperator, line: tuple[str, str], head: str) -> list[str]:
     """``head``, then every entry of ``a`` in row-major order as one ``line``
-    each, as pieces to join.  Only the stored entries are formatted, each
-    with repr; every other byte is cut from the row's cached zero lines."""
+    each, as pieces to join.  Only the stored entries are formatted, from
+    their cached reprs; every other byte is cut from the row's cached zero
+    lines."""
     n, width, tail = a.size, max(a.size, MAX_TRUNCATION), line[1]
     zero_tail = len(tail.format(0.0, 0.0))
     # descending d visits each row's stored entries in ascending column order
     bands = [
-        (d, max(0, -d), list(map(tail.format, values.real.tolist(), values.imag.tolist())))
-        for d, values in sorted(a.diagonals.items(), reverse=True)
+        (d, max(0, -d), list(map(tail.format, *a._entry_reprs[d])))
+        for d in sorted(a.diagonals, reverse=True)
     ]
     parts = [head]
     for row, tag in enumerate(map(str, range(n))):

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fock_toeplitz import operators
 from fock_toeplitz.errors import AccuracyError, DomainError, PreconditionError
 from fock_toeplitz.operators import (
     TruncatedOperator,
@@ -22,7 +23,7 @@ from fock_toeplitz.operators import (
     toeplitz_matrix,
     window_max_abs,
 )
-from fock_toeplitz.special_functions import QuadratureSpec, log_gamma
+from fock_toeplitz.special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec, evaluate
 
 QUAD = QuadratureSpec.for_exponent(80.0)
@@ -45,6 +46,18 @@ EXP_DECAY = SymbolSpec.from_modes(
     name="exp_decay",
 )
 
+# family modes of every shape beside an evaluator mode
+MIXED = SymbolSpec.from_modes(
+    {
+        0: RadialProfile.polynomial([1.0, -0.5, 0.25]),
+        1: RadialProfile.from_callable(
+            lambda r: np.exp(-np.asarray(r, dtype=float)), growth_exponent=0.0, growth_constant=1.0
+        ),
+        2: RadialProfile.monomial(1.5),
+        -3: RadialProfile.gaussian_terms([(0.8, 2.0, 0.5), (-0.3j, 0.0, 1.2)]),
+    },
+    name="mixed",
+)
 
 ORACLE_ANGLES = 2.0 * math.pi * np.arange(64) / 64
 ORACLE_RADII = np.linspace(1e-9, 10.0, 3_001)
@@ -128,9 +141,14 @@ class TestToeplitzMatrix:
             },
             name="decay",
         )
-        with pytest.raises(AccuracyError, match="j=0, column m=159") as info:
-            toeplitz_matrix(decay, 12.0, 160)
-        assert info.value.estimate == math.inf
+        messages = []
+        for _ in range(2):  # the diagonal memo never stores a failure
+            with pytest.raises(AccuracyError, match="j=0, column m=159") as info:
+                toeplitz_matrix(decay, 12.0, 160)
+            assert info.value.estimate == math.inf
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert operators._diagonal.cache_info().currsize == 0
 
     def test_failure_set_is_pinned(self):
         # exp(-1.3 r) at j=2 on N x s: the builds that fail and the column
@@ -215,6 +233,43 @@ class TestRadialEigenvalues:
         np.testing.assert_allclose(np.diagonal(op.entries), values, rtol=1e-10)
 
 
+class TestDiagonalMemo:
+    def test_rebuild_is_bit_identical(self):
+        first = toeplitz_matrix(MIXED, 2.7, 40)
+        assert operators._diagonal.cache_info().currsize == 4
+        again = toeplitz_matrix(MIXED, 2.7, 40)
+        assert operators._diagonal.cache_info().hits == 4
+        assert again is not first
+        assert again.entries.tobytes() == first.entries.tobytes()
+        assert (again.entry_error, again.label) == (first.entry_error, first.label)
+
+    def test_memo_arrays_are_read_only(self):
+        op = toeplitz_matrix(MIXED, 1.0, 12)
+        for j, profile in MIXED.mode_items:
+            for array in operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, "mixed"):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+        assert not op.diagonals[2].flags.writeable
+
+    def test_eigenvalues_are_a_writable_copy(self):
+        first = radial_eigenvalues(ABS2.mode(0), 0.5, 8)
+        expected = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(radial_eigenvalues(ABS2.mode(0), 0.5, 8), expected)
+        assert np.array_equal(toeplitz_matrix(ABS2, 0.5, 8).diagonals[0], expected)
+
+
+@pytest.mark.parametrize("s, k", [(3.0, 3), (2.7, 2), (5.25, 1), (12.5, 4)])
+def test_order_shift_is_exact(s, k):
+    # z^k maps order s - k isometrically onto order s: every transform depends
+    # on zeta + 2s alone and every basis norm on s + m alone
+    for memo in ("cold", "warm"):
+        high = toeplitz_matrix(MIXED, s, 40)
+        low = toeplitz_matrix(MIXED, s - k, 40 + k)
+        assert high.entries.tobytes() == low.entries[k:, k:].tobytes(), memo
+
+
 class TestCommutator:
     def test_self_commutator_vanishes(self):
         op = toeplitz_matrix(Z, 0.0, 6, QUAD)
@@ -265,9 +320,10 @@ class TestBerezin:
         zero = TruncatedOperator({}, 16, 0.5, 0, "zero")
         assert berezin(zero, 0.7j) == 0.0
 
-    @pytest.mark.parametrize("s", [0.0, 1.5])
+    @pytest.mark.parametrize("s", [0.0, 1.5, 300.0])
     def test_origin_picks_first_eigenvalue(self, s):
         op = toeplitz_matrix(ABS2, s, 8, QUAD)
+        assert berezin(op, 0.0) == op.diagonals[0][0]
         assert berezin(op, 0.0) == pytest.approx(s + 1.0, rel=1e-11)
 
     def test_tail_precondition(self):
