@@ -17,14 +17,18 @@ An operator is stored as its diagonals, so an entry outside the declared
 band cannot be represented.  A product of operators with diagonal sets A
 and B is O(N |A| |B|) slice products; Berezin transforms, window maxima and
 the exporters read the diagonals too, and only ``entries``, a lazy dense
-view, costs N^2.  Operators are immutable after construction.
+view, costs N^2.  A Berezin transform weighs each diagonal d by real kernel
+magnitudes and one scalar phase (z/|z|)^d.  Operators are immutable after
+construction, so the largest entry magnitude, which bounds the error of
+every product, is found once per operator (``max_abs``).
 
 Each assembled mode diagonal is memoized by ``_diagonal``, a bounded
-``functools.lru_cache`` keyed by (profile, j, s, N, quadrature spec, symbol
-name) and holding read-only (values, errors) arrays: a rebuild reads
-neither the transform table nor quadrature, so ``TRANSFORMS.info()`` does
-not count it, and the memo's own counters are ``_diagonal.cache_info()``.
-A refusal is raised again on every call, never stored.
+``functools.lru_cache`` keyed by (profile, j, s, N, quadrature spec), not by
+symbol name, and holding the read-only values and their largest absolute
+error: a rebuild reads neither the transform table nor quadrature, so
+``TRANSFORMS.info()`` does not count it, and the memo's own counters are
+``_diagonal.cache_info()``.  A refusal is raised again on every call, never
+stored, and names the symbol of that call.
 """
 
 from __future__ import annotations
@@ -64,8 +68,7 @@ __all__ = [
 # about 172.  With exp(-1.3 r), N=160 fails from s=12; at s=0, from N=174.
 MAX_TRUNCATION = 160
 # Assembled diagonals that _diagonal keeps for rebuilds.  An entry is at most
-# N = 160 complex values and their errors, 3.8 KB, so the memo holds at most
-# about 1 MB.
+# N = 160 complex values, 2.6 KB, so the memo holds at most about 0.7 MB.
 _MAX_MEMO_DIAGONALS = 256
 # Berezin transforms need the kernel coefficients beyond the truncation,
 # |z|^(2N) / Gamma(s+N+1), below this; min_truncation_size searches for it.
@@ -95,22 +98,32 @@ class TruncatedOperator:
     entry_error: float = 0.0
 
     def __post_init__(self):
-        n = self.size
+        n, band, error = self.size, self.exact_band, self.entry_error
+        op = f"operator {self.label!r}"
         if not is_integer(n) or n < 1:
-            raise DomainError(f"operator {self.label!r}: size must be an integer >= 1, got {n!r}")
+            raise DomainError(f"{op}: size must be an integer >= 1, got {n!r}")
+        if not (math.isfinite(self.s) and self.s >= 0.0):
+            raise DomainError(f"{op}: s must be finite and >= 0, got {self.s!r}")
+        if not is_integer(band) or band < 0:
+            raise DomainError(f"{op}: exact_band must be an integer >= 0, got {band!r}")
+        if not error >= 0.0:  # nan fails too; an infinite bound stands
+            raise DomainError(f"{op}: entry_error must be >= 0, got {error!r}")
+        for d in self.diagonals:
+            if not is_integer(d):
+                raise DomainError(f"{op}: diagonal key {d!r} is not an integer")
         diagonals = {}
         for d in sorted(self.diagonals):
             # a read-only view: the caller's array keeps its own flags
             values = np.asarray(self.diagonals[d], dtype=complex).view()
-            where = f"operator {self.label!r}: diagonal d={d}"
-            if abs(d) > self.exact_band:
-                raise DomainError(f"{where} lies outside declared band {self.exact_band}")
+            where = f"{op}: diagonal d={d}"
+            if abs(d) > band:
+                raise DomainError(f"{where} lies outside declared band {band}")
             if abs(d) >= n or values.shape != (n - abs(d),):
                 need = f"N={n} needs shape ({max(n - abs(d), 0)},)"
                 raise DomainError(f"{where} at {need}, got {values.shape}")
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise DomainError(f"{where}: entry at column m={bad[0] + max(0, -d)} is not finite")
+            if not np.isfinite(values).all():
+                m = np.argmin(np.isfinite(values)) + max(0, -d)
+                raise DomainError(f"{where}: entry at column m={m} is not finite")
             values.setflags(write=False)
             diagonals[int(d)] = values
         object.__setattr__(self, "diagonals", diagonals)
@@ -133,6 +146,11 @@ class TruncatedOperator:
             d: (list(map(repr, values.real.tolist())), list(map(repr, values.imag.tolist())))
             for d, values in self.diagonals.items()
         }
+
+    @cached_property
+    def max_abs(self) -> float:
+        """Largest entry magnitude, ``window_max_abs(self, size - 1)``, found once."""
+        return _max_abs(self.diagonals.values())
 
     @property
     def exactness_window(self) -> int:
@@ -200,23 +218,35 @@ def _transform_column(
     return values, errors
 
 
+class _Unkeyed(str):
+    """A symbol name equal to every other, so that ``_diagonal``'s key leaves
+    it out while a refusal, which is never stored, still names the symbol."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+
 @lru_cache(maxsize=_MAX_MEMO_DIAGONALS)
 def _diagonal(
-    profile: RadialProfile, j: int, s: float, N: int, quad: QuadratureSpec, name: str
-) -> tuple[np.ndarray, np.ndarray]:
+    profile: RadialProfile, j: int, s: float, N: int, quad: QuadratureSpec, name: _Unkeyed
+) -> tuple[np.ndarray, float]:
     """Entries <T e_m, e_{m+j}> of one mode at its columns m in the N x N
-    block, with their absolute errors, as read-only arrays; a
+    block, as a read-only array, and the largest of their absolute errors; a
     :class:`DomainError` names the first column whose entry or error leaves
-    double range.  Memoized: a rebuild reads neither the transform table
-    nor quadrature, and a refusal is raised again, never stored."""
+    double range.  Memoized by (profile, j, s, N, quad): a rebuild reads
+    neither the transform table nor quadrature, and a refusal is raised
+    again, never stored."""
     m = np.arange(max(0, -j), N - max(0, j))
     log_norms = _basis_log_norms(s, N)
     overflow = "entry of symbol {name!r} at mode j={j}, column m={} leaves double range"
     log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
-    diagonal = _transform_column(profile, j, m, s, quad, name, overflow, log_divisor, 2.0 * math.pi)
-    for array in diagonal:
-        array.setflags(write=False)
-    return diagonal
+    factor = 2.0 * math.pi
+    values, errors = _transform_column(profile, j, m, s, quad, name, overflow, log_divisor, factor)
+    values.setflags(write=False)
+    return values, float(np.max(errors))
 
 
 def toeplitz_matrix(
@@ -237,10 +267,11 @@ def toeplitz_matrix(
     N = _truncation(N)
     diagonals = {}
     worst_error = 0.0
+    name = _Unkeyed(spec.name)
     for j, profile in spec.mode_items:
         if abs(j) < N:
-            diagonals[j], errors = _diagonal(profile, j, sv, N, quad, spec.name)
-            worst_error = max(worst_error, float(np.max(errors)))
+            diagonals[j], error = _diagonal(profile, j, sv, N, quad, name)
+            worst_error = max(worst_error, error)
     return TruncatedOperator(diagonals, N, sv, spec.max_mode, spec.name, worst_error)
 
 
@@ -257,13 +288,12 @@ def radial_eigenvalues(
     """
     sv = order_value(s)
     N = _truncation(N)
-    return _diagonal(v0, 0, sv, N, quad, "radial")[0].copy()
+    return _diagonal(v0, 0, sv, N, quad, _Unkeyed("radial"))[0].copy()
 
 
 def _propagated_product_error(a: TruncatedOperator, b: TruncatedOperator) -> float:
     width = min(a.exact_band, b.exact_band) + 1
-    scale_a, scale_b = window_max_abs(a, a.size - 1), window_max_abs(b, b.size - 1)
-    return width * (a.entry_error * scale_b + b.entry_error * scale_a)
+    return width * (a.entry_error * b.max_abs + b.entry_error * a.max_abs)
 
 
 # An overflowing product is refused by the result's constructor, which names
@@ -338,17 +368,18 @@ def berezin(a: TruncatedOperator, z: complex) -> complex:
             f"kernel tail indicator exp({indicator:.2f}) exceeds {_KERNEL_TAIL_TOL:g} at "
             f"|z| = {abs(z):g}; increase the truncation size beyond N = {n}"
         )
-    # the coefficients conj(z)^k / sqrt(Gamma(s+k+1)), scaled by their largest
-    # magnitude, which the ratio does not see; unscaled they underflow by s = 200
-    k = np.arange(n)
-    log_abs = k * math.log(abs(z)) - 0.5 * _basis_log_norms(a.s, n)
-    coeff = (z.conjugate() / abs(z)) ** k * np.exp(log_abs - np.max(log_abs))
+    # the magnitudes of the coefficients c[k] = conj(z)^k / sqrt(Gamma(s+k+1)),
+    # scaled by their largest, which the ratio does not see (unscaled they
+    # underflow by s = 200); conj(c[m+d]) c[m] = |c[m+d] c[m]| (z/|z|)^d
+    log_abs = np.arange(n) * math.log(abs(z)) - 0.5 * _basis_log_norms(a.s, n)
+    magnitude = np.exp(log_abs - log_abs.max())
+    phase = z / abs(z)
     numerator = 0j
     for d, values in a.diagonals.items():
-        rows, columns = coeff[max(0, d) : n + min(0, d)], coeff[max(0, -d) : n - max(0, d)]
-        numerator += np.vdot(rows, values * columns)
-    denominator = float(np.vdot(coeff, coeff).real)
-    # componentwise division keeps A = identity at exactly 1
+        weights = magnitude[max(0, d) : n + min(0, d)] * magnitude[max(0, -d) : n - max(0, d)]
+        numerator += phase**d * np.dot(weights, values)
+    # the d = 0 term's dot on ones and componentwise division keep A = identity at exactly 1
+    denominator = float(np.dot(magnitude * magnitude, np.ones(n, dtype=complex)).real)
     return complex(numerator.real / denominator, numerator.imag / denominator)
 
 
@@ -360,8 +391,13 @@ def window_max_abs(a: TruncatedOperator, window: int) -> float:
         )
     # the first w - |d| entries of diagonal d have both indices below w
     w = int(window) + 1
-    inside = [values[: w - abs(d)] for d, values in a.diagonals.items() if abs(d) < w]
-    return max((float(np.max(np.abs(values))) for values in inside), default=0.0)
+    if w == a.size:
+        return a.max_abs
+    return _max_abs(values[: w - abs(d)] for d, values in a.diagonals.items() if abs(d) < w)
+
+
+def _max_abs(arrays) -> float:
+    return max((float(np.abs(values).max()) for values in arrays), default=0.0)
 
 
 def min_truncation_size(max_abs_z: float, s: "float | SobolevOrder") -> int:

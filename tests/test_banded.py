@@ -70,10 +70,10 @@ def product_bound(a, b):
 
 
 @st.composite
-def banded(draw, n, s=0.0):
+def banded(draw, n, s=0.0, sides=("both", "lower", "upper", "empty")):
     band = draw(st.integers(0, n + 2))
     reach = min(band, n - 1)  # a band at or beyond N - 1 is clipped there
-    side = draw(st.sampled_from(["both", "lower", "upper", "empty"]))
+    side = draw(st.sampled_from(sides))
     low, high = {
         "both": (-reach, reach),
         "lower": (1, reach),
@@ -132,6 +132,14 @@ def test_window_max_abs_equals_dense(pair, window):
     assert window_max_abs(a, window) == dense_window_max_abs(a, window)
 
 
+@given(pairs())
+def test_max_abs_is_the_full_window_maximum_bit_for_bit(pair):
+    a, b = pair
+    # one operator reads the window first, the other the cached norm first
+    assert window_max_abs(a, a.size - 1) == a.max_abs == dense_window_max_abs(a, a.size - 1)
+    assert b.max_abs == window_max_abs(b, b.size - 1) == max_abs(b)
+
+
 @st.composite
 def kernel_points(draw):
     # N >= 16 and |z| <= 1 meet the Berezin tail precondition at any s >= 0
@@ -151,6 +159,26 @@ def test_berezin_matches_dense(point, data):
     absolute = np.abs(coeff) @ np.abs(a.entries) @ np.abs(coeff) / np.vdot(coeff, coeff).real
     bound = 2.0 * EPS * (n + len(a.diagonals) + 4) * absolute
     assert abs(berezin(a, z) - dense_berezin(a, z)) <= bound
+
+
+def assert_berezin_matches_dense(a, z):
+    coeff = kernel_coefficients(z, a.s, a.size)
+    absolute = np.abs(coeff) @ np.abs(a.entries) @ np.abs(coeff) / np.vdot(coeff, coeff).real
+    bound = 2.0 * EPS * (a.size + len(a.diagonals) + 4) * absolute
+    assert abs(berezin(a, z) - dense_berezin(a, z)) <= bound
+
+
+@given(kernel_points(), st.data())
+def test_berezin_matches_dense_above_the_diagonal(point, data):
+    # only negative d: every phase is a negative power of z / |z|
+    n, s, z = point
+    assert_berezin_matches_dense(data.draw(banded(n, s, sides=("upper",))), z)
+
+
+@given(kernel_points(), st.data(), st.sampled_from([200.0, 1e3]))
+def test_berezin_matches_dense_at_large_order(point, data, s):
+    n, _, z = point
+    assert_berezin_matches_dense(data.draw(banded(n, s)), z)
 
 
 @given(kernel_points())

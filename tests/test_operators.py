@@ -245,12 +245,51 @@ class TestDiagonalMemo:
 
     def test_memo_arrays_are_read_only(self):
         op = toeplitz_matrix(MIXED, 1.0, 12)
+        name = operators._Unkeyed("mixed")
         for j, profile in MIXED.mode_items:
-            for array in operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, "mixed"):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
+            values, error = operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, name)
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+            assert isinstance(error, float)
+        assert operators._diagonal.cache_info().hits == 4
         assert not op.diagonals[2].flags.writeable
+
+    def test_memo_key_leaves_out_the_symbol_name(self):
+        toeplitz_matrix(ABS2, 0.5, 8)
+        assert operators._diagonal.cache_info().currsize == 1
+        renamed = SymbolSpec.from_modes({0: ABS2.mode(0)}, name="other")
+        assert toeplitz_matrix(renamed, 0.5, 8).label == "other"
+        radial_eigenvalues(ABS2.mode(0), 0.5, 8)
+        assert operators._diagonal.cache_info().currsize == 1
+        assert operators._diagonal.cache_info().hits == 2
+
+    def test_refusal_names_each_symbol_that_shares_a_profile(self):
+        # a refusal is never stored, so the same failing diagonal names the
+        # symbol of every call
+        profile = RadialProfile.monomial(300.0)
+        for name in ("big", "huge"):
+            symbol = SymbolSpec.from_modes({0: profile}, name=name)
+            with pytest.raises(DomainError, match=rf"symbol '{name}' at mode j=0, column m=46 "):
+                toeplitz_matrix(symbol, 0.0, 60)
+        with pytest.raises(DomainError, match=r"symbol 'radial' at mode j=0, column m=46 "):
+            radial_eigenvalues(profile, 0.0, 60)
+        assert operators._diagonal.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("symbol", [MIXED, RE_Z, EXP_DECAY])
+    def test_entry_error_is_the_largest_diagonal_error_cold_and_warm(self, symbol):
+        s, n = 2.7, 40
+        log_norms = _basis_log_norms(s, n)
+        largest = 0.0
+        for j, profile in symbol.mode_items:
+            m = np.arange(max(0, -j), n - max(0, j))
+            log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
+            _, errors = operators._transform_column(
+                profile, j, m, s, DEFAULT_QUADRATURE, symbol.name, "{}", log_divisor, 2.0 * math.pi
+            )
+            largest = max(largest, float(np.max(errors)))
+        for memo in ("cold", "warm"):
+            assert toeplitz_matrix(symbol, s, n).entry_error == largest, memo
 
     def test_eigenvalues_are_a_writable_copy(self):
         first = radial_eigenvalues(ABS2.mode(0), 0.5, 8)
@@ -418,6 +457,27 @@ class TestTruncatedOperator:
         TruncatedOperator(dense, 3, 0.0, 7, "wide")
         with pytest.raises(DomainError, match="'narrow': diagonal d=-2"):
             TruncatedOperator(dense, 3, 0.0, 1, "narrow")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("s", math.nan, "s must be finite and >= 0, got nan"),
+            ("s", -0.5, "s must be finite and >= 0, got -0.5"),
+            ("s", math.inf, "s must be finite and >= 0, got inf"),
+            ("exact_band", 1.5, "exact_band must be an integer >= 0, got 1.5"),
+            ("exact_band", -1, "exact_band must be an integer >= 0, got -1"),
+            ("entry_error", math.nan, "entry_error must be >= 0, got nan"),
+            ("entry_error", -1e-16, "entry_error must be >= 0, got -1e-16"),
+        ],
+    )
+    def test_bad_scalar_field_refused_by_label_and_field(self, field, value, message):
+        fields = {"s": 0.5, "exact_band": 1, "entry_error": 0.0, field: value}
+        with pytest.raises(DomainError, match=re.escape(f"operator 'bad': {message}")):
+            TruncatedOperator({0: np.ones(3)}, 3, label="bad", **fields)
+
+    def test_diagonal_key_that_is_not_an_integer_refused(self):
+        with pytest.raises(DomainError, match=r"'bad': diagonal key 0.5 is not an integer"):
+            TruncatedOperator({0: np.ones(3), 0.5: np.ones(3)}, 3, 0.0, 1, "bad")
 
     def test_nonfinite_rejected(self):
         values = np.zeros(2, dtype=complex)
