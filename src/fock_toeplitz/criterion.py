@@ -24,9 +24,10 @@ doubles as a cross-check:
 
 "Vanishing" always means: magnitude below ``verdict_multiplier`` times the
 propagated error estimate (quadrature error for evaluator profiles, rounding
-error for exact Gaussian-polynomial transforms).  Every transform is read
-as a whole column through the operator module's column helper, the one
-path that also builds the Toeplitz matrices.
+error for exact Gaussian-polynomial transforms).  A report computes no
+transform of its own: it reads H and Psi as prefixes of the transforms
+behind the diagonals it has just built (the operator module's diagonal
+memo); ``phi``, ``psi`` and the probe compute theirs uncached.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ from .fock_space import SobolevOrder, order_value
 from .operators import (
     TruncatedOperator,
     _basis_log_norms,
-    _transform_column,
+    _diagonal,
+    _scaled,
+    _transforms,
+    _Unkeyed,
     commutator,
     toeplitz_matrix,
     window_max_abs,
@@ -67,14 +71,13 @@ DEFAULT_VERDICT_MULTIPLIER = 3.0
 _PSI_OVERFLOW = "Psi_{j}(k+s) at k={}, s={s:g} overflows double range"
 
 
-def _h_column(
-    u: RadialProfile, m: np.ndarray, s: float, quad: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def _h_column(raw: tuple, m: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """H(m + s) = M[u G_s](2m + 2) / Gamma(m + s + 1) at the points ``m``,
-    with errors: u's diagonal column scaled so that Phi_j(k) = H(k) - H(k+j).
-    A :class:`DomainError` names the first m where H leaves double range."""
+    with errors, from u's transforms ``raw`` at those points: u's diagonal
+    column scaled so that Phi_j(k) = H(k) - H(k+j).  A :class:`DomainError`
+    names the first m where H leaves double range."""
     overflow = "H(m+s) = M[u G_s](2m+2) / Gamma(m+s+1) at m={:g}, s={s:g} leaves double range"
-    return _transform_column(u, 0, m, s, quad, "u", overflow, log_gamma_array(m + s + 1.0))
+    return _scaled(raw, m, overflow, log_gamma_array(m + s + 1.0), s=s)
 
 
 def _commutes(window_residual: float, comm: TruncatedOperator, multiplier: float) -> bool:
@@ -109,7 +112,8 @@ def phi(
     j, k = int(j), int(k)
     if j == 0:
         return 0j, 0.0
-    h, h_err = _h_column(u, np.array([k, k + j]), sv, quad)
+    m = np.array([k, k + j])
+    h, h_err = _h_column(_transforms(u, 0, m, sv, quad, "u"), m, sv)
     return complex(h[0] - h[1]), float(h_err[0] + h_err[1])
 
 
@@ -124,9 +128,8 @@ def psi(
     with its propagated absolute error estimate.  Psi is Gamma-sized; a
     :class:`DomainError` names the cell where it leaves double range."""
     _check_cell(j, k)
-    value, error = _transform_column(
-        v_j, int(j), np.array([int(k)]), order_value(s), quad, "v", _PSI_OVERFLOW
-    )
+    sv, j, k = order_value(s), int(j), np.array([int(k)])
+    value, error = _scaled(_transforms(v_j, j, k, sv, quad, "v"), k, _PSI_OVERFLOW, j=j, s=sv)
     return complex(value[0]), float(error[0])
 
 
@@ -276,7 +279,7 @@ def _cells(
     multiplier: float,
 ) -> tuple[dict[tuple[int, int], Cell], TruncatedOperator]:
     """Build T_u, T_v and their commutator once, then every cell with k <= k_max,
-    one mode at a time.
+    one mode at a time, from the transforms behind the diagonals just built.
 
     Each cell is cross-checked against C[k+j, k]; the closed side is
     -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)); the
@@ -284,7 +287,13 @@ def _cells(
     """
     op_u = toeplitz_matrix(SymbolSpec.from_modes({0: u}, name="u"), s, N, quad)
     comm = commutator(op_u, toeplitz_matrix(v, s, N, quad))
-    h, h_err = _h_column(u, np.arange(k_max + v.max_mode + 1), s, quad)
+
+    def built(profile, j, size, name):
+        """A prefix of the transforms behind a diagonal just built, read from the memo."""
+        return tuple(array[:size] for array in _diagonal(profile, j, s, N, quad, _Unkeyed(name))[2])
+
+    m = np.arange(k_max + v.max_mode + 1)
+    h, h_err = _h_column(built(u, 0, m.size, "u"), m, s)
     log_norms = _basis_log_norms(s, N)
     cells = {}
     for j, profile in v.mode_items:
@@ -293,7 +302,8 @@ def _cells(
             phis, phi_err = np.zeros(k.size, dtype=complex), np.zeros(k.size)
         else:
             phis, phi_err = h[k] - h[k + j], h_err[k] + h_err[k + j]
-        psis, psi_err = _transform_column(profile, j, k, s, quad, v.name, _PSI_OVERFLOW)
+        raw = built(profile, j, k.size, v.name)
+        psis, psi_err = _scaled(raw, k, _PSI_OVERFLOW, j=j, s=s)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             product = phis * psis
             product_err = np.abs(phis) * psi_err + np.abs(psis) * phi_err + phi_err * psi_err
@@ -334,6 +344,8 @@ def commutator_cross_check(
     band = v.max_mode
     if k_max is None:
         k_max = max(N - 2 * band - 1, 0)
+    elif not is_integer(k_max) or k_max < 0:
+        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
     _require_window(N, k_max, band)
     cells, _ = _cells(u, v, order_value(s), N, int(k_max), quad, DEFAULT_VERDICT_MULTIPLIER)
     return {key: cell.matrix_residual for key, cell in cells.items()}
@@ -446,11 +458,12 @@ def periodicity_probe(
 ) -> tuple[float, float]:
     """Max of |H(z) - H(z+j)| over the real grid, with its error bound.
 
-    H(z) = M[u G](2z+2) / Gamma(z+1), evaluated through the shifted
-    transform M[u G_s](2z+2-2s) so the single Mellin path is reused.
-    Constant u gives zero within the error estimate.
+    H(z) = M[u G](2z+2) / Gamma(z+1) does not depend on s, so it is read
+    at order 0, where m = z is exact (at order s it would be m = z - s,
+    which rounds z away as s grows).  Constant u gives zero within the
+    error estimate.
     """
-    sv = order_value(s)
+    order_value(s)  # refuses a bad order, though H does not depend on it
     if not is_integer(j) or j < 1:
         raise DomainError(f"period j must be a positive integer, got {j!r}")
     z = [float(point) for point in z_grid]
@@ -459,8 +472,9 @@ def periodicity_probe(
             raise DomainError(f"grid point {point!r} must be finite, in the half-plane z > -1")
     if not z:
         return 0.0, 0.0
-    # H(z) = H(m + s) at m = z - s, for the grid and the grid shifted by j
-    h, h_err = _h_column(u, np.array(z + [point + j for point in z]) - sv, sv, quad)
+    # the grid and the grid shifted by j
+    grid = np.array(z + [point + j for point in z])
+    h, h_err = _h_column(_transforms(u, 0, grid, 0.0, quad, "u"), grid, 0.0)
     n = len(z)
     difference = np.abs(h[:n] - h[n:])
     worst = n - 1 - int(np.argmax(difference[::-1]))  # the last largest, as a scan with >=

@@ -9,6 +9,7 @@ module sums with a certified geometric tail bound.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -62,12 +63,19 @@ class KernelValue:
 
 
 def density(z: complex, s: "float | SobolevOrder") -> float:
-    """Weighted Gaussian density |z|^(2s) exp(-|z|^2) / pi at z."""
+    """Weighted Gaussian density |z|^(2s) exp(-|z|^2) / pi at z, in the log
+    domain (0 below double range); a non-finite z, or a density beyond
+    double range, is refused with a :class:`DomainError`."""
     sv = order_value(s)
-    r2 = abs(complex(z)) ** 2
-    if r2 == 0.0:
+    r = abs(complex(z))
+    if not math.isfinite(r):
+        raise DomainError(f"density point z must be finite, got {z!r}")
+    if r == 0.0:
         return 1.0 / math.pi if sv == 0.0 else 0.0
-    return r2**sv * math.exp(-r2) / math.pi
+    try:
+        return math.exp(2.0 * sv * math.log(r) - r * r) / math.pi
+    except OverflowError:
+        raise DomainError(f"density at z={z!r}, s={sv!r} exceeds double range") from None
 
 
 def kernel_eval(
@@ -79,12 +87,16 @@ def kernel_eval(
     """Reproducing kernel K^s(z, w) = sum_n (z conj(w))^n / Gamma(s+n+1).
 
     Sums until the geometric tail bound drops below ``abs_tol``.  For s = 0
-    the value agrees with exp(z conj(w)).  Raises :class:`ResourceError` when
-    |z conj(w)| is so large that the term cap would be exceeded.
+    the value agrees with exp(z conj(w)).  Raises :class:`DomainError` for a
+    non-finite z or w, and :class:`ResourceError` when |z conj(w)| is so
+    large that the term cap would be exceeded.
     """
     sv = order_value(s)
     if not (abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
+    for name, point in (("z", z), ("w", w)):
+        if not cmath.isfinite(complex(point)):
+            raise DomainError(f"kernel point {name} must be finite, got {point!r}")
     q = complex(z) * complex(w).conjugate()
     term = complex(math.exp(-log_gamma(sv + 1.0)))
     total = term

@@ -24,11 +24,13 @@ every product, is found once per operator (``max_abs``).
 
 Each assembled mode diagonal is memoized by ``_diagonal``, a bounded
 ``functools.lru_cache`` keyed by (profile, j, s, N, quadrature spec), not by
-symbol name, and holding the read-only values and their largest absolute
-error: a rebuild reads neither the transform table nor quadrature, so
-``TRANSFORMS.info()`` does not count it, and the memo's own counters are
-``_diagonal.cache_info()``.  A refusal is raised again on every call, never
-stored, and names the symbol of that call.
+symbol name.  It is the package's one cache of transforms: an entry holds
+the read-only values, their largest absolute error and the read-only
+transform column they were built from, so a rebuild runs no transform and
+the criterion reads its H and Psi columns as prefixes of diagonals it has
+just built.  Its counters are ``_diagonal.cache_info()``.  A refusal is
+raised again on every call, never stored, and names the symbol of that
+call.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
 # mellin_weighted_cached is unused here, but perfbench/spans.py wraps this binding
-from .mellin import TRANSFORMS, mellin_weighted_cached  # noqa: F401
+from .mellin import _column, mellin_weighted_cached  # noqa: F401
 from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma, log_gamma_array
 from .symbols import RadialProfile, SymbolSpec
 
@@ -68,7 +70,8 @@ __all__ = [
 # about 172.  With exp(-1.3 r), N=160 fails from s=12; at s=0, from N=174.
 MAX_TRUNCATION = 160
 # Assembled diagonals that _diagonal keeps for rebuilds.  An entry is at most
-# N = 160 complex values, 2.6 KB, so the memo holds at most about 0.7 MB.
+# N = 160 entries and their transforms, 48 bytes each (7.7 KB), so the memo
+# holds at most about 2 MB.
 _MAX_MEMO_DIAGONALS = 256
 # Berezin transforms need the kernel coefficients beyond the truncation,
 # |z|^(2N) / Gamma(s+N+1), below this; min_truncation_size searches for it.
@@ -176,31 +179,14 @@ def _truncation(N: int) -> int:
     return int(N)
 
 
-def _transform_column(
-    profile: RadialProfile,
-    j: int,
-    m: np.ndarray,
-    s: float,
-    quad: QuadratureSpec,
-    name: str,
-    overflow: str,
-    log_divisor: "float | np.ndarray" = 0.0,
-    factor: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """factor * M[profile G_s](2m + j + 2) / exp(log_divisor), the transforms
-    behind the entries (m + j, m), with their absolute errors.  This is the
-    one reader of the table's (log_scale, value, error) columns: log_scale is
-    added to -log_divisor before anything is exponentiated.  The first m
-    whose value or error leaves double range is refused with a
-    :class:`DomainError` whose message is ``overflow.format(m, name=name,
-    j=j, s=s)``.
-
-    Both profile kinds are read from the shared transform table, so a
-    criterion column that is a prefix of a diagonal built at the same s is
-    an index read.  The first failing entry is re-raised as an
-    :class:`AccuracyError` naming (j, m).
-    """
-    log_scale, values, errors, failures = TRANSFORMS.column(profile, s, 2.0 * m + j + 2, quad)
+def _transforms(
+    profile: RadialProfile, j: int, m: np.ndarray, s: float, quad: QuadratureSpec, name: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M[profile G_s](2m + j + 2), the transforms behind the entries (m + j, m),
+    as read-only arrays (log_scale, values, errors), the transform being
+    value * exp(log_scale).  The first failing entry is re-raised as an
+    :class:`AccuracyError` naming (j, m)."""
+    *raw, failures = _column(profile, s, 2.0 * m + j + 2, quad)
     if failures:
         i = min(failures)
         exc = failures[i]
@@ -209,12 +195,32 @@ def _transform_column(
             f"column m={m.tolist()[i]}: {exc}",
             estimate=exc.estimate,
         ) from exc
+    for array in raw:
+        array.setflags(write=False)
+    return tuple(raw)
+
+
+def _scaled(
+    raw: tuple[np.ndarray, np.ndarray, np.ndarray],
+    m: np.ndarray,
+    overflow: str,
+    log_divisor: "float | np.ndarray" = 0.0,
+    factor: float = 1.0,
+    **fields,
+) -> tuple[np.ndarray, np.ndarray]:
+    """factor * value * exp(log_scale - log_divisor) of the transforms ``raw``
+    at the columns ``m``, with their absolute errors.  This is the one reader
+    of (log_scale, value, error) columns: log_scale is added to -log_divisor
+    before anything is exponentiated.  The first m whose value or error
+    leaves double range is refused with a :class:`DomainError` whose message
+    is ``overflow.format(m, **fields)``."""
+    log_scale, values, errors = raw
     with np.errstate(over="ignore", invalid="ignore"):
         scale = factor * np.exp(log_scale - log_divisor)
         values, errors = values * scale, errors * scale
     finite = np.isfinite(values) & np.isfinite(errors)
     if not finite.all():
-        raise DomainError(overflow.format(m[np.argmin(finite)], name=name, j=j, s=s))
+        raise DomainError(overflow.format(m[np.argmin(finite)], **fields))
     return values, errors
 
 
@@ -232,21 +238,22 @@ class _Unkeyed(str):
 @lru_cache(maxsize=_MAX_MEMO_DIAGONALS)
 def _diagonal(
     profile: RadialProfile, j: int, s: float, N: int, quad: QuadratureSpec, name: _Unkeyed
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Entries <T e_m, e_{m+j}> of one mode at its columns m in the N x N
-    block, as a read-only array, and the largest of their absolute errors; a
-    :class:`DomainError` names the first column whose entry or error leaves
-    double range.  Memoized by (profile, j, s, N, quad): a rebuild reads
-    neither the transform table nor quadrature, and a refusal is raised
+    block, as a read-only array, the largest of their absolute errors, and
+    the read-only transforms (log_scale, values, errors) they were built
+    from, which the criterion slices; a :class:`DomainError` names the first
+    column whose entry or error leaves double range.  Memoized by (profile,
+    j, s, N, quad): a rebuild runs no transform, and a refusal is raised
     again, never stored."""
     m = np.arange(max(0, -j), N - max(0, j))
+    raw = _transforms(profile, j, m, s, quad, name)
     log_norms = _basis_log_norms(s, N)
     overflow = "entry of symbol {name!r} at mode j={j}, column m={} leaves double range"
     log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
-    factor = 2.0 * math.pi
-    values, errors = _transform_column(profile, j, m, s, quad, name, overflow, log_divisor, factor)
+    values, errors = _scaled(raw, m, overflow, log_divisor, 2.0 * math.pi, name=name, j=j)
     values.setflags(write=False)
-    return values, float(np.max(errors))
+    return values, float(np.max(errors)), raw
 
 
 def toeplitz_matrix(
@@ -270,7 +277,7 @@ def toeplitz_matrix(
     name = _Unkeyed(spec.name)
     for j, profile in spec.mode_items:
         if abs(j) < N:
-            diagonals[j], error = _diagonal(profile, j, sv, N, quad, name)
+            diagonals[j], error, _ = _diagonal(profile, j, sv, N, quad, name)
             worst_error = max(worst_error, error)
     return TruncatedOperator(diagonals, N, sv, spec.max_mode, spec.name, worst_error)
 

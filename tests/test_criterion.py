@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fock_toeplitz.criterion as criterion
+import fock_toeplitz.operators as operators
 from fock_toeplitz.criterion import (
     Cell,
     commutator_cross_check,
@@ -383,6 +384,22 @@ class TestAgainstScalarReference:
         assert report.verdict == verdict
 
 
+def test_report_computes_one_column_per_mode(monkeypatch):
+    # H and every Psi column are prefixes of the diagonals the report builds
+    computed = []
+    column = operators._column
+
+    def counting(v, s, zetas, spec):
+        computed.append((v, zetas.size))
+        return column(v, s, zetas, spec)
+
+    monkeypatch.setattr(operators, "_column", counting)
+    v = SymbolSpec.from_modes({0: ONE, 1: DECAY, -2: RadialProfile.monomial(1.0)}, name="v")
+    functional_equation_residuals(R2, v, 0.5, 8, QUAD, N=20)
+    expected = [(R2, 20), (ONE, 20), (DECAY, 19), (v.mode(-2), 18)]
+    assert sorted(computed, key=repr) == sorted(expected, key=repr)
+
+
 class TestCommutatorCrossCheck:
     def test_radial_pair_zero_discrepancy(self):
         cells = commutator_cross_check(R2, RADIAL_V, 1.0, 10, QUAD)
@@ -409,6 +426,11 @@ class TestCommutatorCrossCheck:
         with pytest.raises(PreconditionError):
             commutator_cross_check(R2, Z2, 0.0, 4, QUAD, k_max=10)
 
+    @pytest.mark.parametrize("k_max", [2.5, -1, math.nan, math.inf, "3"])
+    def test_k_max_must_be_a_nonnegative_integer(self, k_max):
+        with pytest.raises(DomainError, match=rf"^k_max must be an integer >= 0, got {k_max!r}$"):
+            commutator_cross_check(R2, Z2, 0.0, 10, QUAD, k_max=k_max)
+
 
 class TestPeriodicityProbe:
     @pytest.mark.parametrize("j", [1, 2])
@@ -425,6 +447,13 @@ class TestPeriodicityProbe:
         profile = RadialProfile.polynomial([4.2])
         diff, err = periodicity_probe(profile, 1.0, 1, [0.0, 1.0, 2.0], QUAD)
         assert diff <= 3.0 * err
+
+    @pytest.mark.parametrize("s", [0.0, 1e4, 1e15])
+    def test_large_order_does_not_round_the_grid(self, s):
+        # H(z) = (z+2)(z+1)/(2 pi) for u = r^4, so |H(z) - H(z+1)| = (z+2)/pi
+        # whatever s; reading H through m = z - s rounded z away
+        value, error = periodicity_probe(RadialProfile.monomial(4.0), s, 1, [0.3], QUAD)
+        assert abs(value - 2.3 / math.pi) <= error
 
     def test_quadratic_breaks_periodicity(self):
         # H(z) = (z+1)/(2 pi) for u = r^2, so |H(z) - H(z+1)| = 1/(2 pi)

@@ -1,5 +1,5 @@
 """The exact Gaussian-polynomial path: regression grid, isolation from the
-quadrature, warm rebuilds from the transform table, and property tests
+quadrature, warm rebuilds from the diagonal memo, and property tests
 against mpmath."""
 
 import mpmath
@@ -57,7 +57,7 @@ def test_regression_grid(s, N):
             assert abs(op.entries[m + j, m] - exact) <= op.entry_error
 
 
-def test_family_columns_skip_quadrature_and_rebuilds_skip_the_table(monkeypatch):
+def test_family_columns_skip_quadrature_and_rebuilds_skip_transforms(monkeypatch):
     columns = []
     quadrature = mellin.gaussian_weighted_column
 
@@ -72,35 +72,35 @@ def test_family_columns_skip_quadrature_and_rebuilds_skip_the_table(monkeypatch)
         transforms.append(args)
         return uncached(*args, **kwargs)
 
+    computed = []
+    column = operators._column
+
+    def counting_column(v, s, zetas, spec):
+        computed.append(zetas.size)
+        return column(v, s, zetas, spec)
+
     monkeypatch.setattr(mellin, "gaussian_weighted_column", counting)
     monkeypatch.setattr(mellin, "mellin_weighted", counting_transform)
-    table = mellin.TransformTable()
-    monkeypatch.setattr(operators, "TRANSFORMS", table)
+    monkeypatch.setattr(operators, "_column", counting_column)
     # modes 0, 2 and -3 at N = 40 have 40, 38 and 37 entries
     toeplitz_matrix(MIXED, 3.217, 40)
-    assert table.info() == mellin.TableInfo(hits=0, misses=115, tables=3, transforms=115)
-    # a family-only criterion report reads whole columns, never a scalar transform,
-    # and every column it reads is a prefix of a diagonal built at the same s
-    report = functional_equation_residuals(MIXED.mode(0), MIXED, 3.217, 20)
+    assert sorted(computed) == [37, 38, 40]
+    # a family-only criterion report at the same (s, N) computes no transform:
+    # every column it reads is a prefix of a diagonal built above
+    report = functional_equation_residuals(MIXED.mode(0), MIXED, 3.217, 20, N=40)
     assert report.verdict.kind == "nonradial_mode_detected"
-    assert columns == [] and transforms == []
-    warm = table.info()
-    assert warm.hits > 0 and warm[1:] == (115, 3, 115)
-    # and a rebuild reads the diagonal memo, not the table
+    assert columns == [] and transforms == [] and len(computed) == 3
+    # and a rebuild reads the diagonal memo
     toeplitz_matrix(MIXED, 3.217, 40)
-    assert table.info() == warm
-    assert columns == [] and transforms == []
+    assert columns == [] and transforms == [] and len(computed) == 3
 
     # an evaluator column at the same point is one quadrature for all its entries
     evaluator = SymbolSpec.from_modes({2: RadialProfile.from_callable(MIXED.mode(2), 1.5, 1.0)})
     toeplitz_matrix(evaluator, 3.217, 4)
-    assert columns == [2]
-    after = table.info()
-    assert (after.hits, after.misses) == (warm.hits, warm.misses + 2)
-    # and a rebuild reads neither the table nor quadrature
+    assert columns == [2] and computed[3:] == [2]
+    # and a rebuild runs neither a transform nor quadrature
     toeplitz_matrix(evaluator, 3.217, 4)
-    assert columns == [2]
-    assert table.info() == after
+    assert columns == [2] and len(computed) == 4
 
 
 def test_gauss_decay_config_is_a_family_profile():

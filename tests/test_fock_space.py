@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ class TestDensity:
     def test_unit_point(self):
         assert density(1.0, 0.0) == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-14)
 
+    def test_underflow_is_zero(self):
+        # |z|^(2s) = 1e1200 overflows, the density exp(2763 - 1e6) / pi underflows
+        assert density(1e3, 200.0) == 0.0
+        assert density(1e200, 3.0) == 0.0
+
+    def test_overflow_is_refused_by_name(self):
+        with pytest.raises(DomainError, match=r"density at z=30, s=1000000.0 exceeds double range"):
+            density(30, 1e6)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_point_is_refused_by_name(self, z):
+        with pytest.raises(DomainError, match=re.escape(f"density point z must be finite, got {z!r}")):
+            density(z, 1.0)
+
     def test_radial_invariance(self):
         for s in (0.0, 0.5, 2.3):
             base = density(1.7, s)
@@ -61,6 +76,11 @@ class TestBasisNormSq:
 
 
 class TestKernel:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_point_is_refused_by_name(self, bad):
+        for name, args in (("z", (bad, 1.0)), ("w", (1.0, bad))):
+            with pytest.raises(DomainError, match=rf"^kernel point {name} must be finite, got "):
+                kernel_eval(*args, 0.0)
     def test_w_zero(self):
         for s in (0.0, 0.5, 2.0):
             value = kernel_eval(1.7 + 0.3j, 0.0, s)

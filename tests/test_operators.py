@@ -247,10 +247,13 @@ class TestDiagonalMemo:
         op = toeplitz_matrix(MIXED, 1.0, 12)
         name = operators._Unkeyed("mixed")
         for j, profile in MIXED.mode_items:
-            values, error = operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, name)
-            assert not values.flags.writeable
-            with pytest.raises(ValueError):
-                values[0] = 0.0
+            values, error, raw = operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, name)
+            # the entries and the transforms they were built from
+            for array in (values, *raw):
+                assert array.shape == (12 - abs(j),)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
             assert isinstance(error, float)
         assert operators._diagonal.cache_info().hits == 4
         assert not op.diagonals[2].flags.writeable
@@ -284,9 +287,8 @@ class TestDiagonalMemo:
         for j, profile in symbol.mode_items:
             m = np.arange(max(0, -j), n - max(0, j))
             log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
-            _, errors = operators._transform_column(
-                profile, j, m, s, DEFAULT_QUADRATURE, symbol.name, "{}", log_divisor, 2.0 * math.pi
-            )
+            raw = operators._transforms(profile, j, m, s, DEFAULT_QUADRATURE, symbol.name)
+            _, errors = operators._scaled(raw, m, "{}", log_divisor, 2.0 * math.pi)
             largest = max(largest, float(np.max(errors)))
         for memo in ("cold", "warm"):
             assert toeplitz_matrix(symbol, s, n).entry_error == largest, memo
