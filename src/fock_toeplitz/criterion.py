@@ -2,38 +2,36 @@
 
 For a radial symbol u and a second symbol v with angular modes {j -> v_j},
 commutation of the two Toeplitz operators forces, for every k >= 0 and j
-with j + k >= 0, the product
+with j + k >= 0, the product Phi_j(k+s) * Psi_j(k+s) = 0, where
 
-    Phi_j(k+s) * Psi_j(k+s) = 0,
-
-where (written through the shifted transforms so that a single Mellin
-path is used)
-
-    Phi_j(k+s) = M[u G_s](2k+2) / Gamma(k+s+1)
-                 - M[u G_s](2k+2j+2) / Gamma(k+j+s+1),
+    Phi_j(k+s) = H(k) - H(k+j),   H(m) = M[u G_s](2m+2) / Gamma(m+s+1),
     Psi_j(k+s) = M[v_j G_s](j+2k+2).
 
 Phi_0 vanishes identically, as does every Phi_j when u is constant; for a
 nonconstant radial u the products can only vanish when the nonradial modes
-of v do, so commutation forces radiality of v and every surviving nonradial
-mode is an obstruction to commutation.  Each commutator matrix entry
-doubles as a cross-check:
+of v do, so every surviving nonradial mode is an obstruction to commutation.
 
-    C[k+j, k] = -(2 pi)^2 Phi_j(k+s) Psi_j(k+s)
-                / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
+Both factors are read off the matrices: H(m) = lambda_m / (2 pi), lambda
+the eigenvalues of T_u, and Psi is held on the matrix's scale,
+Psi~_j(k+s) = Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)) = T_v[k+j, k]
+/ (2 pi); the positive normaliser scales a value and its error bar alike.
+So each commutator entry, C[k+j, k] = -(2 pi)^2 Phi_j Psi~_j, cross-checks a cell.
 
 "Vanishing" always means: magnitude below ``verdict_multiplier`` times the
 propagated error estimate (quadrature error for evaluator profiles, rounding
-error for exact Gaussian-polynomial transforms).  A report computes no
-transform of its own: it reads H and Psi as prefixes of the transforms
-behind the diagonals it has just built (the operator module's diagonal
-memo); ``phi``, ``psi`` and the probe compute theirs uncached.
+error for exact Gaussian-polynomial transforms).  A report reads its cells
+off the diagonals of T_u and T_v it has just built (the diagonal memo);
+``phi``, ``psi`` and the probe compute theirs through the same ``_entries``.
+A column that underflows to exactly 0 is refused, not read as vanishing, and
+so is a Gamma argument s + m + max(j, 0) + 1 beyond 1e12, where the error
+bars are not validated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,16 +41,14 @@ from .errors import DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
 from .operators import (
     TruncatedOperator,
-    _basis_log_norms,
     _diagonal,
-    _scaled,
-    _transforms,
+    _entries,
     _Unkeyed,
     commutator,
     toeplitz_matrix,
     window_max_abs,
 )
-from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma_array
+from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec
 from .symbols import RadialProfile, SymbolSpec
 
 __all__ = [
@@ -67,17 +63,25 @@ __all__ = [
 ]
 
 DEFAULT_VERDICT_MULTIPLIER = 3.0
-# reports store Psi raw, so a Psi column beyond double range is refused by cell
-_PSI_OVERFLOW = "Psi_{j}(k+s) at k={}, s={s:g} overflows double range"
+_MAX_GAMMA_ARGUMENT = 1e12  # the largest at which the first-order error bars were checked
 
 
-def _h_column(raw: tuple, m: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """H(m + s) = M[u G_s](2m + 2) / Gamma(m + s + 1) at the points ``m``,
-    with errors, from u's transforms ``raw`` at those points: u's diagonal
-    column scaled so that Phi_j(k) = H(k) - H(k+j).  A :class:`DomainError`
-    names the first m where H leaves double range."""
-    overflow = "H(m+s) = M[u G_s](2m+2) / Gamma(m+s+1) at m={:g}, s={s:g} leaves double range"
-    return _scaled(raw, m, overflow, log_gamma_array(m + s + 1.0), s=s)
+def _over_2pi(entries: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix entries and their errors divided by 2 pi: H = lambda / (2 pi),
+    so that Phi_j(k) = H(k) - H(k+j), and Psi~ = T_v / (2 pi)."""
+    values, errors = entries
+    return values / (2.0 * math.pi), errors / (2.0 * math.pi)
+
+
+def _check_gamma_argument(s: float, m, j: int) -> None:
+    """Refuse a factor whose entries reach a Gamma argument s + m + max(j, 0) + 1
+    beyond 1e12, where its error bars are not validated."""
+    argument = s + m + max(j, 0) + 1
+    if argument > _MAX_GAMMA_ARGUMENT:
+        raise DomainError(
+            f"Gamma argument s + m + max(j, 0) + 1 = {argument:g} (s={s:g}, m={m}, j={j}) "
+            f"exceeds {_MAX_GAMMA_ARGUMENT:g}, beyond which the error bars are not validated"
+        )
 
 
 def _commutes(window_residual: float, comm: TruncatedOperator, multiplier: float) -> bool:
@@ -86,12 +90,16 @@ def _commutes(window_residual: float, comm: TruncatedOperator, multiplier: float
     return bool(window_residual <= max(multiplier * comm.entry_error, 1e-10))
 
 
-def _check_cell(j, k) -> None:
-    """Refuse a cell (j, k) outside k >= 0, j + k >= 0, both integers."""
+def _cell(j, k, s) -> tuple[int, int, float]:
+    """j, k and the order of a cell, refused outside k >= 0, j + k >= 0
+    (both integers) and beyond the Gamma-argument cap."""
     if not is_integer(k) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     if not is_integer(j) or j + k < 0:
         raise DomainError(f"need integer j with j + k >= 0, got j={j!r}, k={k!r}")
+    sv, j, k = order_value(s), int(j), int(k)
+    _check_gamma_argument(sv, k, j)
+    return j, k, sv
 
 
 def phi(
@@ -107,13 +115,10 @@ def phi(
     Identically zero for j = 0 and for constant u; satisfies the index
     symmetry Phi_j(k) = -Phi_{-j}(k+j).
     """
-    _check_cell(j, k)
-    sv = order_value(s)
-    j, k = int(j), int(k)
+    j, k, sv = _cell(j, k, s)
     if j == 0:
         return 0j, 0.0
-    m = np.array([k, k + j])
-    h, h_err = _h_column(_transforms(u, 0, m, sv, quad, "u"), m, sv)
+    h, h_err = _over_2pi(_entries(u, 0, np.array([k, k + j]), sv, quad, "u"))
     return complex(h[0] - h[1]), float(h_err[0] + h_err[1])
 
 
@@ -124,12 +129,11 @@ def psi(
     v_j: RadialProfile,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[complex, float]:
-    """Second factor of the functional equation, M[v_j G_s](j + 2k + 2),
-    with its propagated absolute error estimate.  Psi is Gamma-sized; a
-    :class:`DomainError` names the cell where it leaves double range."""
-    _check_cell(j, k)
-    sv, j, k = order_value(s), int(j), np.array([int(k)])
-    value, error = _scaled(_transforms(v_j, j, k, sv, quad, "v"), k, _PSI_OVERFLOW, j=j, s=sv)
+    """Second factor of the functional equation on the matrix's scale,
+    Psi~_j(k+s) = M[v_j G_s](j + 2k + 2) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1))
+    = T_v[k+j, k] / (2 pi), with its propagated absolute error estimate."""
+    j, k, sv = _cell(j, k, s)
+    value, error = _over_2pi(_entries(v_j, j, np.array([k]), sv, quad, "v"))
     return complex(value[0]), float(error[0])
 
 
@@ -264,9 +268,16 @@ class CriterionReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_window(N: int, k_max: int, band: int) -> None:
-    """Cell (j, k) is checked against C[k+j, k], which lies in the exactness
-    window of the commutator only when N >= k_max + 2 max|j| + 1."""
+def _require_window(N: int, k_max: int, v: SymbolSpec) -> None:
+    """Each mode j needs a cell (j, k) with -j <= k <= k_max, and each cell is
+    checked against C[k+j, k], which lies in the exactness window of the
+    commutator only when N >= k_max + 2 max|j| + 1."""
+    lowest, band = min(v.mode_indices, default=0), v.max_mode
+    if k_max < -lowest:
+        raise PreconditionError(
+            f"k_max = {k_max} is below |j| = {-lowest}, so mode j={lowest} would have no "
+            "cell (j, k) with k <= k_max"
+        )
     if N < k_max + 2 * band + 1:
         raise PreconditionError(
             f"N = {N} is too small for k_max = {k_max} and max|j| = {band}: the "
@@ -275,26 +286,36 @@ def _require_window(N: int, k_max: int, band: int) -> None:
 
 
 def _cells(
-    u: RadialProfile, v: SymbolSpec, s: float, N: int, k_max: int, quad: QuadratureSpec,
+    u: RadialProfile, v: SymbolSpec, s: float, N: int, k_max: "int | None", quad: QuadratureSpec,
     multiplier: float,
 ) -> tuple[dict[tuple[int, int], Cell], TruncatedOperator]:
-    """Build T_u, T_v and their commutator once, then every cell with k <= k_max,
-    one mode at a time, from the transforms behind the diagonals just built.
+    """Build T_u, T_v and their commutator once, then every cell with k <= k_max
+    (default: the whole exactness window), one mode at a time, read off the
+    diagonals just built.  Building T_u checks N by toeplitz_matrix's rule.
 
-    Each cell is cross-checked against C[k+j, k]; the closed side is
-    -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)); the
-    residual is zero where both sides are below ``multiplier`` times the errors.
+    Each cell is cross-checked against C[k+j, k] = -(2 pi)^2 Phi_j(k+s) Psi~_j(k+s);
+    the residual is zero where both sides are below ``multiplier`` times the errors.
     """
     op_u = toeplitz_matrix(SymbolSpec.from_modes({0: u}, name="u"), s, N, quad)
+    N = op_u.size
+    k_max = max(N - 2 * v.max_mode - 1, 0) if k_max is None else int(k_max)
+    _require_window(N, k_max, v)
+    _check_gamma_argument(s, k_max, max(v.mode_indices, default=0))
     comm = commutator(op_u, toeplitz_matrix(v, s, N, quad))
 
-    def built(profile, j, size, name):
-        """A prefix of the transforms behind a diagonal just built, read from the memo."""
-        return tuple(array[:size] for array in _diagonal(profile, j, s, N, quad, _Unkeyed(name))[2])
+    def column(profile, j, size, name):
+        """The first ``size`` entries of a diagonal just built and their errors, over
+        2 pi; refused where a nonzero profile's are all exactly 0 (underflow)."""
+        values, errors, _ = _diagonal(profile, j, s, N, quad, _Unkeyed(name))
+        values, errors = _over_2pi((values[:size], errors[:size]))
+        if not (profile.is_zero or values.any() or errors.any()):
+            raise DomainError(
+                f"entries of symbol {name!r} at mode j={j} underflow to 0 at s={s:g}: "
+                "the criterion cannot resolve them"
+            )
+        return values, errors
 
-    m = np.arange(k_max + v.max_mode + 1)
-    h, h_err = _h_column(built(u, 0, m.size, "u"), m, s)
-    log_norms = _basis_log_norms(s, N)
+    h, h_err = column(u, 0, k_max + v.max_mode + 1, "u")
     cells = {}
     for j, profile in v.mode_items:
         k = np.arange(max(0, -j), k_max + 1)
@@ -302,21 +323,16 @@ def _cells(
             phis, phi_err = np.zeros(k.size, dtype=complex), np.zeros(k.size)
         else:
             phis, phi_err = h[k] - h[k + j], h_err[k] + h_err[k + j]
-        raw = built(profile, j, k.size, v.name)
-        psis, psi_err = _scaled(raw, k, _PSI_OVERFLOW, j=j, s=s)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            product = phis * psis
-            product_err = np.abs(phis) * psi_err + np.abs(psis) * phi_err + phi_err * psi_err
-            ok = np.isfinite(product) & np.isfinite(product_err)
-            if not ok.all():
-                where = f"k={k[np.argmin(ok)]}, s={s:g}"
-                raise DomainError(f"Phi_{j} * Psi_{j}(k+s) at {where} overflows double range")
-            scale = (2.0 * math.pi) ** 2 * np.exp(-0.5 * (log_norms[k] + log_norms[k + j]))
-            formula = -scale * phis * psis
-            entry = comm.diagonals.get(j, np.zeros(N))[k - max(0, -j)]
-            denominator = np.maximum(np.abs(formula), np.abs(entry))
+        psis, psi_err = column(profile, j, k.size, v.name)
+        # -(2 pi)^2 times the product is C[k+j, k] up to rounding, and C is finite
+        formula = -((2.0 * math.pi) ** 2) * (phis * psis)
+        product_err = np.abs(phis) * psi_err + np.abs(psis) * phi_err + phi_err * psi_err
+        entry = comm.diagonals.get(j, np.zeros(N))[k - max(0, -j)]
+        denominator = np.maximum(np.abs(formula), np.abs(entry))
+        with np.errstate(invalid="ignore", divide="ignore"):
             residual = np.abs(entry - formula) / denominator
-        below = denominator <= multiplier * (scale * product_err + comm.entry_error) + 1e-300
+        floor = (2.0 * math.pi) ** 2 * product_err + comm.entry_error
+        below = denominator <= multiplier * floor + 1e-300
         residual[below | (j == 0)] = 0.0
         columns = (k, phis, phi_err, psis, psi_err, residual)
         for key, *fields in zip(*(column.tolist() for column in columns)):
@@ -336,18 +352,14 @@ def commutator_cross_check(
     """Relative discrepancy between commutator entries and the criterion form.
 
     For every mode j of v and every k <= k_max (default: the whole exactness
-    window), compares C[k+j, k] against
-    -(2 pi)^2 Phi_j(k+s) Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)).
+    window), compares C[k+j, k] against -(2 pi)^2 Phi_j(k+s) Psi~_j(k+s).
     Cells where both sides sit below the propagated error floor, and the
     j = 0 cells, count as discrepancy zero.
     """
-    band = v.max_mode
-    if k_max is None:
-        k_max = max(N - 2 * band - 1, 0)
-    elif not is_integer(k_max) or k_max < 0:
+    sv = order_value(s)
+    if k_max is not None and (not is_integer(k_max) or k_max < 0):
         raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
-    _require_window(N, k_max, band)
-    cells, _ = _cells(u, v, order_value(s), N, int(k_max), quad, DEFAULT_VERDICT_MULTIPLIER)
+    cells, _ = _cells(u, v, sv, N, k_max, quad, DEFAULT_VERDICT_MULTIPLIER)
     return {key: cell.matrix_residual for key, cell in cells.items()}
 
 
@@ -365,14 +377,17 @@ def functional_equation_residuals(
     """Evaluate all functional-equation cells and issue the verdict.
 
     Every cell is cross-checked against the commutator matrix, so N must
-    satisfy N >= k_max + 2 max|j| + 1 (default: one more than that).
+    satisfy N >= k_max + 2 max|j| + 1 (default: one more than that), and
+    :func:`toeplitz_matrix`'s rule for N; ``verdict_multiplier`` must be
+    finite and > 0.
 
     The commutation hypothesis is in force when asserted by the caller
     (default) or when the measured commutator window residual is below the
     propagated error floor.  Under that hypothesis:
 
     * no surviving nonradial mode        -> consistent_radial
-    * u numerically constant (Phi == 0)  -> inconclusive("u constant")
+    * every Phi within its error bar     -> inconclusive("u constant or
+                                            Phi unresolved")
     * nonvanishing products at modes J   -> nonradial_mode_detected(J)
     * nonvanishing Psi but vanishing
       products everywhere                -> inconclusive (internal
@@ -381,10 +396,11 @@ def functional_equation_residuals(
     sv = order_value(s)
     if not is_integer(k_max) or k_max < 1:
         raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
+    if not (isinstance(verdict_multiplier, numbers.Real) and 0.0 < verdict_multiplier < math.inf):
+        raise DomainError(f"verdict_multiplier must be finite and > 0, got {verdict_multiplier!r}")
     k_max = int(k_max)
     if N is None:
         N = k_max + 2 * v.max_mode + 2
-    _require_window(N, k_max, v.max_mode)
     cells, comm = _cells(u, v, sv, N, k_max, quad, verdict_multiplier)
     window_residual = window_max_abs(comm, comm.exactness_window)
     in_force = assert_commutation or _commutes(window_residual, comm, verdict_multiplier)
@@ -397,7 +413,7 @@ def functional_equation_residuals(
         commutation_asserted=bool(assert_commutation),
         matrix_window_residual=window_residual,
         verdict_multiplier=float(verdict_multiplier),
-        truncation_size=int(N),
+        truncation_size=comm.size,
         quad_abs_tol=quad.abs_tol,
         quad_rel_tol=quad.rel_tol,
     )
@@ -426,26 +442,16 @@ def _decide(
     psi_alive = modes_alive(lambda cell: (cell.psi, cell.psi_err))
     product_alive = modes_alive(lambda cell: (cell.product, cell.product_err))
     if not phi_alive:
-        return Verdict("inconclusive", reason="u constant")
+        return Verdict("inconclusive", reason="u constant or Phi unresolved")
     if not hypothesis_in_force:
-        return Verdict(
-            "inconclusive",
-            reason=(
-                "commutation hypothesis neither asserted nor observed "
-                f"(window residual {window_residual!r})"
-            ),
-        )
+        unseen = f"neither asserted nor observed (window residual {window_residual!r})"
+        return Verdict("inconclusive", reason=f"commutation hypothesis {unseen}")
     detected = tuple(sorted(phi_alive & psi_alive & product_alive))
     if detected:
         return Verdict("nonradial_mode_detected", modes=detected)
     if psi_alive:
-        return Verdict(
-            "inconclusive",
-            reason=(
-                "internal inconsistency: products vanish within error bars although "
-                "Phi and Psi both exceed theirs on the tested range"
-            ),
-        )
+        why = "products vanish within error bars although Phi and Psi both exceed theirs"
+        return Verdict("inconclusive", reason=f"internal inconsistency: {why} on the tested range")
     return Verdict("consistent_radial")
 
 
@@ -458,10 +464,10 @@ def periodicity_probe(
 ) -> tuple[float, float]:
     """Max of |H(z) - H(z+j)| over the real grid, with its error bound.
 
-    H(z) = M[u G](2z+2) / Gamma(z+1) does not depend on s, so it is read
-    at order 0, where m = z is exact (at order s it would be m = z - s,
-    which rounds z away as s grows).  Constant u gives zero within the
-    error estimate.
+    H(z) = M[u G](2z+2) / Gamma(z+1), u's order-0 diagonal entry at z over
+    2 pi, does not depend on s, so it is read at order 0, where m = z is
+    exact (at order s it would be m = z - s, which rounds z away as s
+    grows).  Constant u gives zero within the error estimate.
     """
     order_value(s)  # refuses a bad order, though H does not depend on it
     if not is_integer(j) or j < 1:
@@ -472,9 +478,10 @@ def periodicity_probe(
             raise DomainError(f"grid point {point!r} must be finite, in the half-plane z > -1")
     if not z:
         return 0.0, 0.0
+    _check_gamma_argument(0.0, max(z), j)
     # the grid and the grid shifted by j
     grid = np.array(z + [point + j for point in z])
-    h, h_err = _h_column(_transforms(u, 0, grid, 0.0, quad, "u"), grid, 0.0)
+    h, h_err = _over_2pi(_entries(u, 0, grid, 0.0, quad, "u"))
     n = len(z)
     difference = np.abs(h[:n] - h[n:])
     worst = n - 1 - int(np.argmax(difference[::-1]))  # the last largest, as a scan with >=

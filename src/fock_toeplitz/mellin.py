@@ -14,9 +14,8 @@ downstream products propagate.
 Gaussian-polynomial profiles (terms c t^p exp(-b t^2)) have the exact
 transform sum c Gamma(a) / (2 pi (1+b)^a), a = (zeta + 2s + p)/2, kept in
 the log domain; only evaluator profiles go through quadrature, a whole
-column of arguments per call.  Nothing here caches a column: the one cache
-of transforms is the operator module's diagonal memo, which keeps each
-column it computes beside the matrix diagonal built from it.
+column of arguments per call.  Nothing here caches a column; the operator
+module memoizes the matrix entries built from one.
 """
 
 from __future__ import annotations

@@ -22,15 +22,14 @@ magnitudes and one scalar phase (z/|z|)^d.  Operators are immutable after
 construction, so the largest entry magnitude, which bounds the error of
 every product, is found once per operator (``max_abs``).
 
-Each assembled mode diagonal is memoized by ``_diagonal``, a bounded
+Every entry, here and in the criterion, comes through ``_entries``, and
+each assembled mode diagonal is memoized by ``_diagonal``, a bounded
 ``functools.lru_cache`` keyed by (profile, j, s, N, quadrature spec), not by
-symbol name.  It is the package's one cache of transforms: an entry holds
-the read-only values, their largest absolute error and the read-only
-transform column they were built from, so a rebuild runs no transform and
-the criterion reads its H and Psi columns as prefixes of diagonals it has
-just built.  Its counters are ``_diagonal.cache_info()``.  A refusal is
-raised again on every call, never stored, and names the symbol of that
-call.
+symbol name.  An entry holds the read-only entries and errors and the
+largest error, so a rebuild runs no transform and the criterion reads its
+cells off the diagonals it has just built.  Its counters are
+``_diagonal.cache_info()``.  A refusal is raised again on every call, never
+stored, and names the symbol of that call.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ __all__ = [
 # about 172.  With exp(-1.3 r), N=160 fails from s=12; at s=0, from N=174.
 MAX_TRUNCATION = 160
 # Assembled diagonals that _diagonal keeps for rebuilds.  An entry is at most
-# N = 160 entries and their transforms, 48 bytes each (7.7 KB), so the memo
-# holds at most about 2 MB.
+# N = 160 entries and their errors, 24 bytes each (3.8 KB), so the memo
+# holds at most about 1 MB.
 _MAX_MEMO_DIAGONALS = 256
 # Berezin transforms need the kernel coefficients beyond the truncation,
 # |z|^(2N) / Gamma(s+N+1), below this; min_truncation_size searches for it.
@@ -179,14 +178,16 @@ def _truncation(N: int) -> int:
     return int(N)
 
 
-def _transforms(
+def _entries(
     profile: RadialProfile, j: int, m: np.ndarray, s: float, quad: QuadratureSpec, name: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M[profile G_s](2m + j + 2), the transforms behind the entries (m + j, m),
-    as read-only arrays (log_scale, values, errors), the transform being
-    value * exp(log_scale).  The first failing entry is re-raised as an
-    :class:`AccuracyError` naming (j, m)."""
-    *raw, failures = _column(profile, s, 2.0 * m + j + 2, quad)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one path from a profile to entries <T e_m, e_{m+j}>, at the columns
+    ``m``, with their absolute errors: one column of transforms, whose
+    log_scale meets the basis log-norms before anything is exponentiated.
+    A failed quadrature is re-raised as an :class:`AccuracyError`, and an
+    entry or error beyond double range refused by a :class:`DomainError`,
+    each naming (j, m)."""
+    log_scale, values, errors, failures = _column(profile, s, 2.0 * m + j + 2, quad)
     if failures:
         i = min(failures)
         exc = failures[i]
@@ -195,32 +196,14 @@ def _transforms(
             f"column m={m.tolist()[i]}: {exc}",
             estimate=exc.estimate,
         ) from exc
-    for array in raw:
-        array.setflags(write=False)
-    return tuple(raw)
-
-
-def _scaled(
-    raw: tuple[np.ndarray, np.ndarray, np.ndarray],
-    m: np.ndarray,
-    overflow: str,
-    log_divisor: "float | np.ndarray" = 0.0,
-    factor: float = 1.0,
-    **fields,
-) -> tuple[np.ndarray, np.ndarray]:
-    """factor * value * exp(log_scale - log_divisor) of the transforms ``raw``
-    at the columns ``m``, with their absolute errors.  This is the one reader
-    of (log_scale, value, error) columns: log_scale is added to -log_divisor
-    before anything is exponentiated.  The first m whose value or error
-    leaves double range is refused with a :class:`DomainError` whose message
-    is ``overflow.format(m, **fields)``."""
-    log_scale, values, errors = raw
+    log_norms = log_gamma_array(s + m + 1.0) + log_gamma_array(s + (m + j) + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = factor * np.exp(log_scale - log_divisor)
+        scale = 2.0 * math.pi * np.exp(log_scale - 0.5 * log_norms)
         values, errors = values * scale, errors * scale
     finite = np.isfinite(values) & np.isfinite(errors)
     if not finite.all():
-        raise DomainError(overflow.format(m[np.argmin(finite)], **fields))
+        where = f"mode j={j}, column m={m[np.argmin(finite)]}"
+        raise DomainError(f"entry of symbol {name!r} at {where} leaves double range")
     return values, errors
 
 
@@ -238,22 +221,14 @@ class _Unkeyed(str):
 @lru_cache(maxsize=_MAX_MEMO_DIAGONALS)
 def _diagonal(
     profile: RadialProfile, j: int, s: float, N: int, quad: QuadratureSpec, name: _Unkeyed
-) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Entries <T e_m, e_{m+j}> of one mode at its columns m in the N x N
-    block, as a read-only array, the largest of their absolute errors, and
-    the read-only transforms (log_scale, values, errors) they were built
-    from, which the criterion slices; a :class:`DomainError` names the first
-    column whose entry or error leaves double range.  Memoized by (profile,
-    j, s, N, quad): a rebuild runs no transform, and a refusal is raised
-    again, never stored."""
-    m = np.arange(max(0, -j), N - max(0, j))
-    raw = _transforms(profile, j, m, s, quad, name)
-    log_norms = _basis_log_norms(s, N)
-    overflow = "entry of symbol {name!r} at mode j={j}, column m={} leaves double range"
-    log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
-    values, errors = _scaled(raw, m, overflow, log_divisor, 2.0 * math.pi, name=name, j=j)
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_entries`` of one mode over its columns in the N x N block, read-only,
+    and the largest error.  Memoized by (profile, j, s, N, quad): a rebuild
+    runs no transform, and a refusal is raised again, never stored."""
+    values, errors = _entries(profile, j, np.arange(max(0, -j), N - max(0, j)), s, quad, name)
     values.setflags(write=False)
-    return values, float(np.max(errors)), raw
+    errors.setflags(write=False)
+    return values, errors, float(np.max(errors))
 
 
 def toeplitz_matrix(
@@ -277,7 +252,7 @@ def toeplitz_matrix(
     name = _Unkeyed(spec.name)
     for j, profile in spec.mode_items:
         if abs(j) < N:
-            diagonals[j], error, _ = _diagonal(profile, j, sv, N, quad, name)
+            diagonals[j], _, error = _diagonal(profile, j, sv, N, quad, name)
             worst_error = max(worst_error, error)
     return TruncatedOperator(diagonals, N, sv, spec.max_mode, spec.name, worst_error)
 

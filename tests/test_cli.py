@@ -242,7 +242,7 @@ class TestCriterionCommand:
         assert main(["criterion", "--config", str(config), "--quiet"]) == 0
         payload = json.loads((tmp_path / "out" / "criterion_s0.json").read_text())
         assert payload["verdict"]["kind"] == "inconclusive"
-        assert payload["verdict"]["reason"] == "u constant"
+        assert payload["verdict"]["reason"] == "u constant or Phi unresolved"
 
     def test_nonradial_u_rejected(self, tmp_path, capsys):
         text = """\
@@ -296,11 +296,13 @@ output: {directory: OUT}
         assert "'N'" in err and "160" in err
         assert not (tmp_path / "out").exists()
 
-    def test_overflowing_psi_exits_1(self, tmp_path, capsys):
-        # Psi_1(k+s) = Gamma((2k + 3 + 2s + 1)/2) / (2 pi) leaves double range
-        # at s = 200; the report stores raw Psi, so the run is refused
+    def test_psi_on_the_matrix_scale_and_underflow_refusal(self, tmp_path, capsys):
+        # raw Psi_1(k+s) = Gamma((2k + 3 + 2s + 1)/2) / (2 pi) leaves double
+        # range at s = 200; the report stores Psi on the matrix's scale, so the
+        # run succeeds.  A Gaussian mode that underflows to 0 by s = 2000 is
+        # refused rather than dropped from the verdict.
         text = """\
-s_values: [200]
+s_values: [S]
 u:
   name: u
   modes:
@@ -309,18 +311,24 @@ v:
   name: v
   modes:
     - {j: 1, kind: monomial, power: 1}
+    - {j: -1, kind: gauss_decay, rate: 1.0, scale: 1.0, power: 0}
 N: 30
 k_max: 20
 j_max: 1
 output: {directory: OUT}
-""".replace("OUT", str(tmp_path / "out"))
-        config = write(tmp_path, "c.yaml", text)
-        assert main(["criterion", "--config", str(config), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "Psi_1" in err and "s=200" in err
-        assert "Infinity" not in err and "quadrature" not in err
-        assert not (tmp_path / "out").exists()
+"""
+        for s, code in ((200, 0), (2000, 1)):
+            out = tmp_path / f"out{s}"
+            config = write(tmp_path, "c.yaml", text.replace("S", str(s)).replace("OUT", str(out)))
+            assert main(["criterion", "--config", str(config), "--quiet"]) == code
+            err = capsys.readouterr().err
+            if code == 0:
+                payload = json.loads((out / f"criterion_s{s}.json").read_text())
+                assert payload["verdict"]["modes"] == [-1, 1]
+            else:
+                assert err.startswith("error: entries of symbol 'v' at mode j=-1 underflow to 0 ")
+                assert "s=2000" in err
+                assert not out.exists()
 
     def test_byte_identical_reports(self, tmp_path):
         config_a = write(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ DECAY = RadialProfile.from_callable(
 ONE = RadialProfile.monomial(0.0)
 Z = SymbolSpec.from_modes({1: RadialProfile.monomial(1.0)}, name="z")
 Z2 = SymbolSpec.from_modes({2: RadialProfile.monomial(2.0)}, name="z2")
+GAUSS = RadialProfile.gaussian_terms([(0.7, 1.0, 0.5)])  # 0.7 r exp(-r^2 / 2)
 RADIAL_V = SymbolSpec.from_modes({0: RadialProfile.polynomial([1.0, 0.0, 0.5])}, name="radial")
 
 
@@ -95,10 +97,12 @@ class TestPhi:
 
     @pytest.mark.filterwarnings("error")
     def test_h_beyond_double_range_is_named(self):
-        huge = RadialProfile.monomial(1000.0)  # H(0) = Gamma(501) / (2 pi)
-        with pytest.raises(DomainError, match=r"^H\(m\+s\) .* at m=0, s=0 leaves double range$"):
+        # H(0) = Gamma(501) / (2 pi) is u's diagonal entry at m = 0 over 2 pi
+        huge = RadialProfile.monomial(1000.0)
+        refusal = r"^entry of symbol 'u' at mode j=0, column m={} leaves double range$"
+        with pytest.raises(DomainError, match=refusal.format(0)):
             phi(1, 0, 0.0, huge, QUAD)
-        with pytest.raises(DomainError, match=r"at m=0.5, s=0 leaves double range$"):
+        with pytest.raises(DomainError, match=refusal.format(r"0\.5")):
             periodicity_probe(huge, 0.0, 1, [0.5], QUAD)
 
 
@@ -108,31 +112,42 @@ class TestPsi:
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 2.3])
     def test_linear_profile(self, s):
-        # Psi_1(k+s) = Gamma(s+k+2) / (2 pi)
+        # Psi~_1(k+s) = Gamma(s+k+2) / (2 pi sqrt(Gamma(s+k+1) Gamma(s+k+2)))
+        # = sqrt(s+k+1) / (2 pi), the entry <T_z e_k, e_{k+1}> over 2 pi
         for k in (0, 1, 4):
-            expected = math.exp(math.lgamma(s + k + 2.0)) / (2.0 * math.pi)
+            expected = math.sqrt(s + k + 1.0) / (2.0 * math.pi)
             assert psi(1, k, s, RadialProfile.monomial(1.0), QUAD)[0].real == pytest.approx(
                 expected, rel=1e-11
             )
 
     def test_monomial_general(self):
-        # Psi_j = Gamma((p + j + 2k + 2 + 2s)/2) / (2 pi)
+        # Psi~_j = Gamma((p + j + 2k + 2 + 2s)/2) / (2 pi sqrt(Gamma(s+k+1) Gamma(s+k+j+1)))
         p, j, k, s = 3.0, 2, 1, 0.5
-        expected = math.exp(math.lgamma((p + j + 2 * k + 2 + 2 * s) / 2.0)) / (2.0 * math.pi)
+        log_norm = 0.5 * (math.lgamma(s + k + 1.0) + math.lgamma(s + k + j + 1.0))
+        log_psi = math.lgamma((p + j + 2 * k + 2 + 2 * s) / 2.0) - log_norm
+        expected = math.exp(log_psi) / (2.0 * math.pi)
         assert psi(j, k, s, RadialProfile.monomial(p), QUAD)[0].real == pytest.approx(
             expected, rel=1e-11
         )
+
+    def test_matches_matrix_entry(self):
+        # Psi~_j(k+s) = T_v[k+j, k] / (2 pi), bit for bit
+        v = SymbolSpec.from_modes({-1: R2, 2: R2_CALLABLE}, name="v")
+        op = toeplitz_matrix(v, 0.5, 8, QUAD)
+        for j in (-1, 2):
+            for k in range(max(0, -j), 8 - max(0, j)):
+                assert psi(j, k, 0.5, v.mode(j), QUAD)[0] == op.entries[k + j, k] / (2.0 * math.pi)
 
     def test_error_estimate_available(self):
         value, err = psi(1, 0, 0.0, RadialProfile.monomial(1.0), QUAD)
         assert err >= 0.0 and math.isfinite(err)
 
-    def test_overflow_names_the_cell(self):
-        # Psi_1(k+s) = Gamma(k + s + 2) / (2 pi) is finite at k = 1, s = 168
-        # and leaves double range at k = 2
-        assert math.isfinite(abs(psi(1, 1, 168.0, RadialProfile.monomial(1.0))[0]))
-        with pytest.raises(DomainError, match=r"^Psi_1\(k\+s\) at k=2, s=168 "):
-            psi(1, 2, 168.0, RadialProfile.monomial(1.0))
+    def test_matrix_scale_stays_finite_where_raw_psi_overflows(self):
+        # the raw transform Gamma(k + s + 2) / (2 pi) leaves double range at
+        # k = 2, s = 168; on the matrix's scale Psi~ is sqrt(s + k + 1) / (2 pi)
+        for s in (168.0, 1e6):
+            value, _ = psi(1, 2, s, RadialProfile.monomial(1.0))
+            assert value.real == pytest.approx(math.sqrt(s + 3.0) / (2.0 * math.pi), rel=1e-9)
 
     @pytest.mark.parametrize("k", [-5, math.nan, 1.5])
     def test_k_is_checked_as_phi_checks_it(self, k):
@@ -153,6 +168,36 @@ class TestPsi:
         assert info.value.estimate == math.inf
 
 
+class TestGammaArgumentGuard:
+    """Factors whose entries reach a Gamma argument s + m + max(j, 0) + 1
+    beyond 1e12 are refused by name: the error bars are not validated there."""
+
+    @staticmethod
+    def refusal(argument, s, m, j):
+        head = f"Gamma argument s + m + max(j, 0) + 1 = {argument} (s={s}, m={m}, j={j})"
+        return "^" + re.escape(head + " exceeds 1e+12")
+
+    def test_phi_and_psi(self):
+        # j = 2 reaches k + 2: s + k + 3 = 1e12 passes, one more does not
+        for factor, profile in ((phi, R2), (psi, RadialProfile.monomial(1.0))):
+            assert math.isfinite(abs(factor(2, 10**12 - 3, 0.0, profile, QUAD)[0]))
+            with pytest.raises(DomainError, match=self.refusal("1e+12", 0, 10**12 - 2, 2)):
+                factor(2, 10**12 - 2, 0.0, profile, QUAD)
+            with pytest.raises(DomainError, match=self.refusal("1e+20", 0, 10**20, 1)):
+                factor(1, 10**20, 0.0, profile, QUAD)
+        with pytest.raises(DomainError, match=self.refusal("1e+13", "1e+13", 1, -1)):
+            psi(-1, 1, 1e13, R2, QUAD)
+
+    def test_report(self):
+        with pytest.raises(DomainError, match=self.refusal("1e+13", "1e+13", 4, 1)):
+            functional_equation_residuals(R2, Z, 1e13, 4, QUAD)
+
+    def test_probe(self):
+        # H is read at order 0, so the argument is z + j + 1, whatever s
+        with pytest.raises(DomainError, match=self.refusal("9.22337e+18", 0, 0.5, 2**63)):
+            periodicity_probe(R2, 0.0, 2**63, [0.5], QUAD)
+
+
 class TestFunctionalEquationResiduals:
     def test_radial_v_consistent(self):
         report = functional_equation_residuals(R2, RADIAL_V, 0.0, 6, QUAD)
@@ -162,7 +207,7 @@ class TestFunctionalEquationResiduals:
     def test_constant_u_inconclusive(self):
         report = functional_equation_residuals(ONE, Z, 0.0, 6, QUAD)
         assert report.verdict.kind == "inconclusive"
-        assert report.verdict.reason == "u constant"
+        assert report.verdict.reason == "u constant or Phi unresolved"
         # Psi is nonzero even though the products vanish
         assert max(abs(cell.psi) for cell in report.cells.values()) > 0.1
 
@@ -270,32 +315,89 @@ class TestFunctionalEquationResiduals:
         functional_equation_residuals(R2, Z, 0.5, 6, QUAD)
         assert len(calls) == 2
 
-    def test_overflow_names_first_failing_cell(self):
-        # at s = 168, Psi_1(k+s) = Gamma(k + s + 2) / (2 pi) leaves double range
-        # at k = 2; with |Phi| ~ 1e5 the products of mode -1 already do
+    def test_reports_past_the_raw_psi_overflow(self):
+        # raw Psi_1(k+s) = Gamma(k + s + 2) / (2 pi) leaves double range at
+        # s = 168, k = 2; the cells, on the matrix's scale, do not
         v = SymbolSpec.from_modes(
             {-1: RadialProfile.monomial(0.0), 1: RadialProfile.monomial(1.0)}, name="v"
         )
-        with pytest.raises(DomainError, match=r"^Psi_1\(k\+s\) at k=2, s=168 "):
-            functional_equation_residuals(R2, v, 168.0, 3)
-        with pytest.raises(DomainError, match=r"^Phi_-1 \* Psi_-1\(k\+s\) at k=2, s=168 "):
-            functional_equation_residuals(RadialProfile.polynomial([0, 0, 1e6]), v, 168.0, 3)
+        for u in (R2, RadialProfile.polynomial([0, 0, 1e6])):
+            report = functional_equation_residuals(u, v, 168.0, 3)
+            assert report.verdict == criterion.Verdict("nonradial_mode_detected", modes=(-1, 1))
 
-    def test_cells_match_public_phi_and_psi(self):
-        # the report's column path and the public one-cell functions agree
-        u = RadialProfile.polynomial([1.0, 0.0, 0.5, 0.0, 0.25])
+    def test_gaussian_mode_detected_until_it_underflows(self):
+        # mode -2 carries (1.5)^-(s+k) and underflows to 0 by s = 2e3, where
+        # the report is refused rather than dropping the mode
+        v = SymbolSpec.from_modes({1: RadialProfile.monomial(1.0), -2: GAUSS}, name="v")
+        for s in (160.0, 300.0, 1e3):
+            report = functional_equation_residuals(R2, v, s, 10)
+            assert report.verdict == criterion.Verdict("nonradial_mode_detected", modes=(-2, 1))
+        refusal = r"^entries of symbol 'v' at mode j=-2 underflow to 0 at s=2000: "
+        with pytest.raises(DomainError, match=refusal):
+            functional_equation_residuals(R2, v, 2e3, 10)
+
+    def test_underflowing_u_is_refused(self):
+        # lambda_k of r^2 exp(-3 r^2) is (s+k+1) 4^-(s+k+2): 0 at s = 600
+        u = RadialProfile.gaussian_terms([(1.0, 2.0, 3.0)])
+        refusal = r"^entries of symbol 'u' at mode j=0 underflow to 0 at s=600: "
+        with pytest.raises(DomainError, match=refusal):
+            functional_equation_residuals(u, Z, 600.0, 4)
+
+    def test_large_order(self):
+        assert functional_equation_residuals(R2, Z, 1e6, 4).verdict.modes == (1,)
+        # from s ~ 1e8, Phi_1 = -1/(2 pi) of r^2 is inside its error bars
+        report = functional_equation_residuals(R2, Z, 1e9, 4)
+        unresolved = criterion.Verdict("inconclusive", reason="u constant or Phi unresolved")
+        assert report.verdict == unresolved
+
+    def test_k_max_below_a_negative_mode_is_refused(self):
+        # mode -3 has cells only at k >= 3: at k_max = 2 the verdict would drop it
+        v = SymbolSpec.from_modes({-3: RadialProfile.monomial(3.0)}, name="v")
+        refusal = r"^k_max = 2 is below \|j\| = 3, so mode j=-3 would have no cell"
+        with pytest.raises(PreconditionError, match=refusal):
+            functional_equation_residuals(R2, v, 1.0, 2)
+        with pytest.raises(PreconditionError, match=refusal):
+            commutator_cross_check(R2, v, 1.0, 20, k_max=2)
+        # the default k_max of the cross-check, N - 2*3 - 1 = 1, is refused too
+        with pytest.raises(PreconditionError, match=r"^k_max = 1 is below \|j\| = 3"):
+            commutator_cross_check(R2, v, 1.0, 8)
+        assert functional_equation_residuals(R2, v, 1.0, 3).verdict.modes == (-3,)
+
+    @pytest.mark.parametrize("multiplier", [-1.0, 0.0, math.nan, math.inf, "3"])
+    def test_verdict_multiplier_must_be_finite_and_positive(self, multiplier):
+        refusal = rf"^verdict_multiplier must be finite and > 0, got {re.escape(repr(multiplier))}$"
+        with pytest.raises(DomainError, match=refusal):
+            functional_equation_residuals(ONE, Z, 0.0, 4, verdict_multiplier=multiplier)
+
+    @pytest.mark.parametrize("N", [math.nan, math.inf, "12", 0, 161, 12.5])
+    def test_truncation_size_is_checked_as_toeplitz_matrix_checks_it(self, N):
+        refusal = rf"^N must be an integer in \[1, 160\], got {re.escape(repr(N))}$"
+        with pytest.raises(DomainError, match=refusal):
+            toeplitz_matrix(Z, 0.0, N)
+        with pytest.raises(DomainError, match=refusal):
+            functional_equation_residuals(R2, Z, 0.0, 4, N=N)
+        with pytest.raises(DomainError, match=refusal):
+            commutator_cross_check(R2, Z, 0.0, N)
+
+    def test_integral_float_truncation_size_is_accepted(self):
+        report = functional_equation_residuals(R2, Z, 0.5, 4, N=12.0)
+        assert report.to_json() == functional_equation_residuals(R2, Z, 0.5, 4, N=12).to_json()
+        assert commutator_cross_check(R2, Z, 0.5, 12.0) == commutator_cross_check(R2, Z, 0.5, 12)
+
+    @pytest.mark.parametrize(
+        "u", [RadialProfile.polynomial([1.0, 0.0, 0.5, 0.0, 0.25]), R2_CALLABLE]
+    )
+    def test_cells_match_public_phi_and_psi(self, u):
+        # the report reads its cells off the matrices, and the public
+        # one-cell functions compute the same entries: bit for bit
         v = SymbolSpec.from_modes(
             {-1: RadialProfile.gaussian_terms([(1.0, 1.0, 0.5)]), 0: R2, 2: R2_CALLABLE}, name="v"
         )
         s = 0.5
         report = functional_equation_residuals(u, v, s, 5, QUAD)
         for (j, k), cell in report.cells.items():
-            for (value, err), (expected, expected_err) in (
-                ((cell.phi, cell.phi_err), phi(j, k, s, u, QUAD)),
-                ((cell.psi, cell.psi_err), psi(j, k, s, v.mode(j), QUAD)),
-            ):
-                assert value == pytest.approx(expected, rel=1e-14, abs=1e-300), (j, k)
-                assert err == pytest.approx(expected_err, rel=1e-14, abs=1e-300), (j, k)
+            assert (cell.phi, cell.phi_err) == phi(j, k, s, u, QUAD), (j, k)
+            assert (cell.psi, cell.psi_err) == psi(j, k, s, v.mode(j), QUAD), (j, k)
 
     def test_json_and_csv_stable(self):
         report = functional_equation_residuals(R2, Z, 2.3, 5, QUAD)
@@ -322,7 +424,8 @@ def scalar_reference_cell(j, k, s, u, v_j, quad):
             phi_value += sign * transform.value * inv_gamma
             phi_err += transform.abs_error_estimate * inv_gamma
     transform = mellin_weighted(v_j, s, 2 * k + j + 2, quad)
-    scale = math.exp(transform.log_scale)
+    log_norm = 0.5 * (math.lgamma(s + k + 1.0) + math.lgamma(s + k + j + 1.0))
+    scale = math.exp(transform.log_scale - log_norm)
     psi_value, psi_err = transform.value * scale, transform.abs_error_estimate * scale
     return Cell(j, k, phi_value, phi_err, psi_value, psi_err, 0.0)
 
@@ -354,7 +457,8 @@ class TestAgainstScalarReference:
     )
     def test_cells_and_verdict_match_scalar_formulas(self, u, modes, s, k_max):
         v = SymbolSpec.from_modes(modes, name="v")
-        report = functional_equation_residuals(u, v, s, k_max)
+        # a k_max below |j| of a negative mode j is refused: that mode has no cell
+        report = functional_equation_residuals(u, v, s, max(k_max, -min(v.mode_indices)))
         reference = {
             key: scalar_reference_cell(*key, s, u, v.mode(key[0]), DEFAULT_QUADRATURE)
             for key in report.cells
@@ -385,7 +489,7 @@ class TestAgainstScalarReference:
 
 
 def test_report_computes_one_column_per_mode(monkeypatch):
-    # H and every Psi column are prefixes of the diagonals the report builds
+    # H and every Psi~ column are read off the diagonals the report builds
     computed = []
     column = operators._column
 
@@ -475,3 +579,45 @@ class TestPeriodicityProbe:
     def test_non_finite_grid_point_is_named(self, u, point):
         with pytest.raises(DomainError, match=rf"^grid point {point!r} must be finite"):
             periodicity_probe(u, 0.0, 1, [0.5, point], QUAD)
+
+
+magnitudes = st.floats(0.1, 2.0).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+def polynomials(min_degree):
+    """Real polynomials in r of degree min_degree to 3, the top coefficient of magnitude >= 0.1."""
+    lower = st.lists(st.floats(-2.0, 2.0), min_size=min_degree, max_size=3)
+    return lower.flatmap(
+        lambda low: magnitudes.map(lambda top: RadialProfile.polynomial(low + [top]))
+    )
+
+
+gaussian_terms = st.tuples(magnitudes, st.integers(0, 3), st.floats(0.05, 3.0)).map(
+    lambda term: RadialProfile.gaussian_terms([term])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    u=polynomials(1),
+    modes=st.dictionaries(
+        st.integers(-3, 3), st.one_of(polynomials(0), gaussian_terms), min_size=1, max_size=3
+    ),
+    s=st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 200.0)),
+    k_max=st.integers(3, 6),
+)
+def test_verdict_finds_exactly_the_nonradial_modes(u, modes, s, k_max):
+    # the paper's theorem: a nonconstant radial u commutes only with radial
+    # v, so every nonzero mode of v is an obstruction.  A Gaussian mode whose
+    # entries underflow to 0 is refused by name, never dropped.
+    v = SymbolSpec.from_modes(modes, name="v")
+    try:
+        verdict = functional_equation_residuals(u, v, s, k_max).verdict
+    except DomainError as exc:
+        assert re.match(r"entries of symbol 'v' at mode j=-?\d underflow to 0 at s=", str(exc))
+        return
+    nonradial = tuple(j for j in v.mode_indices if j != 0)
+    if nonradial:
+        assert verdict == criterion.Verdict("nonradial_mode_detected", modes=nonradial)
+    else:
+        assert verdict == criterion.Verdict("consistent_radial")

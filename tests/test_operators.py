@@ -247,9 +247,10 @@ class TestDiagonalMemo:
         op = toeplitz_matrix(MIXED, 1.0, 12)
         name = operators._Unkeyed("mixed")
         for j, profile in MIXED.mode_items:
-            values, error, raw = operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, name)
-            # the entries and the transforms they were built from
-            for array in (values, *raw):
+            memo = operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, name)
+            values, errors, error = memo
+            # the entries and their errors; no transforms are kept
+            for array in (values, errors):
                 assert array.shape == (12 - abs(j),)
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -282,13 +283,10 @@ class TestDiagonalMemo:
     @pytest.mark.parametrize("symbol", [MIXED, RE_Z, EXP_DECAY])
     def test_entry_error_is_the_largest_diagonal_error_cold_and_warm(self, symbol):
         s, n = 2.7, 40
-        log_norms = _basis_log_norms(s, n)
         largest = 0.0
         for j, profile in symbol.mode_items:
             m = np.arange(max(0, -j), n - max(0, j))
-            log_divisor = 0.5 * (log_norms[m] + log_norms[m + j])
-            raw = operators._transforms(profile, j, m, s, DEFAULT_QUADRATURE, symbol.name)
-            _, errors = operators._scaled(raw, m, "{}", log_divisor, 2.0 * math.pi)
+            _, errors = operators._entries(profile, j, m, s, DEFAULT_QUADRATURE, symbol.name)
             largest = max(largest, float(np.max(errors)))
         for memo in ("cold", "warm"):
             assert toeplitz_matrix(symbol, s, n).entry_error == largest, memo
