@@ -196,7 +196,10 @@ def _entries(
             f"column m={m.tolist()[i]}: {exc}",
             estimate=exc.estimate,
         ) from exc
-    log_norms = log_gamma_array(s + m + 1.0) + log_gamma_array(s + (m + j) + 1.0)
+    grid = np.sort(np.concatenate([m, m + j]))  # each distinct norm argument once
+    grid = grid[np.r_[True, grid[1:] != grid[:-1]]]
+    log_gammas = log_gamma_array(s + grid + 1.0)
+    log_norms = log_gammas[grid.searchsorted(m)] + log_gammas[grid.searchsorted(m + j)]
     with np.errstate(over="ignore", invalid="ignore"):
         scale = 2.0 * math.pi * np.exp(log_scale - 0.5 * log_norms)
         values, errors = values * scale, errors * scale

@@ -8,7 +8,8 @@ evaluated here by tanh-sinh (double-exponential) quadrature on a truncated
 interval (0, R].  The truncation radius R is tied to the exponent in play:
 R is chosen so that exp(-R^2) * R^alpha falls below the absolute tolerance,
 which makes the dropped tail negligible for any integrand of declared
-polynomial growth.  Refinement halves the step (each level evaluates only its
+polynomial growth.  Refinement halves the step, from the first h <= 1/32 of
+the ladder h_k = 12 / node_count / 2^k, k <= 8 (each level evaluates only its
 new, odd-index nodes) until two consecutive levels agree within tolerance;
 the last inter-level difference is the reported error estimate.
 
@@ -17,8 +18,8 @@ is evaluated once, on one window of nodes per row, and each row keeps its own
 radius, stopping rule and error estimate, so a row's result does not depend
 on the rows beside it.  Under the declared growth bound |f(t)| <= C (1+t)^m,
 a row's window holds every node whose term may reach tau = 1e-3 tol / n (tol
-the row's stopping tolerance, n nodes in the level; at level 0, the least
-double), and each node left out adds tau to the row's error estimate, at most
+the row's stopping tolerance, abs_tol at the first level; n nodes in the
+level), and each node left out adds tau to the row's error estimate, at most
 1e-3 tol per level.  The bound is unimodal along the nodes, so it is read at
 a few dozen of them, by products and sums alone.  Windows are widened to
 powers of two, and the rows of one width are summed as one block: numpy sums
@@ -50,26 +51,26 @@ __all__ = [
 
 # Transformed half-width: weights underflow to zero well inside |u| <= 6.
 _U_MAX = 6.0
-# Node density doublings allowed past the initial level before giving up.
+# Levels take the steps h_k = 12 / node_count / 2^k, k <= _MAX_REFINEMENTS, from
+# the first h_k <= _FIRST_STEP (coarser sums are not where rows stop), k <= 7.
 _MAX_REFINEMENTS = 8
+_FIRST_STEP = 1.0 / 32.0
 # Largest node_count a spec accepts: the last level then spans 2.6e5 nodes.
 MAX_NODE_COUNT = 1024
 # Rows x nodes that one pass of a level takes on; rows beyond it go in further
-# chunks.  64 cold matrix builds (2 vCPU host, least CPU time of 5, 3 rounds)
-# took 0.36 s at 2^13, 0.30 s at 2^14, 0.27 s at 2^15, 0.28 s at 2^16 and
-# 0.27 s at 2^17.
+# chunks.  64 cold matrix builds (2 vCPU host, least CPU time of 5, least of 6
+# rounds, first level at step 1/32) took 0.26 s at 2^13, 0.21 s at 2^14, 0.20 s
+# at 2^15, 0.19 s at 2^16 and 0.19 s at 2^17.
 _MAX_BATCH = 1 << 15
-# Past the first level a row leaves out the nodes whose terms are provably
-# below this share of its stopping tolerance, divided by the level's node
-# count, so that all of them together add at most 1e-3 of the tolerance.
+# A row leaves out the nodes whose terms are provably below this share of its
+# stopping tolerance, divided by the level's node count, so that all of them
+# together add at most 1e-3 of the tolerance.
 _DROP_SHARE = 1e-3
 # The pruning bound is a sum of a few logs and products of size up to ~1e3,
 # rounded by ~1e-12; nodes are kept down to e^-2 of the bound.
 _MASK_MARGIN = 2.0
 # The pruning bound is read at this many nodes of a row, up to twice as many.
 _MASK_SAMPLES = 64
-# Level 0 has no tolerance yet; it leaves out only terms below the least double.
-_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def log_gamma(x: float) -> float:
@@ -258,7 +259,7 @@ def gaussian_weighted_column(
     and ``tail_radius(alpha_i + growth_exponent)``.  A row with alpha >= 1
     leaves out the nodes whose terms that bound proves below tau: 1e-3 tol / n
     (n nodes in the level, tol the row's stopping tolerance at the level
-    before), or the least double at level 0.  Its estimate gains
+    before, abs_tol at the first level).  Its estimate gains
     dropped = dropped_before / 2 + n_dropped tau.  Deterministic for a fixed
     spec, and a row's result does not depend on the other rows of the
     column.
@@ -289,21 +290,23 @@ def gaussian_weighted_column(
     estimate, dropped = np.full(alphas.size, np.inf), np.zeros(alphas.size)
     active = np.arange(alphas.size)
     eps = float(np.finfo(float).eps)
-    h = 2.0 * _U_MAX / spec.node_count
-    for level in range(_MAX_REFINEMENTS + 1):
+    h, first = 2.0 * _U_MAX / spec.node_count, 0
+    while h > _FIRST_STEP and first < _MAX_REFINEMENTS - 1:
+        h, first = 0.5 * h, first + 1
+    for level in range(first, _MAX_REFINEMENTS + 1):
         if not active.size:
             break
-        # Halving h keeps the old nodes exactly: past level 0, sum the new (odd)
-        # nodes and add half the previous sum.
-        nodes = _unit_nodes(h, level > 0)[0].size
-        # the bound each left-out term stays below
+        # Halving h keeps the old nodes exactly: past the first level, sum the new
+        # (odd) nodes and add half the previous sum.
+        nodes = _unit_nodes(h, level > first)[0].size
+        # the bound each left-out term stays below (abs_tol's share at the first level)
         tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(previous[active]))
-        tau = tolerance * (_DROP_SHARE / nodes) if level else np.full(active.size, _TINY)
+        tau = tolerance * (_DROP_SHARE / nodes)
         floor = np.log(tau) - growth_log[active]
         step = max(1, _MAX_BATCH // nodes)
         cuts = range(step, active.size, step)
         chunks = [
-            _level_sums(f, alphas[rows], cutoff[rows], h, level > 0, part)
+            _level_sums(f, alphas[rows], cutoff[rows], h, level > first, part)
             for rows, part in zip(np.split(active, cuts), np.split(floor, cuts))
         ]
         sums, masses, left_out = (np.concatenate(part) for part in zip(*chunks))
@@ -323,7 +326,7 @@ def gaussian_weighted_column(
         rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
         estimate[active] = diff + tail_bound[active] + rounding + dropped[active]
         tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(current))
-        done = finite & (level > 0) & (diff <= tolerance)  # level 0 has no level to agree with
+        done = finite & (level > first) & (diff <= tolerance)  # the first has none to agree with
         values[active[done]] = current[done]
         errors[active[done]] = estimate[active[done]]
         previous[active], previous_mass[active] = current, l1_mass

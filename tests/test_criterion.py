@@ -504,6 +504,27 @@ def test_report_computes_one_column_per_mode(monkeypatch):
     assert sorted(computed, key=repr) == sorted(expected, key=repr)
 
 
+@pytest.mark.parametrize("s, k", [(3.0, 3), (2.7, 2), (5.25, 1), (12.5, 4)])
+def test_order_shift_is_exact_for_phi_and_psi(s, k):
+    # z^k maps order s - k isometrically onto order s, so cell (j, c) at order s
+    # is cell (j, c + k) at order s - k: H and Psi~ are diagonal entries over 2 pi
+    exp_decay = RadialProfile.from_callable(
+        lambda r: np.exp(-np.asarray(r, dtype=float)), growth_exponent=0.0, growth_constant=1.0
+    )
+    v = SymbolSpec.from_modes({1: exp_decay, 2: RadialProfile.monomial(1.5), -3: GAUSS}, "v")
+    fields = ("phi", "phi_err", "psi", "psi_err")
+    for u in (RadialProfile.polynomial([1.0, -0.5, 0.25]), exp_decay):
+        high = functional_equation_residuals(u, v, s, 12)
+        low = functional_equation_residuals(u, v, s - k, 12 + k)
+        for (j, c), cell in high.cells.items():
+            shifted = low.cells[(j, c + k)]
+            assert repr([getattr(cell, f) for f in fields]) == repr(
+                [getattr(shifted, f) for f in fields]
+            )
+            assert repr(phi(j, c, s, u)) == repr(phi(j, c + k, s - k, u))
+            assert repr(psi(j, c, s, v.mode(j))) == repr(psi(j, c + k, s - k, v.mode(j)))
+
+
 class TestCommutatorCrossCheck:
     def test_radial_pair_zero_discrepancy(self):
         cells = commutator_cross_check(R2, RADIAL_V, 1.0, 10, QUAD)

@@ -23,7 +23,12 @@ from fock_toeplitz.operators import (
     toeplitz_matrix,
     window_max_abs,
 )
-from fock_toeplitz.special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma
+from fock_toeplitz.special_functions import (
+    DEFAULT_QUADRATURE,
+    QuadratureSpec,
+    log_gamma,
+    log_gamma_array,
+)
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec, evaluate
 
 QUAD = QuadratureSpec.for_exponent(80.0)
@@ -307,6 +312,32 @@ def test_order_shift_is_exact(s, k):
         high = toeplitz_matrix(MIXED, s, 40)
         low = toeplitz_matrix(MIXED, s - k, 40 + k)
         assert high.entries.tobytes() == low.entries[k:, k:].tobytes(), memo
+
+
+def test_each_basis_log_gamma_is_computed_once_and_entries_keep_their_bits(monkeypatch):
+    # the norms Gamma(s+m+1) and Gamma(s+m+j+1) of mode j's columns share all
+    # but |j| arguments: N distinct ones per mode, 2 (N - |j|) as two arrays
+    modes = {**dict(MIXED.mode_items), -1: RadialProfile.monomial(0.5)}
+    five = SymbolSpec.from_modes(modes, name="five")
+    s, n = 2.7, 160
+    expected = {}
+    with np.errstate(over="ignore"):
+        for j, profile in five.mode_items:
+            m = np.arange(max(0, -j), n - max(0, j))
+            log_scale, values, _, _ = operators._column(profile, s, 2.0 * m + j + 2, QUAD)
+            two_arrays = log_gamma_array(s + m + 1.0) + log_gamma_array(s + (m + j) + 1.0)
+            expected[j] = values * (2.0 * math.pi * np.exp(log_scale - 0.5 * two_arrays))
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return log_gamma_array(x)
+
+    monkeypatch.setattr(operators, "log_gamma_array", counted)
+    op = toeplitz_matrix(five, s, n, QUAD)
+    assert sizes == [n] * 5
+    for j, values in expected.items():
+        assert op.diagonals[j].tobytes() == values.tobytes(), j
 
 
 class TestCommutator:

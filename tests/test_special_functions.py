@@ -41,15 +41,15 @@ def reference_level_sum(f, alpha, cutoff, h, odd=False, tolerance=None, growth=(
     """One level's sum, L1 mass and bound on the terms left out, over the
     nodes at step h, or over the odd-index ones only.
 
-    Given the row's stopping ``tolerance`` (0 at the first level) and
+    Given the row's stopping ``tolerance`` (abs_tol at the first level) and
     alpha >= 1, the level leaves out the nodes whose term bound, under
     |f(t)| <= C (1+t)^gamma for ``growth`` = (gamma, C), stays below
-    e^-2 tau: tau = 1e-3 tolerance / n for n nodes, or the least double at the
-    first level.  The bound is unimodal along the nodes and is read at every
-    stride-th node, n // 64 of them: the window spans the nodes strictly
-    between the samples beside the first and last sample that reaches
-    e^-2 tau (beside the highest one, if none does), widened to a power of
-    two or every node.  The n_dropped nodes outside it add n_dropped tau."""
+    e^-2 tau: tau = 1e-3 tolerance / n for n nodes.  The bound is unimodal
+    along the nodes and is read at every stride-th node, n // 64 of them: the
+    window spans the nodes strictly between the samples beside the first and
+    last sample that reaches e^-2 tau (beside the highest one, if none does),
+    widened to a power of two or every node.  The n_dropped nodes outside it
+    add n_dropped tau."""
     k = int(math.floor(6.0 / h))
     index = np.arange(-k, k + 1)
     u = h * (index[index % 2 == 1] if odd else index)
@@ -63,7 +63,7 @@ def reference_level_sum(f, alpha, cutoff, h, odd=False, tolerance=None, growth=(
     n, first, width, tau = x.size, 0, x.size, 0.0
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         if tolerance is not None and alpha >= 1.0:
-            tau = tolerance * (1e-3 / n) if tolerance else 2.0**-1074
+            tau = tolerance * (1e-3 / n)
             gamma, constant = growth
             stride = max(1, n // 64)
             t = cutoff * x[::stride]
@@ -81,9 +81,21 @@ def reference_level_sum(f, alpha, cutoff, h, odd=False, tolerance=None, growth=(
         return complex(np.sum(terms)), float(np.sum(np.abs(terms))), (n - width) * tau
 
 
+def first_level(node_count):
+    """The first level the quadrature evaluates on the ladder h_k = 12 /
+    node_count / 2^k, k <= 8: its first step h <= 1/32, but at most level 7,
+    so that one level is left to agree with it."""
+    level = 0
+    while 12.0 / node_count / 2**level > 1.0 / 32.0 and level < 7:
+        level += 1
+    return level
+
+
 def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     """The scalar level loop, with R widened to cover alpha + growth_exponent:
-    (value, error estimate, level it stopped at).
+    (value, error estimate, level it stopped at), levels counted on the ladder
+    h_k = 12 / node_count / 2^k from k = 0, the first evaluated being
+    ``first_level``.
 
     ``nested`` is the rule in use: a level adds its pruned odd-node sum to
     half the previous level's sum (0 before the first level).  Otherwise
@@ -92,14 +104,16 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     cutoff = max(spec.tail_cutoff, reference_tail_radius(alpha + growth_exponent, spec.abs_tol))
     tail_log = (alpha + growth_exponent) * math.log(cutoff) - cutoff * cutoff
     tail_bound = math.exp(tail_log) if tail_log < 700.0 else math.inf
-    h = 2.0 * 6.0 / spec.node_count
+    first = first_level(spec.node_count)
+    h = 2.0 * 6.0 / spec.node_count / 2**first
     eps = float(np.finfo(float).eps)
     previous, previous_mass, dropped = 0j, 0.0, 0.0
-    for level in range(9):
+    for level in range(first, 9):
         if nested:
-            tolerance = max(spec.abs_tol, spec.rel_tol * abs(previous)) if level else 0.0
+            # abs_tol at the first level, where previous is 0
+            tolerance = max(spec.abs_tol, spec.rel_tol * abs(previous))
             total, mass, left_out = reference_level_sum(
-                f, alpha, cutoff, h, level > 0, tolerance, (growth_exponent, 1.0)
+                f, alpha, cutoff, h, level > first, tolerance, (growth_exponent, 1.0)
             )
             current, l1_mass = 0.5 * previous + total, 0.5 * previous_mass + mass
             dropped = 0.5 * dropped + left_out
@@ -112,7 +126,7 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
                 f"for alpha={alpha:g}",
                 estimate=math.inf,
             )
-        if level:
+        if level > first:
             diff = abs(current - previous)
             rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
             estimate = diff + tail_bound + rounding + dropped
@@ -399,6 +413,27 @@ class TestNestedLevels:
         for _ in range(8):
             h *= 0.5
             assert nodes(h) == sorted(nodes(2.0 * h) + nodes(h, True))
+
+    # node_count -> first level: the first ladder step <= 1/32, except that
+    # node_count 2 (first such step h_8) starts at h_7 to keep one comparison
+    @pytest.mark.parametrize("node_count, first", [(2, 7), (7, 6), (48, 3), (384, 0), (1024, 0)])
+    def test_first_step_is_the_first_ladder_step_at_most_one_32nd(
+        self, monkeypatch, node_count, first
+    ):
+        steps, level_sums = [], special_functions._level_sums
+
+        def recording(f, alpha, cutoff, h, *args):
+            steps.append(h)
+            return level_sums(f, alpha, cutoff, h, *args)
+
+        monkeypatch.setattr(special_functions, "_level_sums", recording)
+        # a jump stalls the refinement, so every level down to the finest runs
+        _, _, failures = gaussian_weighted_column(
+            lambda t: np.sign(t - 1.7), [2.0], QuadratureSpec(node_count=node_count)
+        )
+        assert "after 8 refinements" in str(failures[0])
+        # from the first level down to the finest, h_8, as before
+        assert steps == [12.0 / node_count / 2**level for level in range(first, 9)]
 
     @pytest.mark.parametrize("rate", [0.3, 1.3, 2.9])
     @pytest.mark.parametrize("node_count", [7, 48])
