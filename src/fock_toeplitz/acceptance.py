@@ -5,8 +5,9 @@ independent of the code path under test (closed forms, brute-force polar
 integration, explicit small matrices).  Checks 01 and 05 also run their
 Gaussian-polynomial profiles through quadrature, as evaluator profiles, so
 the quadrature path stays under the gate; checks 03 and 10 are the
-independent oracles of the exact path.  ``run_all`` powers both the CLI
-``selftest`` subcommand and the pytest acceptance module.
+independent oracles of the exact path, and check 05 runs
+``commutator_cross_check``.  ``run_all`` powers both the CLI ``selftest``
+subcommand and the pytest acceptance module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import (
+    commutator_cross_check,
     functional_equation_residuals,
     periodicity_probe,
     phi,
@@ -200,30 +202,19 @@ def check_04_radial_radial_commutation() -> CheckResult:
 
 
 def check_05_criterion_matrix_equivalence() -> CheckResult:
-    # C[k+j, k] / (2 pi)^2 = (H(k+j+s) - H(k+s)) Psi~_j(k+s), the factors from scalar
+    # C[k+j, k] against -(2 pi)^2 Phi_j(k+s) Psi~_j(k+s), the factors from scalar
     # transforms and closed log-Gamma norms, not from the diagonals C was built from
     tolerance = 1e-8
     k_max = 20
     n_size = 26
-    worst = 0.0
-
-    def over_norms(profile, s, j, k):  # Psi~_j(k+s), and H(k+s) at j = 0
-        transform = mellin_weighted(profile, s, 2 * k + j + 2, QUAD)
-        log_norm = 0.5 * (log_gamma(s + k + 1.0) + log_gamma(s + k + j + 1.0))
-        return transform.value * math.exp(transform.log_scale - log_norm)
-
+    discrepancies = []
     closed = (RadialProfile.monomial(2.0), RadialProfile.monomial(4.0))
     for u_profile in closed + tuple(_via_quadrature(u) for u in closed):
         for s in S_VALUES:
-            h = [over_norms(u_profile, s, 0, k) for k in range(k_max + 3)]
-            op_u = toeplitz_matrix(_sym("u", {0: u_profile}), s, n_size, QUAD)
             for v in (symbol_z(), symbol_z_squared(), symbol_re_z()):
-                entries = commutator(op_u, toeplitz_matrix(v, s, n_size, QUAD)).entries
-                for j, v_j in v.mode_items:
-                    for k in range(max(0, -j), k_max + 1):
-                        entry = entries[k + j, k] / (2.0 * math.pi) ** 2
-                        formula = (h[k + j] - h[k]) * over_norms(v_j, s, j, k)
-                        worst = max(worst, abs(entry - formula) / max(abs(entry), abs(formula)))
+                cells = commutator_cross_check(u_profile, v, s, n_size, QUAD, k_max=k_max)
+                discrepancies.extend(cells.values())
+    worst = float(np.max(discrepancies))
     return CheckResult(
         5,
         "criterion vs matrix equivalence",

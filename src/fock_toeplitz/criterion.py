@@ -15,7 +15,8 @@ Both factors are read off the matrices: H(m) = lambda_m / (2 pi), lambda
 the eigenvalues of T_u, and Psi is held on the matrix's scale,
 Psi~_j(k+s) = Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)) = T_v[k+j, k]
 / (2 pi); the positive normaliser scales a value and its error bar alike.
-So each commutator entry, C[k+j, k] = -(2 pi)^2 Phi_j Psi~_j, cross-checks a cell.
+So cell (j, k) is the commutator entry C[k+j, k] = -(2 pi)^2 Phi_j Psi~_j up to
+rounding; ``commutator_cross_check`` compares C with factors computed apart.
 
 "Vanishing" always means: magnitude below ``verdict_multiplier`` times the
 propagated error estimate (quadrature error for evaluator profiles, rounding
@@ -29,6 +30,7 @@ bars are not validated.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -39,6 +41,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
+from .mellin import mellin_weighted
 from .operators import (
     TruncatedOperator,
     _diagonal,
@@ -48,7 +51,7 @@ from .operators import (
     toeplitz_matrix,
     window_max_abs,
 )
-from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec
+from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma
 from .symbols import RadialProfile, SymbolSpec
 
 __all__ = [
@@ -139,12 +142,7 @@ def psi(
 
 @dataclass(frozen=True)
 class Cell:
-    """One functional-equation cell (j, k).
-
-    ``matrix_residual`` is the relative discrepancy between the commutator
-    entry C[k+j, k] and the closed criterion expression (zero when both
-    sit below the propagated error floor, and for j = 0).
-    """
+    """One functional-equation cell (j, k): the two factors and their errors."""
 
     j: int
     k: int
@@ -152,7 +150,6 @@ class Cell:
     phi_err: float
     psi: complex
     psi_err: float
-    matrix_residual: float
 
     @property
     def product(self) -> complex:
@@ -201,7 +198,6 @@ def _cell_json(cell: Cell) -> str:
 
     return (
         f'    {{\n      "j": {cell.j},\n      "k": {cell.k},\n'
-        f'      "matrix_residual": {n(cell.matrix_residual)},\n      "note": null,\n'
         f'      "phi": {pair(cell.phi)},\n      "phi_err": {n(cell.phi_err)},\n'
         f'      "product": {pair(cell.product)},\n      "product_err": {n(cell.product_err)},\n'
         f'      "psi": {pair(cell.psi)},\n      "psi_err": {n(cell.psi_err)}\n    }}'
@@ -259,19 +255,19 @@ class CriterionReport:
         return text.replace('"cells": []', f'"cells": [\n{cells}\n  ]', 1)
 
     def to_csv(self) -> str:
-        lines = ["s,j,k,abs_phi,abs_psi,abs_product,matrix_discrepancy"]
+        lines = ["s,j,k,abs_phi,abs_psi,abs_product"]
         for cell in self._sorted_cells():
             lines.append(
                 f"{self.s!r},{cell.j},{cell.k},{abs(cell.phi)!r},"
-                f"{abs(cell.psi)!r},{abs(cell.product)!r},{cell.matrix_residual!r}"
+                f"{abs(cell.psi)!r},{abs(cell.product)!r}"
             )
         return "\n".join(lines) + "\n"
 
 
 def _require_window(N: int, k_max: int, v: SymbolSpec) -> None:
-    """Each mode j needs a cell (j, k) with -j <= k <= k_max, and each cell is
-    checked against C[k+j, k], which lies in the exactness window of the
-    commutator only when N >= k_max + 2 max|j| + 1."""
+    """Each mode j needs a cell (j, k) with -j <= k <= k_max, and cell (j, k)
+    stands for C[k+j, k], which the truncation gives exactly only inside the
+    commutator's exactness window, that is when N >= k_max + 2 max|j| + 1."""
     lowest, band = min(v.mode_indices, default=0), v.max_mode
     if k_max < -lowest:
         raise PreconditionError(
@@ -280,22 +276,17 @@ def _require_window(N: int, k_max: int, v: SymbolSpec) -> None:
         )
     if N < k_max + 2 * band + 1:
         raise PreconditionError(
-            f"N = {N} is too small for k_max = {k_max} and max|j| = {band}: the "
-            f"commutator cross-check needs N >= k_max + 2*max|j| + 1 = {k_max + 2 * band + 1}"
+            f"N = {N} is too small for k_max = {k_max} and max|j| = {band}: cell (j, k) is "
+            f"C[k+j, k] exactly only for N >= k_max + 2*max|j| + 1 = {k_max + 2 * band + 1}"
         )
 
 
 def _cells(
-    u: RadialProfile, v: SymbolSpec, s: float, N: int, k_max: "int | None", quad: QuadratureSpec,
-    multiplier: float,
+    u: RadialProfile, v: SymbolSpec, s: float, N: int, k_max: "int | None", quad: QuadratureSpec
 ) -> tuple[dict[tuple[int, int], Cell], TruncatedOperator]:
     """Build T_u, T_v and their commutator once, then every cell with k <= k_max
     (default: the whole exactness window), one mode at a time, read off the
-    diagonals just built.  Building T_u checks N by toeplitz_matrix's rule.
-
-    Each cell is cross-checked against C[k+j, k] = -(2 pi)^2 Phi_j(k+s) Psi~_j(k+s);
-    the residual is zero where both sides are below ``multiplier`` times the errors.
-    """
+    diagonals just built.  Building T_u checks N by toeplitz_matrix's rule."""
     op_u = toeplitz_matrix(SymbolSpec.from_modes({0: u}, name="u"), s, N, quad)
     N = op_u.size
     k_max = max(N - 2 * v.max_mode - 1, 0) if k_max is None else int(k_max)
@@ -324,17 +315,7 @@ def _cells(
         else:
             phis, phi_err = h[k] - h[k + j], h_err[k] + h_err[k + j]
         psis, psi_err = column(profile, j, k.size, v.name)
-        # -(2 pi)^2 times the product is C[k+j, k] up to rounding, and C is finite
-        formula = -((2.0 * math.pi) ** 2) * (phis * psis)
-        product_err = np.abs(phis) * psi_err + np.abs(psis) * phi_err + phi_err * psi_err
-        entry = comm.diagonals.get(j, np.zeros(N))[k - max(0, -j)]
-        denominator = np.maximum(np.abs(formula), np.abs(entry))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            residual = np.abs(entry - formula) / denominator
-        floor = (2.0 * math.pi) ** 2 * product_err + comm.entry_error
-        below = denominator <= multiplier * floor + 1e-300
-        residual[below | (j == 0)] = 0.0
-        columns = (k, phis, phi_err, psis, psi_err, residual)
+        columns = (k, phis, phi_err, psis, psi_err)
         for key, *fields in zip(*(column.tolist() for column in columns)):
             cells[(j, key)] = Cell(j, key, *fields)
     return cells, comm
@@ -352,15 +333,40 @@ def commutator_cross_check(
     """Relative discrepancy between commutator entries and the criterion form.
 
     For every mode j of v and every k <= k_max (default: the whole exactness
-    window), compares C[k+j, k] against -(2 pi)^2 Phi_j(k+s) Psi~_j(k+s).
-    Cells where both sides sit below the propagated error floor, and the
-    j = 0 cells, count as discrepancy zero.
+    window), compares C[k+j, k] against -(2 pi)^2 Phi_j(k+s) Psi~_j(k+s), with
+    H and Psi~ from scalar :func:`mellin_weighted` transforms and closed
+    log-Gamma norms, not from the diagonals C was built from.  Cells where
+    both sides sit below the default verdict multiplier times their errors,
+    and the j = 0 cells, count as discrepancy zero.
     """
     sv = order_value(s)
     if k_max is not None and (not is_integer(k_max) or k_max < 0):
         raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
-    cells, _ = _cells(u, v, sv, N, k_max, quad, DEFAULT_VERDICT_MULTIPLIER)
-    return {key: cell.matrix_residual for key, cell in cells.items()}
+    cells, comm = _cells(u, v, sv, N, k_max, quad)
+
+    def over_norms(profile, j, k):  # Psi~_j(k+s) and its error; H(k+s) at j = 0
+        transform = mellin_weighted(profile, sv, 2 * k + j + 2, quad)
+        log_norm = 0.5 * (log_gamma(sv + k + 1.0) + log_gamma(sv + k + j + 1.0))
+        scale = math.exp(transform.log_scale - log_norm)
+        return transform.value * scale, transform.abs_error_estimate * scale
+
+    @functools.cache
+    def h(m):  # H(m+s) once per index
+        return over_norms(u, 0, m)
+
+    discrepancy = dict.fromkeys(cells, 0.0)
+    for j, k in cells:
+        if j == 0:
+            continue
+        phi_jk = h(k)[0] - h(k + j)[0], h(k)[1] + h(k + j)[1]
+        cell = Cell(j, k, *phi_jk, *over_norms(v.mode(j), j, k))
+        formula = -((2.0 * math.pi) ** 2) * cell.product
+        entry = complex(comm.diagonals[j][k - max(0, -j)])
+        floor = (2.0 * math.pi) ** 2 * cell.product_err + comm.entry_error
+        denominator = max(abs(formula), abs(entry))
+        if not denominator <= DEFAULT_VERDICT_MULTIPLIER * floor + 1e-300:
+            discrepancy[(j, k)] = abs(entry - formula) / denominator
+    return discrepancy
 
 
 def functional_equation_residuals(
@@ -376,10 +382,10 @@ def functional_equation_residuals(
 ) -> CriterionReport:
     """Evaluate all functional-equation cells and issue the verdict.
 
-    Every cell is cross-checked against the commutator matrix, so N must
-    satisfy N >= k_max + 2 max|j| + 1 (default: one more than that), and
-    :func:`toeplitz_matrix`'s rule for N; ``verdict_multiplier`` must be
-    finite and > 0.
+    Cell (j, k) is exactly C[k+j, k] only inside the commutator's exactness
+    window, so N >= k_max + 2 max|j| + 1 (default: one more than that) and
+    :func:`toeplitz_matrix`'s rule for N are required; ``verdict_multiplier``
+    must be finite and > 0.
 
     The commutation hypothesis is in force when asserted by the caller
     (default) or when the measured commutator window residual is below the
@@ -401,7 +407,7 @@ def functional_equation_residuals(
     k_max = int(k_max)
     if N is None:
         N = k_max + 2 * v.max_mode + 2
-    cells, comm = _cells(u, v, sv, N, k_max, quad, verdict_multiplier)
+    cells, comm = _cells(u, v, sv, N, k_max, quad)
     window_residual = window_max_abs(comm, comm.exactness_window)
     in_force = assert_commutation or _commutes(window_residual, comm, verdict_multiplier)
     return CriterionReport(

@@ -231,7 +231,7 @@ class TestCriterionCommand:
         assert payload["verdict"]["kind"] == "nonradial_mode_detected"
         assert payload["verdict"]["modes"] == [1]
         csv_lines = (tmp_path / "out" / "criterion_s0.csv").read_text().strip().split("\n")
-        assert csv_lines[0] == "s,j,k,abs_phi,abs_psi,abs_product,matrix_discrepancy"
+        assert csv_lines[0] == "s,j,k,abs_phi,abs_psi,abs_product"
         assert len(csv_lines) == 1 + 6  # k = 0..5
 
     def test_constant_u_inconclusive(self, tmp_path):
@@ -265,8 +265,8 @@ output: {directory: OUT}
         assert "radial" in capsys.readouterr().err
 
     def test_undersized_truncation_exits_2(self, tmp_path, capsys):
-        # cross-checking every cell needs N >= k_max + 2*max|j| + 1 = 15 for
-        # the j = 2 mode
+        # cell (j, k) stands for C[k+j, k], which the truncation gives exactly
+        # only when N >= k_max + 2*max|j| + 1 = 15 for the j = 2 mode
         text = (
             CONFIG_PAIR.format(s=0.0, N=14, k_max=10, out=tmp_path / "out")
             .replace("j: 1, kind: monomial, power: 1", "j: 2, kind: monomial, power: 2")

@@ -184,8 +184,6 @@ def reference_report_json(report):
             "psi_err": cell.psi_err,
             "product": {"re": cell.product.real, "im": cell.product.imag},
             "product_err": cell.product_err,
-            "matrix_residual": cell.matrix_residual,
-            "note": None,
         }
         for cell in (report.cells[key] for key in sorted(report.cells))
     ]
@@ -226,10 +224,7 @@ def reports(draw):
         st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 60)), unique=True, max_size=6)
     )
     cells = {
-        (j, k): Cell(
-            j, k, draw(complexes), draw(any_floats), draw(complexes), draw(any_floats),
-            draw(any_floats),
-        )
+        (j, k): Cell(j, k, draw(complexes), draw(any_floats), draw(complexes), draw(any_floats))
         for j, k in keys
     }
     j_modes = tuple(sorted({j for j, _ in keys}))
