@@ -6,8 +6,8 @@ integration, explicit small matrices).  Checks 01 and 05 also run their
 Gaussian-polynomial profiles through quadrature, as evaluator profiles, so
 the quadrature path stays under the gate; checks 03 and 10 are the
 independent oracles of the exact path, and check 05 runs
-``commutator_cross_check``.  ``run_all`` powers both the CLI ``selftest``
-subcommand and the pytest acceptance module.
+``commutator_cross_check`` on cached scalar transforms.  ``run_all`` powers
+both the CLI ``selftest`` subcommand and the pytest acceptance module.
 """
 
 from __future__ import annotations

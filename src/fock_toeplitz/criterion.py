@@ -16,21 +16,21 @@ the eigenvalues of T_u, and Psi is held on the matrix's scale,
 Psi~_j(k+s) = Psi_j(k+s) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1)) = T_v[k+j, k]
 / (2 pi); the positive normaliser scales a value and its error bar alike.
 So cell (j, k) is the commutator entry C[k+j, k] = -(2 pi)^2 Phi_j Psi~_j up to
-rounding; ``commutator_cross_check`` compares C with factors computed apart.
+rounding; ``commutator_cross_check`` compares C with cached scalar transforms.
 
 "Vanishing" always means: magnitude below ``verdict_multiplier`` times the
 propagated error estimate (quadrature error for evaluator profiles, rounding
 error for exact Gaussian-polynomial transforms).  A report reads its cells
 off the diagonals of T_u and T_v it has just built (the diagonal memo);
 ``phi``, ``psi`` and the probe compute theirs through the same ``_entries``.
-A column that underflows to exactly 0 is refused, not read as vanishing, and
-so is a Gamma argument s + m + max(j, 0) + 1 beyond 1e12, where the error
-bars are not validated.
+All four read factors through ``_factor``, which refuses a nonzero profile
+whose entries all underflow to exactly 0 rather than read them as vanishing;
+a Gamma argument s + m + max(j, 0) + 1 beyond 1e12, where the error bars
+are not validated, is refused too.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
-from .mellin import mellin_weighted
+from .mellin import mellin_weighted_cached
 from .operators import (
     TruncatedOperator,
     _diagonal,
@@ -69,11 +69,17 @@ DEFAULT_VERDICT_MULTIPLIER = 3.0
 _MAX_GAMMA_ARGUMENT = 1e12  # the largest at which the first-order error bars were checked
 
 
-def _over_2pi(entries: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix entries and their errors divided by 2 pi: H = lambda / (2 pi),
-    so that Phi_j(k) = H(k) - H(k+j), and Psi~ = T_v / (2 pi)."""
-    values, errors = entries
-    return values / (2.0 * math.pi), errors / (2.0 * math.pi)
+def _factor(entries: tuple, profile: RadialProfile, j: int, name: str, where: str) -> tuple:
+    """Mode-j entries of ``profile`` and their errors over 2 pi (H = lambda / (2 pi),
+    Psi~ = T_v / (2 pi)); refused, naming ``where`` they were read, when a nonzero
+    profile's are all exactly 0: an underflow would read as a vanishing factor."""
+    values, errors = (part / (2.0 * math.pi) for part in entries)
+    if not (profile.is_zero or values.any() or errors.any()):
+        raise DomainError(
+            f"entries of symbol {name!r} at mode j={j} underflow to 0 {where}: "
+            "the criterion cannot resolve them"
+        )
+    return values, errors
 
 
 def _check_gamma_argument(s: float, m, j: int) -> None:
@@ -121,7 +127,8 @@ def phi(
     j, k, sv = _cell(j, k, s)
     if j == 0:
         return 0j, 0.0
-    h, h_err = _over_2pi(_entries(u, 0, np.array([k, k + j]), sv, quad, "u"))
+    entries = _entries(u, 0, np.array([k, k + j]), sv, quad, "u")
+    h, h_err = _factor(entries, u, 0, "u", f"at s={sv:g}")
     return complex(h[0] - h[1]), float(h_err[0] + h_err[1])
 
 
@@ -136,7 +143,8 @@ def psi(
     Psi~_j(k+s) = M[v_j G_s](j + 2k + 2) / sqrt(Gamma(s+k+1) Gamma(s+k+j+1))
     = T_v[k+j, k] / (2 pi), with its propagated absolute error estimate."""
     j, k, sv = _cell(j, k, s)
-    value, error = _over_2pi(_entries(v_j, j, np.array([k]), sv, quad, "v"))
+    entries = _entries(v_j, j, np.array([k]), sv, quad, "v")
+    value, error = _factor(entries, v_j, j, "v", f"at s={sv:g}")
     return complex(value[0]), float(error[0])
 
 
@@ -295,16 +303,9 @@ def _cells(
     comm = commutator(op_u, toeplitz_matrix(v, s, N, quad))
 
     def column(profile, j, size, name):
-        """The first ``size`` entries of a diagonal just built and their errors, over
-        2 pi; refused where a nonzero profile's are all exactly 0 (underflow)."""
+        """The first ``size`` entries of a diagonal just built, as a factor."""
         values, errors, _ = _diagonal(profile, j, s, N, quad, _Unkeyed(name))
-        values, errors = _over_2pi((values[:size], errors[:size]))
-        if not (profile.is_zero or values.any() or errors.any()):
-            raise DomainError(
-                f"entries of symbol {name!r} at mode j={j} underflow to 0 at s={s:g}: "
-                "the criterion cannot resolve them"
-            )
-        return values, errors
+        return _factor((values[:size], errors[:size]), profile, j, name, f"at s={s:g}")
 
     h, h_err = column(u, 0, k_max + v.max_mode + 1, "u")
     cells = {}
@@ -334,10 +335,11 @@ def commutator_cross_check(
 
     For every mode j of v and every k <= k_max (default: the whole exactness
     window), compares C[k+j, k] against -(2 pi)^2 Phi_j(k+s) Psi~_j(k+s), with
-    H and Psi~ from scalar :func:`mellin_weighted` transforms and closed
-    log-Gamma norms, not from the diagonals C was built from.  Cells where
-    both sides sit below the default verdict multiplier times their errors,
-    and the j = 0 cells, count as discrepancy zero.
+    H and Psi~ from scalar transforms (:func:`mellin_weighted_cached`, each
+    computed once across calls) and closed log-Gamma norms, not from the
+    diagonals C was built from.  Cells where both sides sit below the default
+    verdict multiplier times their errors, and the j = 0 cells, count as
+    discrepancy zero.
     """
     sv = order_value(s)
     if k_max is not None and (not is_integer(k_max) or k_max < 0):
@@ -345,21 +347,17 @@ def commutator_cross_check(
     cells, comm = _cells(u, v, sv, N, k_max, quad)
 
     def over_norms(profile, j, k):  # Psi~_j(k+s) and its error; H(k+s) at j = 0
-        transform = mellin_weighted(profile, sv, 2 * k + j + 2, quad)
+        transform = mellin_weighted_cached(profile, sv, 2 * k + j + 2, quad)
         log_norm = 0.5 * (log_gamma(sv + k + 1.0) + log_gamma(sv + k + j + 1.0))
         scale = math.exp(transform.log_scale - log_norm)
         return transform.value * scale, transform.abs_error_estimate * scale
-
-    @functools.cache
-    def h(m):  # H(m+s) once per index
-        return over_norms(u, 0, m)
 
     discrepancy = dict.fromkeys(cells, 0.0)
     for j, k in cells:
         if j == 0:
             continue
-        phi_jk = h(k)[0] - h(k + j)[0], h(k)[1] + h(k + j)[1]
-        cell = Cell(j, k, *phi_jk, *over_norms(v.mode(j), j, k))
+        (h_k, h_k_err), (h_kj, h_kj_err) = over_norms(u, 0, k), over_norms(u, 0, k + j)
+        cell = Cell(j, k, h_k - h_kj, h_k_err + h_kj_err, *over_norms(v.mode(j), j, k))
         formula = -((2.0 * math.pi) ** 2) * cell.product
         entry = complex(comm.diagonals[j][k - max(0, -j)])
         floor = (2.0 * math.pi) ** 2 * cell.product_err + comm.entry_error
@@ -487,7 +485,8 @@ def periodicity_probe(
     _check_gamma_argument(0.0, max(z), j)
     # the grid and the grid shifted by j
     grid = np.array(z + [point + j for point in z])
-    h, h_err = _over_2pi(_entries(u, 0, grid, 0.0, quad, "u"))
+    entries = _entries(u, 0, grid, 0.0, quad, "u")
+    h, h_err = _factor(entries, u, 0, "u", f"from grid point z={min(z):g}")
     n = len(z)
     difference = np.abs(h[:n] - h[n:])
     worst = n - 1 - int(np.argmax(difference[::-1]))  # the last largest, as a scan with >=

@@ -36,7 +36,10 @@ class SobolevOrder:
     s: float
 
     def __post_init__(self):
-        s = float(self.s)
+        try:
+            s = float(self.s)
+        except (TypeError, ValueError, OverflowError):
+            s = math.nan  # refused below, naming the value as given
         if not math.isfinite(s) or s < 0.0:
             raise DomainError(f"Sobolev order must be finite and >= 0, got {self.s!r}")
         object.__setattr__(self, "s", s)
@@ -46,7 +49,7 @@ def order_value(s: "float | SobolevOrder") -> float:
     """Validated float value of an order given as a number or SobolevOrder."""
     if isinstance(s, SobolevOrder):
         return s.s
-    return SobolevOrder(float(s)).s
+    return SobolevOrder(s).s
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
-# mellin_weighted_cached is unused here, but perfbench/spans.py wraps this binding
-from .mellin import _column, mellin_weighted_cached  # noqa: F401
+from .mellin import _column
 from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma, log_gamma_array
 from .symbols import RadialProfile, SymbolSpec
 

@@ -18,7 +18,7 @@ from fock_toeplitz.criterion import (
     psi,
 )
 from fock_toeplitz.errors import AccuracyError, DomainError, PreconditionError
-from fock_toeplitz.mellin import mellin_weighted
+from fock_toeplitz.mellin import mellin_weighted, mellin_weighted_cached
 from fock_toeplitz.operators import radial_eigenvalues, toeplitz_matrix, commutator
 from fock_toeplitz.special_functions import DEFAULT_QUADRATURE, QuadratureSpec
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec
@@ -43,7 +43,8 @@ class TestPhi:
         for k in (0, 3, 9):
             assert phi(0, k, 1.0, R2, QUAD)[0] == 0.0
 
-    @pytest.mark.parametrize("s", [0.0, 0.5, 2.3])
+    # at s = 1e4 a Gaussian profile's entries underflow; a constant's do not
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.3, 1e4])
     def test_constant_symbol_vanishes(self, s):
         for j in (1, 2):
             for k in (0, 2, 7):
@@ -107,8 +108,10 @@ class TestPhi:
 
 
 class TestPsi:
-    def test_zero_profile(self):
-        assert psi(1, 0, 0.0, RadialProfile.zero(), QUAD)[0] == 0.0
+    @pytest.mark.parametrize("s", [0.0, 1e4])
+    def test_zero_profile(self, s):
+        # all-zero entries of the zero profile are its value, not an underflow
+        assert psi(1, 0, s, RadialProfile.zero(), QUAD) == (0j, 0.0)
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 2.3])
     def test_linear_profile(self, s):
@@ -196,6 +199,40 @@ class TestGammaArgumentGuard:
         # H is read at order 0, so the argument is z + j + 1, whatever s
         with pytest.raises(DomainError, match=self.refusal("9.22337e+18", 0, 0.5, 2**63)):
             periodicity_probe(R2, 0.0, 2**63, [0.5], QUAD)
+
+
+class TestUnderflowRefusal:
+    """A nonzero profile whose entries underflow to exactly 0 is refused by
+    name, in every reader of a factor, rather than read as a vanishing one."""
+
+    # r exp(-r^2 / 2) and r^2 exp(-r^2 / 2): entries carry (1.5)^-(s+k) and underflow by s = 1e4
+    LINEAR_DECAY = RadialProfile.gaussian_terms([(1.0, 1.0, 0.5)])
+    QUADRATIC_DECAY = RadialProfile.gaussian_terms([(1.0, 2.0, 0.5)])
+
+    @staticmethod
+    def refusal(name, j, where):
+        return re.escape(
+            f"entries of symbol {name!r} at mode j={j} underflow to 0 {where}: "
+            "the criterion cannot resolve them"
+        )
+
+    def test_psi_is_refused_as_the_report_is(self):
+        refusal = "^" + self.refusal("v", 1, "at s=10000") + "$"
+        with pytest.raises(DomainError, match=refusal):
+            psi(1, 0, 1e4, self.LINEAR_DECAY)
+        v = SymbolSpec.from_modes({1: self.LINEAR_DECAY}, name="v")
+        with pytest.raises(DomainError, match=refusal):
+            functional_equation_residuals(R2, v, 1e4, 4)
+
+    def test_phi(self):
+        with pytest.raises(DomainError, match="^" + self.refusal("u", 0, "at s=10000") + "$"):
+            phi(1, 0, 1e4, self.QUADRATIC_DECAY)
+
+    def test_probe_names_the_grid_point_not_the_order(self):
+        # H is read at order 0, so s = 100 is not where it underflows
+        refusal = "^" + self.refusal("u", 0, "from grid point z=10000") + "$"
+        with pytest.raises(DomainError, match=refusal):
+            periodicity_probe(self.QUADRATIC_DECAY, 100, 1, [1e4, 2e4])
 
 
 class TestFunctionalEquationResiduals:
@@ -552,6 +589,23 @@ class TestCommutatorCrossCheck:
     def test_k_max_must_be_a_nonnegative_integer(self, k_max):
         with pytest.raises(DomainError, match=rf"^k_max must be an integer >= 0, got {k_max!r}$"):
             commutator_cross_check(R2, Z2, 0.0, 10, QUAD, k_max=k_max)
+
+    def test_each_scalar_transform_is_computed_once(self, monkeypatch):
+        # check 5's three symbols at one (u, s): H(m+s) is shared by all of them,
+        # and re z's two modes share their profile and most of their arguments
+        from fock_toeplitz import acceptance
+
+        symbols = (acceptance.symbol_z(), acceptance.symbol_z_squared(), acceptance.symbol_re_z())
+        cached = [commutator_cross_check(R2, v, 0.5, 26, acceptance.QUAD, k_max=20) for v in symbols]
+        keys = set()
+        for v, cells in zip(symbols, cached):
+            for j, k in cells:
+                if j != 0:
+                    keys |= {(R2, 2 * k + 2), (R2, 2 * (k + j) + 2), (v.mode(j), 2 * k + j + 2)}
+        assert mellin_weighted_cached.cache_info().misses == len(keys)
+        monkeypatch.setattr(criterion, "mellin_weighted_cached", mellin_weighted)
+        uncached = [commutator_cross_check(R2, v, 0.5, 26, acceptance.QUAD, k_max=20) for v in symbols]
+        assert repr(cached) == repr(uncached)
 
     def test_off_basis_norms_are_caught(self, monkeypatch):
         # log-norms 1e-6 too large in the matrix path scale C by about 1 - 2e-6;

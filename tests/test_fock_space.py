@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from fock_toeplitz.criterion import phi
 from fock_toeplitz.errors import DomainError, ResourceError
 from fock_toeplitz.fock_space import (
     SobolevOrder,
@@ -12,6 +13,8 @@ from fock_toeplitz.fock_space import (
     kernel_eval,
     order_value,
 )
+from fock_toeplitz.operators import toeplitz_matrix
+from fock_toeplitz.symbols import RadialProfile, SymbolSpec
 
 
 class TestSobolevOrder:
@@ -24,6 +27,19 @@ class TestSobolevOrder:
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             SobolevOrder(bad)
+
+    @pytest.mark.parametrize("bad", ["x", None, 1j, pytest.param(10**400, id="10**400")])
+    def test_non_numbers_are_refused_by_name(self, bad):
+        refusal = "^" + re.escape(f"Sobolev order must be finite and >= 0, got {bad!r}") + "$"
+        with pytest.raises(DomainError, match=refusal):
+            order_value(bad)
+
+    def test_entry_points_refuse_a_non_number_order_by_name(self):
+        spec = SymbolSpec.from_modes({1: RadialProfile.monomial(1.0)}, name="z")
+        with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got 'x'$"):
+            toeplitz_matrix(spec, "x", 8)
+        with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got None$"):
+            phi(1, 0, None, RadialProfile.monomial(2.0))
 
 
 class TestDensity:
