@@ -24,7 +24,8 @@ error for exact Gaussian-polynomial transforms).  A report reads its cells
 off the diagonals of T_u and T_v it has just built (the diagonal memo);
 ``phi``, ``psi`` and the probe compute theirs through the same ``_entries``.
 All four read factors through ``_factor``, which refuses a nonzero profile
-whose entries all underflow to exactly 0 rather than read them as vanishing;
+whose entries all underflow to exactly 0, or hold a subnormal value or a
+nonzero value with a zero error bar, rather than read them as resolved;
 a Gamma argument s + m + max(j, 0) + 1 beyond 1e12, where the error bars
 are not validated, is refused too.
 """
@@ -72,9 +73,13 @@ _MAX_GAMMA_ARGUMENT = 1e12  # the largest at which the first-order error bars we
 def _factor(entries: tuple, profile: RadialProfile, j: int, name: str, where: str) -> tuple:
     """Mode-j entries of ``profile`` and their errors over 2 pi (H = lambda / (2 pi),
     Psi~ = T_v / (2 pi)); refused, naming ``where`` they were read, when a nonzero
-    profile's are all exactly 0: an underflow would read as a vanishing factor."""
+    profile's are all exactly 0, or hold a subnormal value or a nonzero value with
+    a zero error bar: an underflow would read as a vanishing or resolved factor."""
     values, errors = (part / (2.0 * math.pi) for part in entries)
-    if not (profile.is_zero or values.any() or errors.any()):
+    magnitudes = np.abs(values)
+    underflow = (magnitudes > 0.0) & ((magnitudes < np.finfo(float).tiny) | (errors == 0.0))
+    resolved = (values.any() or errors.any()) and not underflow.any()
+    if not (profile.is_zero or resolved):
         raise DomainError(
             f"entries of symbol {name!r} at mode j={j} underflow to 0 {where}: "
             "the criterion cannot resolve them"

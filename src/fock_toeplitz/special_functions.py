@@ -14,7 +14,7 @@ new, odd-index nodes) until two consecutive levels agree within tolerance;
 the last inter-level difference is the reported error estimate.
 
 A whole column of exponents is one vectorised pass per level: the integrand
-is evaluated once, on one window of nodes per row, and each row keeps its own
+is evaluated on one window of nodes per row, and each row keeps its own
 radius, stopping rule and error estimate, so a row's result does not depend
 on the rows beside it.  Under the declared growth bound |f(t)| <= C (1+t)^m,
 a row's window holds every node whose term may reach tau = 1e-3 tol / n (tol
@@ -22,8 +22,10 @@ the row's stopping tolerance, abs_tol at the first level; n nodes in the
 level), and each node left out adds tau to the row's error estimate, at most
 1e-3 tol per level.  The bound is unimodal along the nodes, so it is read at
 a few dozen of them, by products and sums alone.  Windows are widened to
-powers of two, and the rows of one width are summed as one block: numpy sums
-each row of a C-contiguous block pairwise, exactly as that row alone.
+powers of two, and the rows of one width are summed in C-contiguous (rows,
+width) blocks of at most _MAX_BATCH nodes (one row when its window alone is
+wider), the integrand evaluated once per block: numpy sums each row of such
+a block pairwise, exactly as that row alone.
 
 All functions are pure and safe to call concurrently.
 """
@@ -57,10 +59,10 @@ _MAX_REFINEMENTS = 8
 _FIRST_STEP = 1.0 / 32.0
 # Largest node_count a spec accepts: the last level then spans 2.6e5 nodes.
 MAX_NODE_COUNT = 1024
-# Rows x nodes that one pass of a level takes on; rows beyond it go in further
-# chunks.  64 cold matrix builds (2 vCPU host, least CPU time of 5, least of 6
-# rounds, first level at step 1/32) took 0.26 s at 2^13, 0.21 s at 2^14, 0.20 s
-# at 2^15, 0.19 s at 2^16 and 0.19 s at 2^17.
+# Rows x window width that one block of a level sums; the rows of one width
+# beyond it go in further blocks.  The level sums of 128 matrix builds (perfbench
+# matrix-build seed 1, lists 0-7; 2 vCPU host, least CPU time of 7 rounds) took
+# 0.177 s at 2^13, 0.172 s at 2^14, 0.171 s at 2^15, 0.172 s at 2^16 and 2^17.
 _MAX_BATCH = 1 << 15
 # A row leaves out the nodes whose terms are provably below this share of its
 # stopping tolerance, divided by the level's node count, so that all of them
@@ -110,9 +112,18 @@ def tail_radius(alpha_max, abs_tol: float):
     r = np.maximum(2.0, np.sqrt(np.maximum(alpha_max, 1.0)))
     for _ in range(64):
         r, previous = np.sqrt(target + growth * np.log(r)), r
-        if np.array_equal(r, previous):  # a fixed point: later steps repeat it
+        if (r == previous).all():  # a fixed point: later steps repeat it
             break
     return r
+
+
+def pointwise(f: Callable, points: np.ndarray) -> np.ndarray:
+    """``f(points)`` as an array, refused unless it holds one value per point."""
+    values = np.asarray(f(points))
+    if values.shape != points.shape:
+        shapes = f"shape {values.shape} for points of shape {points.shape}"
+        raise DomainError(f"evaluator returned {shapes}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,8 @@ def _level_sums(
     which bound summation rounding, and the number of nodes each row left
     out.  Row i sums one window of nodes that holds every node whose weighted
     density w t^(alpha-1) e^{-t^2} may reach e^{floor_i} (all nodes when
-    floor_i is -inf).  ``f`` is evaluated once, on the windows of all rows."""
+    floor_i is -inf).  ``f`` is evaluated once per block of rows of one width,
+    on at most _MAX_BATCH points but for one row whose window is wider."""
     x, weight, log_weight, log_x, x_squared = _unit_nodes(h, odd)
     n = x.size
     scale = h * (cutoff / 2.0) * (0.5 * math.pi)
@@ -212,26 +224,24 @@ def _level_sums(
     # Widths are powers of two (or all n nodes), so the rows form few blocks.
     width = np.minimum(np.left_shift(1, np.frexp(span - 1)[1]), n)
     first = np.minimum(first, n - width)
-    # the windows of all rows, in order of width, as one flat run of nodes
-    order = np.argsort(width, kind="stable")
-    sizes = width[order]
-    starts = np.cumsum(sizes) - sizes
-    rows = np.repeat(order, sizes)
-    nodes = np.repeat(first[order] - starts, sizes) + np.arange(sizes.sum())
     totals, masses = np.zeros(alpha.size, dtype=complex), np.zeros(alpha.size)
+    order = np.argsort(width, kind="stable")
     # an overflowing sum is refused by the caller
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        t = cutoff[rows] * x[nodes]
-        w = scale[rows] * weight[nodes]
-        terms = w * np.exp((alpha[rows] - 1.0) * np.log(t) - t * t) * np.asarray(f(t))
-        magnitudes = np.abs(terms)
-        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), alpha.size]
-        for a, b in zip(bounds, bounds[1:]):
-            # the rows of one width form one C-contiguous block; numpy sums each
-            # of its rows pairwise, as that row alone
-            block = slice(starts[a], starts[a] + (b - a) * sizes[a])
-            totals[order[a:b]] = np.add.reduce(terms[block].reshape(b - a, -1), axis=1)
-            masses[order[a:b]] = np.add.reduce(magnitudes[block].reshape(b - a, -1), axis=1)
+        for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+            size = int(width[group[0]])
+            step = max(1, _MAX_BATCH // size)
+            for start in range(0, group.size, step):
+                # the windows of these rows as one C-contiguous block; numpy sums
+                # each of its rows pairwise, as that row alone
+                rows = group[start : start + step]
+                nodes = first[rows][:, None] + np.arange(size)
+                t = cutoff[rows][:, None] * x[nodes]
+                w = scale[rows][:, None] * weight[nodes]
+                density = np.exp((alpha[rows] - 1.0)[:, None] * np.log(t) - t * t)
+                terms = w * density * pointwise(f, t.reshape(-1)).reshape(t.shape)
+                totals[rows] = np.add.reduce(terms, axis=1)
+                masses[rows] = np.add.reduce(np.abs(terms), axis=1)
     return totals, masses, n - width
 
 
@@ -254,7 +264,8 @@ def gaussian_weighted_column(
     test); a failed row's value and error are nan.
 
     ``f`` maps a 1-d array of points in (0, R) to real or complex values of
-    the same shape, with |f(t)| <= growth_constant (1+t)^growth_exponent.
+    the same shape (other shapes are refused), with |f(t)| <= growth_constant
+    (1+t)^growth_exponent, growth_exponent finite and >= 0.
     Row i is integrated on (0, R_i], R_i the larger of ``spec.tail_cutoff``
     and ``tail_radius(alpha_i + growth_exponent)``.  A row with alpha >= 1
     leaves out the nodes whose terms that bound proves below tau: 1e-3 tol / n
@@ -270,6 +281,8 @@ def gaussian_weighted_column(
         raise DomainError(
             f"exponent alpha must be finite and > 0, got {float(alphas[np.argmax(bad)])!r}"
         )
+    if not (math.isfinite(growth_exponent) and growth_exponent >= 0.0):
+        raise DomainError(f"growth_exponent must be finite and >= 0, got {growth_exponent!r}")
     if not (math.isfinite(growth_constant) and growth_constant > 0.0):
         raise DomainError(f"growth_constant must be finite and positive, got {growth_constant!r}")
     exponents = alphas + growth_exponent
@@ -303,13 +316,9 @@ def gaussian_weighted_column(
         tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(previous[active]))
         tau = tolerance * (_DROP_SHARE / nodes)
         floor = np.log(tau) - growth_log[active]
-        step = max(1, _MAX_BATCH // nodes)
-        cuts = range(step, active.size, step)
-        chunks = [
-            _level_sums(f, alphas[rows], cutoff[rows], h, level > first, part)
-            for rows, part in zip(np.split(active, cuts), np.split(floor, cuts))
-        ]
-        sums, masses, left_out = (np.concatenate(part) for part in zip(*chunks))
+        sums, masses, left_out = _level_sums(
+            f, alphas[active], cutoff[active], h, level > first, floor
+        )
         current, l1_mass = 0.5 * previous[active] + sums, 0.5 * previous_mass[active] + masses
         dropped[active] = 0.5 * dropped[active] + left_out * tau
         h *= 0.5

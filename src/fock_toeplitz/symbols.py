@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ClassificationError, DomainError, PreconditionError, is_integer
+from .special_functions import pointwise
 
 __all__ = [
     "RadialProfile",
@@ -105,7 +106,7 @@ class RadialProfile:
         """Wrap a vectorised evaluator; the declared bound is spot-checked."""
         profile = cls(float(growth_exponent), float(growth_constant), evaluator=evaluator)
         bound = profile.growth_constant * (1.0 + _VALIDATION_RADII) ** profile.growth_exponent
-        vals = np.abs(np.asarray(evaluator(_VALIDATION_RADII)))
+        vals = np.abs(pointwise(evaluator, _VALIDATION_RADII))
         if np.any(vals > bound * (1.0 + 1e-9)):
             worst = int(np.argmax(vals - bound))
             raise DomainError(

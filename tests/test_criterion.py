@@ -228,6 +228,19 @@ class TestUnderflowRefusal:
         with pytest.raises(DomainError, match="^" + self.refusal("u", 0, "at s=10000") + "$"):
             phi(1, 0, 1e4, self.QUADRATIC_DECAY)
 
+    def test_subnormal_entries_without_error_bars_are_refused(self):
+        # at s = 1835 the mode's entries at k <= 5 are subnormal (2.5e-323 down to
+        # 5e-324) with error bars of exactly 0, and read 0 +- 0 beyond: no verdict
+        v = SymbolSpec.from_modes({1: self.LINEAR_DECAY}, name="v")
+        refusal = "^" + self.refusal("v", 1, "at s=1835") + "$"
+        with pytest.raises(DomainError, match=refusal):
+            functional_equation_residuals(R2, v, 1835, 20)
+        with pytest.raises(DomainError, match=refusal):
+            psi(1, 0, 1835, self.LINEAR_DECAY)
+        # well inside double range the same mode is read and detected
+        verdict = functional_equation_residuals(R2, v, 100, 20).verdict
+        assert (verdict.kind, verdict.modes) == ("nonradial_mode_detected", (1,))
+
     def test_probe_names_the_grid_point_not_the_order(self):
         # H is read at order 0, so s = 100 is not where it underflows
         refusal = "^" + self.refusal("u", 0, "from grid point z=10000") + "$"

@@ -174,6 +174,44 @@ def per_row_level_sums(f, alpha, cutoff, h, odd, floor=None):
     return np.array(totals, dtype=complex), np.array(masses), np.zeros(alpha.size, dtype=int)
 
 
+def flat_run_level_sums(f, alpha, cutoff, h, odd, floor):
+    """The level pass before windows were summed in blocks chunked by the nodes
+    summed, kept as a bit oracle: the same windows, laid out as one flat run of
+    nodes in order of width, ``f`` evaluated once on the whole run, and each
+    width's rows summed as one block of that run."""
+    x, weight, log_weight, log_x, x_squared = special_functions._unit_nodes(h, odd)
+    n = x.size
+    scale = h * (cutoff / 2.0) * (0.5 * math.pi)
+    stride = max(1, n // 64)
+    sampled = log_weight[::stride] + (alpha - 1.0)[:, None] * log_x[::stride]
+    sampled -= (cutoff * cutoff)[:, None] * x_squared[::stride]
+    lowest = floor - np.log(scale) - (alpha - 1.0) * np.log(cutoff)
+    reach = sampled >= np.minimum(lowest, sampled.max(axis=1))[:, None]
+    low = np.argmax(reach, axis=1)
+    high = reach.shape[1] - 1 - np.argmax(reach[:, ::-1], axis=1)
+    first = np.maximum((low - 1) * stride + 1, 0)
+    span = np.minimum((high + 1) * stride, n) - first
+    width = np.minimum(np.left_shift(1, np.frexp(span - 1)[1]), n)
+    first = np.minimum(first, n - width)
+    order = np.argsort(width, kind="stable")
+    sizes = width[order]
+    starts = np.cumsum(sizes) - sizes
+    rows = np.repeat(order, sizes)
+    nodes = np.repeat(first[order] - starts, sizes) + np.arange(sizes.sum())
+    totals, masses = np.zeros(alpha.size, dtype=complex), np.zeros(alpha.size)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        t = cutoff[rows] * x[nodes]
+        w = scale[rows] * weight[nodes]
+        terms = w * np.exp((alpha[rows] - 1.0) * np.log(t) - t * t) * np.asarray(f(t))
+        magnitudes = np.abs(terms)
+        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), alpha.size]
+        for a, b in zip(bounds, bounds[1:]):
+            block = slice(starts[a], starts[a] + (b - a) * sizes[a])
+            totals[order[a:b]] = np.add.reduce(terms[block].reshape(b - a, -1), axis=1)
+            masses[order[a:b]] = np.add.reduce(magnitudes[block].reshape(b - a, -1), axis=1)
+    return totals, masses, n - width
+
+
 def integral(f, alpha, spec=DEFAULT_QUADRATURE, **kwargs):
     """The value of the quadrature, without its error estimate."""
     return gaussian_weighted_integral_with_estimate(f, alpha, spec, **kwargs)[0]
@@ -336,6 +374,41 @@ class TestGaussianWeightedIntegral:
             integral(lambda t: t, 0.0)
         with pytest.raises(DomainError):
             integral(lambda t: t, -2.0)
+
+    # nan and inf were reported as a level sum that is not finite, -50 as a
+    # stalled refinement, and -1 pruned against a bound below |f| near 0
+    @pytest.mark.parametrize("growth", [math.nan, math.inf, -math.inf, -50.0, -1.0])
+    def test_growth_exponent_must_be_finite_and_nonnegative(self, growth):
+        refusal = "^" + re.escape(f"growth_exponent must be finite and >= 0, got {growth!r}") + "$"
+        for call in (gaussian_weighted_column, gaussian_weighted_integral_with_estimate):
+            with pytest.raises(DomainError, match=refusal):
+                call(lambda t: np.exp(-t), 2.0, growth_exponent=growth)
+
+    @pytest.mark.parametrize(
+        "evaluator, shape",
+        [
+            (lambda t: 1.0, r"\(\)"),
+            (lambda t: np.ones(1), r"\(1,\)"),
+            (lambda t: t[:, None], r"\(\d+, 1\)"),
+        ],
+    )
+    def test_values_of_another_shape_than_the_points_are_refused(self, evaluator, shape):
+        # a value that would broadcast is not one value per point
+        refusal = rf"^evaluator returned shape {shape} for points of shape \(\d+,\)$"
+        with pytest.raises(DomainError, match=refusal):
+            gaussian_weighted_column(evaluator, [2.0, 3.0])
+
+    def test_an_evaluator_short_on_many_points_is_refused_not_stalled(self):
+        from fock_toeplitz import RadialProfile, SymbolSpec, toeplitz_matrix
+
+        # passes the 128-point spot check, then returns one value per call:
+        # broadcast, it read as a refinement that did not reach tolerance
+        profile = RadialProfile.from_callable(
+            lambda r: np.exp(-r) if r.size <= 128 else np.exp(-r[:1]), 0.0, 1.0
+        )
+        spec = SymbolSpec.from_modes({1: profile}, name="v")
+        with pytest.raises(DomainError, match=r"^evaluator returned shape \(1,\) for points"):
+            toeplitz_matrix(spec, 0.0, 8)
 
     def test_accuracy_error_carries_estimate(self):
         # A jump integrand defeats the smoothness assumption.
@@ -591,3 +664,74 @@ def test_a_decaying_column_evaluates_the_profile_on_a_quarter_of_the_full_rule_p
     monkeypatch.setattr(special_functions, "_level_sums", full_rule)
     assert not gaussian_weighted_column(f, alphas)[2]
     assert pruned <= 0.25 * sum(full_points), (pruned, sum(full_points))
+
+
+floors = st.one_of(st.just(-math.inf), st.floats(-800.0, 10.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    integrand=integrands,
+    rows=st.lists(st.tuples(alpha_draws, st.floats(2.0, 50.0), floors), min_size=1, max_size=12),
+    node_count=st.sampled_from([2, 7, 20, 48, 384, MAX_NODE_COUNT]),
+    level=st.integers(0, 8),
+    odd=st.booleans(),
+    batch=st.sampled_from([1, special_functions._MAX_BATCH]),
+)
+def test_level_sums_keep_the_bits_of_the_flat_run(integrand, rows, node_count, level, odd, batch):
+    f, _ = integrand
+    alpha, cutoff, floor = (np.array(column) for column in zip(*rows))
+    h = 12.0 / node_count / 2**level
+    expected = flat_run_level_sums(f, alpha, cutoff, h, odd, floor)
+    with mock.patch.object(special_functions, "_MAX_BATCH", batch):
+        got = special_functions._level_sums(f, alpha, cutoff, h, odd, floor)
+    for new, old in zip(got, expected):
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+
+def test_a_160_row_column_makes_one_level_sums_call_per_level(monkeypatch):
+    steps, level_sums = [], special_functions._level_sums
+
+    def recording(f, alpha, cutoff, h, *args):
+        steps.append(h)
+        return level_sums(f, alpha, cutoff, h, *args)
+
+    monkeypatch.setattr(special_functions, "_level_sums", recording)
+    alphas = np.linspace(1.0, 340.0, 160)
+    assert not gaussian_weighted_column(decaying(1.3, 1, 1.0), alphas, QuadratureSpec())[2]
+    # node_count 48 starts at level 3; its first level alone spans 385 nodes
+    assert len(steps) >= 2
+    assert steps == [12.0 / 48 / 2**level for level in range(3, 3 + len(steps))]
+
+
+@pytest.mark.parametrize("batch", [1, 1 << 8, special_functions._MAX_BATCH])
+def test_no_profile_call_takes_more_than_the_batch_but_one_wide_window(monkeypatch, batch):
+    # distinct radii, so each point t = R x names the row it belongs to
+    alphas = np.array([0.5, *np.linspace(20.0, 340.0, 40)])
+    level_sums, owners, calls = special_functions._level_sums, {}, []
+    default = special_functions._MAX_BATCH
+
+    def recording(f, alpha, cutoff, h, odd, floor):
+        points = cutoff[:, None] * special_functions._unit_nodes(h, odd)[0]
+        keys, order = points.ravel(), np.argsort(points, axis=None)
+        rows = np.repeat(np.arange(alpha.size), points.shape[1])
+        owners.update(keys=keys[order], rows=rows[order])
+        return level_sums(f, alpha, cutoff, h, odd, floor)
+
+    def f(t):
+        at = np.searchsorted(owners["keys"], t)
+        assert (owners["keys"][at] == t).all()
+        calls.append((t.size, np.unique(owners["rows"][at]).size))
+        return np.exp(-1.3 * t)
+
+    monkeypatch.setattr(special_functions, "_level_sums", recording)
+    monkeypatch.setattr(special_functions, "_MAX_BATCH", batch)
+    spec = QuadratureSpec(node_count=384)
+    radii = np.maximum(spec.tail_cutoff, tail_radius(alphas, spec.abs_tol))
+    assert np.unique(radii).size == alphas.size
+    assert not gaussian_weighted_column(f, alphas, spec)[2]
+    assert all(size <= batch or row_count == 1 for size, row_count in calls)
+    # not vacuous: rows share calls when the batch allows, and the alpha < 1 row
+    # keeps every node, a window of 385 at the first level
+    assert any(row_count > 1 for _, row_count in calls) == (batch > 1)
+    assert any(size > batch for size, _ in calls) == (batch < default)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ class TestRadialProfile:
                 growth_exponent=2.0,
                 growth_constant=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "evaluator, shape",
+        [
+            (lambda r: 1.0, ()),
+            (lambda r: np.ones(1), (1,)),
+            (lambda r: np.exp(-np.asarray(r))[:, None], (128, 1)),
+        ],
+    )
+    def test_callable_of_the_wrong_shape_is_refused(self, evaluator, shape):
+        # a value that would broadcast is not one value per point
+        refusal = re.escape(f"evaluator returned shape {shape} for points of shape (128,)")
+        with pytest.raises(DomainError, match="^" + refusal + "$"):
+            RadialProfile.from_callable(evaluator, 0.0, 1.0)
 
     def test_callable_accepts_valid_declaration(self):
         p = RadialProfile.from_callable(
