@@ -14,8 +14,9 @@ downstream products propagate.
 Gaussian-polynomial profiles (terms c t^p exp(-b t^2)) have the exact
 transform sum c Gamma(a) / (2 pi (1+b)^a), a = (zeta + 2s + p)/2, kept in
 the log domain; only evaluator profiles go through quadrature, a whole
-column of arguments per call.  Nothing here caches a column; the operator
-module memoizes the matrix entries built from one.
+column of arguments per call, or the columns of several profiles in one
+pass.  Nothing here caches a column; the operator module memoizes the
+matrix entries built from one.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .fock_space import SobolevOrder, order_value
 from .special_functions import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    gaussian_weighted_column,
+    gaussian_weighted_columns,
     # unused here, but perfbench/spans.py wraps this binding
     gaussian_weighted_integral_with_estimate,  # noqa: F401
     log_gamma_array,
@@ -85,32 +86,53 @@ def _family_transform(terms: tuple, alpha: np.ndarray) -> tuple[np.ndarray, np.n
     return log_scale, value, error
 
 
-def _column(
-    v: RadialProfile, s: float, zetas: np.ndarray, spec: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, AccuracyError]]:
-    """M[v G_s] at ``zetas`` as new arrays (log_scale, values, errors), the
-    transform being value * exp(log_scale), and {index: AccuracyError} for
-    failed quadratures (value and error nan): the exact form for a family
-    profile, one column quadrature for an evaluator, both elementwise.
+def _columns(
+    parts: list, s: float, spec: QuadratureSpec
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]]:
+    """M[v G_s] at ``zetas`` for each part (v, zetas), as new arrays
+    (log_scale, values, errors), the transform being value * exp(log_scale),
+    and {index: failure} for failed quadratures (value and error nan): the
+    exact form for a family profile, one column quadrature pass for all the
+    evaluator profiles, elementwise.  The pass stops at the first failure in
+    part order (``gaussian_weighted_columns``' ``first_failure``): the
+    failures hold the first failed index, and the list ends at its part.
     Every transform comes through here, so here an argument outside the
     holomorphy half-plane is refused with a :class:`DomainError`."""
-    alpha = zetas + 2.0 * s
-    outside = ~(np.isfinite(alpha) & (alpha > 0.0))
-    if outside.any():
-        zeta = float(zetas[np.argmax(outside)])
-        raise DomainError(
-            f"Mellin argument outside holomorphy half-plane: zeta + 2s = {zeta + 2.0 * s:g} "
-            f"must be finite and > 0 (zeta={zeta!r}, s={s!r})"
-        )
-    if v.evaluator is None:
-        return (*_family_transform(v.terms, alpha), {})
-    values, errors, failures = gaussian_weighted_column(
-        v, alpha, spec, growth_exponent=v.growth_exponent, growth_constant=v.growth_constant
-    )
-    # numpy's complex / float multiplies by 1/pi; dividing each part rounds
-    # as Python's complex division does
-    values = (values.view(float) / math.pi).view(complex)
-    return np.zeros(zetas.shape), values, errors / math.pi, failures
+    alphas = [zetas + 2.0 * s for _, zetas in parts]
+    for (_, zetas), alpha in zip(parts, alphas):
+        outside = ~(np.isfinite(alpha) & (alpha > 0.0))
+        if outside.any():
+            zeta = float(zetas[np.argmax(outside)])
+            raise DomainError(
+                f"Mellin argument outside holomorphy half-plane: zeta + 2s = {zeta + 2.0 * s:g} "
+                f"must be finite and > 0 (zeta={zeta!r}, s={s!r})"
+            )
+    evaluators = [
+        (v, alpha, v.growth_exponent, v.growth_constant)
+        for (v, _), alpha in zip(parts, alphas)
+        if v.evaluator is not None
+    ]
+    passes = iter(evaluators and gaussian_weighted_columns(evaluators, spec, first_failure=True))
+    columns = []
+    for (v, _), alpha in zip(parts, alphas):
+        if v.evaluator is None:
+            columns.append((*_family_transform(v.terms, alpha), {}))
+            continue
+        values, errors, failures = next(passes)
+        # numpy's complex / float multiplies by 1/pi; dividing each part rounds
+        # as Python's complex division does
+        values = (values.view(float) / math.pi).view(complex)
+        columns.append((np.zeros(alpha.shape), values, errors / math.pi, failures))
+        if failures:
+            break
+    return columns
+
+
+def _column(
+    v: RadialProfile, s: float, zetas: np.ndarray, spec: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
+    """:func:`_columns` of one profile."""
+    return _columns([(v, zetas)], s, spec)[0]
 
 
 def mellin_weighted(

@@ -28,8 +28,12 @@ each assembled mode diagonal is memoized by ``_diagonal``, a bounded
 symbol name.  An entry holds the read-only entries and errors and the
 largest error, so a rebuild runs no transform and the criterion reads its
 cells off the diagonals it has just built.  Its counters are
-``_diagonal.cache_info()``.  A refusal is raised again on every call, never
-stored, and names the symbol of that call.
+``_diagonal.cache_info()``.  A build's first miss transforms that mode and
+the build's later modes in one call, its evaluator modes in one quadrature
+pass, and the build's name argument, left out of the key, carries them to
+their misses; a build reads its basis norms off ``_basis_log_norms``.  A
+refusal is raised again on every call, never stored, and names the symbol
+of that call.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, PreconditionError, is_integer
 from .fock_space import SobolevOrder, order_value
-from .mellin import _column
+from .mellin import _columns
 from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma, log_gamma_array
 from .symbols import RadialProfile, SymbolSpec
 
@@ -178,27 +182,49 @@ def _truncation(N: int) -> int:
 
 
 def _entries(
-    profile: RadialProfile, j: int, m: np.ndarray, s: float, quad: QuadratureSpec, name: str
+    profile: RadialProfile,
+    j: int,
+    m: np.ndarray,
+    s: float,
+    quad: QuadratureSpec,
+    name: str,
+    log_gammas: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one path from a profile to entries <T e_m, e_{m+j}>, at the columns
     ``m``, with their absolute errors: one column of transforms, whose
-    log_scale meets the basis log-norms before anything is exponentiated.
-    A failed quadrature is re-raised as an :class:`AccuracyError`, and an
-    entry or error beyond double range refused by a :class:`DomainError`,
+    log_scale meets the basis log-norms (read off ``log_gammas``, log
+    Gamma(s + k + 1) for k < N, when a build passes them) before anything is
+    exponentiated.  A failed quadrature is re-raised as an
+    :class:`AccuracyError`, an evaluator's :class:`DomainError` as one, and
+    an entry or error beyond double range refused by a :class:`DomainError`,
     each naming (j, m)."""
-    log_scale, values, errors, failures = _column(profile, s, 2.0 * m + j + 2, quad)
+    if getattr(name, "build", None) is None:
+        column = _columns([(profile, 2.0 * m + j + 2)], s, quad)[0]
+    else:  # a build's first miss transforms its later modes too, kept for their misses
+        modes, N, ahead = name.build
+        if j not in ahead:
+            later = [(k, v) for k, v in modes[[k for k, _ in modes].index(j) :] if abs(k) < N]
+            parts = [(v, 2.0 * np.arange(max(0, -k), N - max(0, k)) + k + 2) for k, v in later]
+            ahead.update(zip((k for k, _ in later), _columns(parts, s, quad)))
+        column = ahead.pop(j)
+    log_scale, values, errors, failures = column
     if failures:
         i = min(failures)
         exc = failures[i]
-        raise AccuracyError(
-            f"entry quadrature failed for symbol {name!r} at mode j={j}, "
-            f"column m={m.tolist()[i]}: {exc}",
-            estimate=exc.estimate,
-        ) from exc
-    grid = np.sort(np.concatenate([m, m + j]))  # each distinct norm argument once
-    grid = grid[np.r_[True, grid[1:] != grid[:-1]]]
-    log_gammas = log_gamma_array(s + grid + 1.0)
-    log_norms = log_gammas[grid.searchsorted(m)] + log_gammas[grid.searchsorted(m + j)]
+        where = f"symbol {name!r} at mode j={j}, column m={m.tolist()[i]}"
+        if isinstance(exc, AccuracyError):
+            message = f"entry quadrature failed for {where}: {exc}"
+            raise AccuracyError(message, estimate=exc.estimate) from exc
+        if isinstance(exc, DomainError):
+            raise DomainError(f"entry quadrature failed for {where}: {exc}") from exc
+        raise exc
+    if log_gammas is None:
+        grid = np.sort(np.concatenate([m, m + j]))  # each distinct norm argument once
+        grid = grid[np.r_[True, grid[1:] != grid[:-1]]]
+        log_gammas = log_gamma_array(s + grid + 1.0)
+        log_norms = log_gammas[grid.searchsorted(m)] + log_gammas[grid.searchsorted(m + j)]
+    else:
+        log_norms = log_gammas[m] + log_gammas[m + j]
     with np.errstate(over="ignore", invalid="ignore"):
         scale = 2.0 * math.pi * np.exp(log_scale - 0.5 * log_norms)
         values, errors = values * scale, errors * scale
@@ -211,7 +237,11 @@ def _entries(
 
 class _Unkeyed(str):
     """A symbol name equal to every other, so that ``_diagonal``'s key leaves
-    it out while a refusal, which is never stored, still names the symbol."""
+    it out while a refusal, which is never stored, still names the symbol.
+    A build's name also carries the build for ``_entries``: its mode items,
+    N, and the transforms computed ahead of their modes' misses."""
+
+    build = None
 
     def __eq__(self, other):
         return True
@@ -227,7 +257,8 @@ def _diagonal(
     """``_entries`` of one mode over its columns in the N x N block, read-only,
     and the largest error.  Memoized by (profile, j, s, N, quad): a rebuild
     runs no transform, and a refusal is raised again, never stored."""
-    values, errors = _entries(profile, j, np.arange(max(0, -j), N - max(0, j)), s, quad, name)
+    m = np.arange(max(0, -j), N - max(0, j))
+    values, errors = _entries(profile, j, m, s, quad, name, _basis_log_norms(s, N))
     values.setflags(write=False)
     errors.setflags(write=False)
     return values, errors, float(np.max(errors))
@@ -242,20 +273,26 @@ def toeplitz_matrix(
     """Truncated Toeplitz matrix of the symbol on the first N basis vectors.
 
     One diagonal per mode, exact for Gaussian-polynomial profiles and by
-    quadrature for evaluator profiles; diagonal symbols give diagonal
-    matrices and ``exact_band`` is the largest |j| present.  A quadrature
-    failure is re-raised as an :class:`AccuracyError`, and an entry beyond
-    double range as a :class:`DomainError`, naming the offending (j, m) entry.
+    quadrature for evaluator profiles, all those that miss the memo in one
+    quadrature pass; diagonal symbols give diagonal matrices and
+    ``exact_band`` is the largest |j| present.  A quadrature failure is
+    re-raised as an :class:`AccuracyError`, and an entry beyond double
+    range as a :class:`DomainError`, naming the first offending (j, m)
+    entry in mode order.
     """
     sv = order_value(s)
     N = _truncation(N)
     diagonals = {}
     worst_error = 0.0
     name = _Unkeyed(spec.name)
-    for j, profile in spec.mode_items:
-        if abs(j) < N:
-            diagonals[j], _, error = _diagonal(profile, j, sv, N, quad, name)
-            worst_error = max(worst_error, error)
+    name.build = (spec.mode_items, N, {})
+    try:
+        for j, profile in spec.mode_items:
+            if abs(j) < N:
+                diagonals[j], _, error = _diagonal(profile, j, sv, N, quad, name)
+                worst_error = max(worst_error, error)
+    finally:  # the memo's keys keep the name, but not what a refused build computed ahead
+        name.build = None
     return TruncatedOperator(diagonals, N, sv, spec.max_mode, spec.name, worst_error)
 
 

@@ -25,13 +25,16 @@ a few dozen of them, by products and sums alone.  Windows are widened to
 powers of two, and the rows of one width are summed in C-contiguous (rows,
 width) blocks of at most _MAX_BATCH nodes (one row when its window alone is
 wider), the integrand evaluated once per block: numpy sums each row of such
-a block pairwise, exactly as that row alone.
+a block pairwise, exactly as that row alone.  The columns of several
+integrands are one such pass too, its rows tagged by integrand and its
+blocks grouped by (integrand, width).
 
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,6 +50,7 @@ __all__ = [
     "log_gamma",
     "log_gamma_array",
     "gaussian_weighted_column",
+    "gaussian_weighted_columns",
     "gaussian_weighted_integral_with_estimate",
     "tail_radius",
 ]
@@ -193,16 +197,24 @@ def _unit_nodes(h: float, odd: bool = False) -> tuple:
     return arrays
 
 
+class _EvaluatorFailure(Exception):
+    """An integrand raised, its exception the ``__cause__``, on the block of
+    :func:`_level_sums` whose first row is ``args[0]``."""
+
+
 def _level_sums(
-    f: Callable, alpha: np.ndarray, cutoff: np.ndarray, h: float, odd: bool, floor: np.ndarray
+    f, alpha: np.ndarray, cutoff: np.ndarray, h: float, odd: bool, floor: np.ndarray, part=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One trapezoid pass of the tanh-sinh rule at step ``h`` (odd nodes only
     when ``odd``) for each row (alpha, cutoff): the sums, their L1 masses,
     which bound summation rounding, and the number of nodes each row left
     out.  Row i sums one window of nodes that holds every node whose weighted
     density w t^(alpha-1) e^{-t^2} may reach e^{floor_i} (all nodes when
-    floor_i is -inf).  ``f`` is evaluated once per block of rows of one width,
-    on at most _MAX_BATCH points but for one row whose window is wider."""
+    floor_i is -inf).  Row i integrates ``f``, or ``f[part[i]]`` when the
+    rows carry a ``part`` each; the integrand is evaluated once per block of
+    rows of one part and one width, on at most _MAX_BATCH points but for one
+    row whose window is wider.  An integrand that raises is reported as an
+    :class:`_EvaluatorFailure` at its block's first row."""
     x, weight, log_weight, log_x, x_squared = _unit_nodes(h, odd)
     n = x.size
     scale = h * (cutoff / 2.0) * (0.5 * math.pi)
@@ -211,35 +223,52 @@ def _level_sums(
     # q = (tanh y - sinh u / (pi cosh^2 u)) / (1 - x) increasing.  So g is read
     # at every stride-th node, by products and sums alone: the nodes that reach
     # the floor lie strictly between the samples beside the first and the last
-    # sample that reaches it (or that is highest, when none reaches it).
+    # sample that reaches it (or that is highest, when none reaches it), for
+    # blocks of rows that read at most _MAX_BATCH samples.
     stride = max(1, n // _MASK_SAMPLES)
-    sampled = log_weight[::stride] + (alpha - 1.0)[:, None] * log_x[::stride]
-    sampled -= (cutoff * cutoff)[:, None] * x_squared[::stride]
     lowest = floor - np.log(scale) - (alpha - 1.0) * np.log(cutoff)
-    reach = sampled >= np.minimum(lowest, sampled.max(axis=1))[:, None]
-    low = np.argmax(reach, axis=1)
-    high = reach.shape[1] - 1 - np.argmax(reach[:, ::-1], axis=1)
-    first = np.maximum((low - 1) * stride + 1, 0)
-    span = np.minimum((high + 1) * stride, n) - first
+    first, span = np.empty((2, alpha.size), dtype=int)
+    step = max(1, _MAX_BATCH // log_x[::stride].size)
+    for start in range(0, alpha.size, step):
+        rows = slice(start, start + step)
+        sampled = log_weight[::stride] + (alpha[rows] - 1.0)[:, None] * log_x[::stride]
+        sampled -= (cutoff[rows] * cutoff[rows])[:, None] * x_squared[::stride]
+        reach = sampled >= np.minimum(lowest[rows], sampled.max(axis=1))[:, None]
+        low = np.argmax(reach, axis=1)
+        high = reach.shape[1] - 1 - np.argmax(reach[:, ::-1], axis=1)
+        first[rows] = np.maximum((low - 1) * stride + 1, 0)
+        span[rows] = np.minimum((high + 1) * stride, n) - first[rows]
     # Widths are powers of two (or all n nodes), so the rows form few blocks.
     width = np.minimum(np.left_shift(1, np.frexp(span - 1)[1]), n)
     first = np.minimum(first, n - width)
     totals, masses = np.zeros(alpha.size, dtype=complex), np.zeros(alpha.size)
-    order = np.argsort(width, kind="stable")
+    integrands, part = ((f,), np.zeros(alpha.size, dtype=int)) if part is None else (f, part)
+    order = np.lexsort((width, part))
+    groups = np.flatnonzero(np.diff(width[order]) | np.diff(part[order])) + 1
     # an overflowing sum is refused by the caller
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        for group in np.split(order, groups):
             size = int(width[group[0]])
+            integrand = integrands[part[group[0]]]
             step = max(1, _MAX_BATCH // size)
             for start in range(0, group.size, step):
                 # the windows of these rows as one C-contiguous block; numpy sums
                 # each of its rows pairwise, as that row alone
                 rows = group[start : start + step]
                 nodes = first[rows][:, None] + np.arange(size)
-                t = cutoff[rows][:, None] * x[nodes]
-                w = scale[rows][:, None] * weight[nodes]
-                density = np.exp((alpha[rows] - 1.0)[:, None] * np.log(t) - t * t)
-                terms = w * density * pointwise(f, t.reshape(-1)).reshape(t.shape)
+                t = x[nodes]
+                t *= cutoff[rows][:, None]
+                w = weight[nodes]
+                w *= scale[rows][:, None]
+                density = np.log(t)
+                density *= (alpha[rows] - 1.0)[:, None]
+                density -= t * t
+                w *= np.exp(density, out=density)
+                try:
+                    values = pointwise(integrand, t.reshape(-1))
+                except Exception as exc:
+                    raise _EvaluatorFailure(rows[0]) from exc
+                terms = w * values.reshape(t.shape)
                 totals[rows] = np.add.reduce(terms, axis=1)
                 masses[rows] = np.add.reduce(np.abs(terms), axis=1)
     return totals, masses, n - width
@@ -275,30 +304,53 @@ def gaussian_weighted_column(
     spec, and a row's result does not depend on the other rows of the
     column.
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    bad = ~(np.isfinite(alphas) & (alphas > 0.0))
-    if bad.any():
-        raise DomainError(
-            f"exponent alpha must be finite and > 0, got {float(alphas[np.argmax(bad)])!r}"
-        )
-    if not (math.isfinite(growth_exponent) and growth_exponent >= 0.0):
-        raise DomainError(f"growth_exponent must be finite and >= 0, got {growth_exponent!r}")
-    if not (math.isfinite(growth_constant) and growth_constant > 0.0):
-        raise DomainError(f"growth_constant must be finite and positive, got {growth_constant!r}")
+    return gaussian_weighted_columns([(f, alphas, growth_exponent, growth_constant)], spec)[0]
+
+
+def gaussian_weighted_columns(
+    parts, spec: QuadratureSpec = DEFAULT_QUADRATURE, *, first_failure: bool = False
+) -> list[tuple[np.ndarray, np.ndarray, dict[int, Exception]]]:
+    """:func:`gaussian_weighted_column` of each part (f, alphas, growth_exponent,
+    growth_constant), bit for bit, in one pass: one ``tail_radius`` call and,
+    per level, one ``_level_sums`` call over every part's rows.  With
+    ``first_failure``, for a caller that refuses at the first failed row in
+    part order, a row after a failed one is summed at no later level (its
+    value stays nan), the list ends at the part holding the first failure,
+    and an integrand that raises fails its block's first row with what it
+    raised, instead of raising it.
+    """
+    columns = []
+    for _, alphas, growth_exponent, growth_constant in parts:
+        alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+        bad = ~(np.isfinite(alphas) & (alphas > 0.0))
+        if bad.any():
+            raise DomainError(
+                f"exponent alpha must be finite and > 0, got {float(alphas[np.argmax(bad)])!r}"
+            )
+        if not (math.isfinite(growth_exponent) and growth_exponent >= 0.0):
+            raise DomainError(f"growth_exponent must be finite and >= 0, got {growth_exponent!r}")
+        if not (math.isfinite(growth_constant) and growth_constant > 0.0):
+            raise DomainError(f"growth_constant must be finite and positive, got {growth_constant!r}")
+        columns.append(alphas)
+    sizes = [alphas.size for alphas in columns]
+    part, alphas = np.repeat(np.arange(len(parts)), sizes), np.concatenate(columns)
+    growth_exponent, log_constant = np.array([(g, math.log(c)) for *_, g, c in parts]).T[:, part]
+    # one integrand is passed alone, several with the part of each row
+    integrand = tuple(f for f, *_ in parts) if len(parts) > 1 else parts[0][0]
     exponents = alphas + growth_exponent
     cutoff = np.maximum(spec.tail_cutoff, tail_radius(exponents, spec.abs_tol))
     # Indicator of the discarded tail beyond R for the declared growth bound
     # C (1+t)^gamma: C R^(alpha+gamma) e^(-R^2).
-    tail_log = math.log(growth_constant) + exponents * np.log(cutoff) - cutoff * cutoff
+    tail_log = log_constant + exponents * np.log(cutoff) - cutoff * cutoff
     tail_bound = np.where(tail_log < 700.0, np.exp(np.minimum(tail_log, 700.0)), np.inf)
     # log of the growth bound C (1+R)^gamma of f on (0, R], plus the margin left
     # for the rounding of the pruning mask; rows with alpha < 1 keep every node.
-    growth_log = math.log(growth_constant) + growth_exponent * np.log1p(cutoff) + _MASK_MARGIN
+    growth_log = log_constant + growth_exponent * np.log1p(cutoff) + _MASK_MARGIN
     growth_log[alphas < 1.0] = np.inf
 
     values = np.full(alphas.size, np.nan, dtype=complex)
     errors = np.full(alphas.size, np.nan)
-    failures: dict[int, AccuracyError] = {}
+    failures: dict[int, Exception] = {}
     previous, previous_mass = np.zeros(alphas.size, dtype=complex), np.zeros(alphas.size)
     estimate, dropped = np.full(alphas.size, np.inf), np.zeros(alphas.size)
     active = np.arange(alphas.size)
@@ -307,18 +359,27 @@ def gaussian_weighted_column(
     while h > _FIRST_STEP and first < _MAX_REFINEMENTS - 1:
         h, first = 0.5 * h, first + 1
     for level in range(first, _MAX_REFINEMENTS + 1):
-        if not active.size:
-            break
         # Halving h keeps the old nodes exactly: past the first level, sum the new
         # (odd) nodes and add half the previous sum.
         nodes = _unit_nodes(h, level > first)[0].size
-        # the bound each left-out term stays below (abs_tol's share at the first level)
-        tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(previous[active]))
-        tau = tolerance * (_DROP_SHARE / nodes)
-        floor = np.log(tau) - growth_log[active]
-        sums, masses, left_out = _level_sums(
-            f, alphas[active], cutoff[active], h, level > first, floor
-        )
+        while active.size:  # once more without the rows an integrand failed on
+            # the bound each left-out term stays below (abs_tol's share at the first level)
+            tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(previous[active]))
+            tau = tolerance * (_DROP_SHARE / nodes)
+            floor = np.log(tau) - growth_log[active]
+            rows = (alphas[active], cutoff[active], h, level > first, floor)
+            tags = [part[active]] if len(parts) > 1 else []
+            try:
+                sums, masses, left_out = _level_sums(integrand, *rows, *tags)
+                break
+            except _EvaluatorFailure as failure:
+                row, raised = int(active[failure.args[0]]), failure.__cause__
+            if not first_failure:
+                raise raised
+            failures[row] = raised
+            active = active[active < row]
+        else:  # no row left
+            break
         current, l1_mass = 0.5 * previous[active] + sums, 0.5 * previous_mass[active] + masses
         dropped[active] = 0.5 * dropped[active] + left_out * tau
         h *= 0.5
@@ -340,6 +401,8 @@ def gaussian_weighted_column(
         errors[active[done]] = estimate[active[done]]
         previous[active], previous_mass[active] = current, l1_mass
         active = active[finite & ~done]
+        if first_failure and failures:
+            active = active[active < min(failures)]
     for row in active.tolist():
         failures[row] = AccuracyError(
             f"quadrature did not reach tolerance (abs_tol={spec.abs_tol:g}, "
@@ -347,7 +410,14 @@ def gaussian_weighted_column(
             f"error estimate {estimate[row]:.3e} after {_MAX_REFINEMENTS} refinements",
             estimate=float(estimate[row]),
         )
-    return values, errors, dict(sorted(failures.items()))
+    results, lo = [], 0
+    for hi in itertools.accumulate(sizes):
+        failed = {row - lo: failures[row] for row in sorted(failures) if lo <= row < hi}
+        results.append((values[lo:hi], errors[lo:hi], failed))
+        lo = hi
+        if first_failure and failed:
+            break
+    return results
 
 
 def gaussian_weighted_integral_with_estimate(

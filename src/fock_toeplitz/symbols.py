@@ -60,6 +60,12 @@ class RadialProfile:
     evaluator: Callable | None = None
 
     def __post_init__(self):
+        for field in ("growth_exponent", "growth_constant"):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, float(value))
+            except (TypeError, ValueError):
+                raise DomainError(f"{field} must be a real number, got {value!r}") from None
         if not (math.isfinite(self.growth_exponent) and self.growth_exponent >= 0.0):
             raise DomainError("growth_exponent must be finite and >= 0")
         if not (math.isfinite(self.growth_constant) and self.growth_constant > 0.0):
@@ -104,7 +110,7 @@ class RadialProfile:
         growth_constant: float,
     ) -> "RadialProfile":
         """Wrap a vectorised evaluator; the declared bound is spot-checked."""
-        profile = cls(float(growth_exponent), float(growth_constant), evaluator=evaluator)
+        profile = cls(growth_exponent, growth_constant, evaluator=evaluator)
         bound = profile.growth_constant * (1.0 + _VALIDATION_RADII) ** profile.growth_exponent
         vals = np.abs(pointwise(evaluator, _VALIDATION_RADII))
         if np.any(vals > bound * (1.0 + 1e-9)):

@@ -538,13 +538,13 @@ class TestAgainstScalarReference:
 def test_report_computes_one_column_per_mode(monkeypatch):
     # H and every Psi~ column are read off the diagonals the report builds
     computed = []
-    column = operators._column
+    columns = operators._columns
 
-    def counting(v, s, zetas, spec):
-        computed.append((v, zetas.size))
-        return column(v, s, zetas, spec)
+    def counting(parts, s, spec):
+        computed.extend((v, zetas.size) for v, zetas in parts)
+        return columns(parts, s, spec)
 
-    monkeypatch.setattr(operators, "_column", counting)
+    monkeypatch.setattr(operators, "_columns", counting)
     v = SymbolSpec.from_modes({0: ONE, 1: DECAY, -2: RadialProfile.monomial(1.0)}, name="v")
     functional_equation_residuals(R2, v, 0.5, 8, QUAD, N=20)
     expected = [(R2, 20), (ONE, 20), (DECAY, 19), (v.mode(-2), 18)]

@@ -59,11 +59,11 @@ def test_regression_grid(s, N):
 
 def test_family_columns_skip_quadrature_and_rebuilds_skip_transforms(monkeypatch):
     columns = []
-    quadrature = mellin.gaussian_weighted_column
+    quadrature = mellin.gaussian_weighted_columns
 
-    def counting(f, alphas, *args, **kwargs):
-        columns.append(len(alphas))
-        return quadrature(f, alphas, *args, **kwargs)
+    def counting(parts, *args, **kwargs):
+        columns.extend(len(alphas) for _, alphas, *_ in parts)
+        return quadrature(parts, *args, **kwargs)
 
     transforms = []
     uncached = mellin.mellin_weighted
@@ -73,15 +73,15 @@ def test_family_columns_skip_quadrature_and_rebuilds_skip_transforms(monkeypatch
         return uncached(*args, **kwargs)
 
     computed = []
-    column = operators._column
+    column = operators._columns
 
-    def counting_column(v, s, zetas, spec):
-        computed.append(zetas.size)
-        return column(v, s, zetas, spec)
+    def counting_column(parts, s, spec):
+        computed.extend(zetas.size for _, zetas in parts)
+        return column(parts, s, spec)
 
-    monkeypatch.setattr(mellin, "gaussian_weighted_column", counting)
+    monkeypatch.setattr(mellin, "gaussian_weighted_columns", counting)
     monkeypatch.setattr(mellin, "mellin_weighted", counting_transform)
-    monkeypatch.setattr(operators, "_column", counting_column)
+    monkeypatch.setattr(operators, "_columns", counting_column)
     # modes 0, 2 and -3 at N = 40 have 40, 38 and 37 entries
     toeplitz_matrix(MIXED, 3.217, 40)
     assert sorted(computed) == [37, 38, 40]

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fock_toeplitz import operators
+from fock_toeplitz import mellin, operators, special_functions
 from fock_toeplitz.errors import AccuracyError, DomainError, PreconditionError
 from fock_toeplitz.operators import (
     TruncatedOperator,
@@ -315,8 +315,8 @@ def test_order_shift_is_exact(s, k):
 
 
 def test_each_basis_log_gamma_is_computed_once_and_entries_keep_their_bits(monkeypatch):
-    # the norms Gamma(s+m+1) and Gamma(s+m+j+1) of mode j's columns share all
-    # but |j| arguments: N distinct ones per mode, 2 (N - |j|) as two arrays
+    # the norms Gamma(s+m+1) and Gamma(s+m+j+1) of every mode's columns are
+    # among the N of Gamma(s+k+1), k < N: one array per build, not two per mode
     modes = {**dict(MIXED.mode_items), -1: RadialProfile.monomial(0.5)}
     five = SymbolSpec.from_modes(modes, name="five")
     s, n = 2.7, 160
@@ -324,7 +324,7 @@ def test_each_basis_log_gamma_is_computed_once_and_entries_keep_their_bits(monke
     with np.errstate(over="ignore"):
         for j, profile in five.mode_items:
             m = np.arange(max(0, -j), n - max(0, j))
-            log_scale, values, _, _ = operators._column(profile, s, 2.0 * m + j + 2, QUAD)
+            log_scale, values, _, _ = mellin._column(profile, s, 2.0 * m + j + 2, QUAD)
             two_arrays = log_gamma_array(s + m + 1.0) + log_gamma_array(s + (m + j) + 1.0)
             expected[j] = values * (2.0 * math.pi * np.exp(log_scale - 0.5 * two_arrays))
     sizes = []
@@ -335,9 +335,106 @@ def test_each_basis_log_gamma_is_computed_once_and_entries_keep_their_bits(monke
 
     monkeypatch.setattr(operators, "log_gamma_array", counted)
     op = toeplitz_matrix(five, s, n, QUAD)
-    assert sizes == [n] * 5
+    assert sizes == [n]
     for j, values in expected.items():
         assert op.diagonals[j].tobytes() == values.tobytes(), j
+
+
+def decay(rate):
+    return RadialProfile.from_callable(
+        lambda r: np.exp(-rate * np.asarray(r, dtype=float)), growth_exponent=0.0, growth_constant=1.0
+    )
+
+
+class TestOneColumnPassPerBuild:
+    """A build's evaluator modes that miss the memo share one column pass."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Record every _level_sums call as (h, alpha, part) and count tail_radius calls."""
+        level_sums, tail_radius = special_functions._level_sums, special_functions.tail_radius
+        calls, radii = [], []
+
+        def recording_sums(f, alpha, cutoff, h, odd, floor, part=None):
+            tags = np.zeros(alpha.size, dtype=int) if part is None else part
+            calls.append((h, alpha.copy(), tags.copy()))
+            return level_sums(f, alpha, cutoff, h, odd, floor, *([] if part is None else [part]))
+
+        def counting_radius(*args):
+            radii.append(args)
+            return tail_radius(*args)
+
+        monkeypatch.setattr(special_functions, "_level_sums", recording_sums)
+        monkeypatch.setattr(special_functions, "tail_radius", counting_radius)
+        return calls, radii
+
+    def test_three_evaluator_modes_make_one_level_sums_call_per_level(self, monkeypatch):
+        modes = {-3: decay(0.5), -1: RadialProfile.polynomial([0.0, 1.0]), 0: decay(1.3), 2: decay(2.9)}
+        symbol = SymbolSpec.from_modes(modes, name="three")
+        alone = {
+            j: toeplitz_matrix(SymbolSpec.from_modes({j: profile}), 2.7, 40).diagonals[j]
+            for j, profile in modes.items()
+        }
+        operators._diagonal.cache_clear()
+        calls, radii = self.recording(monkeypatch)
+        op = toeplitz_matrix(symbol, 2.7, 40)
+        assert len(radii) == 1
+        steps = [h for h, _, _ in calls]
+        assert len(steps) >= 2 and steps == [steps[0] / 2**level for level in range(len(steps))]
+        # the first level sums the 37 + 40 + 38 columns of the three evaluator modes
+        assert np.bincount(calls[0][2]).tolist() == [37, 40, 38]
+        for j, values in alone.items():
+            assert op.diagonals[j].tobytes() == values.tobytes(), j
+        # a rebuild runs no quadrature
+        again = toeplitz_matrix(symbol, 2.7, 40)
+        assert len(calls) == len(steps) and len(radii) == 1
+        assert again.entries.tobytes() == op.entries.tobytes()
+
+    def test_a_failing_mode_ends_the_pass_and_the_modes_before_it_stay_memoized(
+        self, monkeypatch
+    ):
+        # at s = 164.2 only mode 0's last column, alpha = 344.4, overflows
+        modes = {-2: decay(0.5), 0: decay(1.3), 2: decay(2.9)}
+        m = np.arange(8)
+        with pytest.raises(AccuracyError) as alone:
+            operators._entries(modes[0], 0, m, 164.2, DEFAULT_QUADRATURE, "x")
+        assert "mode j=0, column m=7: quadrature level sum is not finite" in str(alone.value)
+        calls, _ = self.recording(monkeypatch)
+        symbol = SymbolSpec.from_modes(modes, name="x")
+        with pytest.raises(AccuracyError, match="^" + re.escape(str(alone.value)) + "$"):
+            toeplitz_matrix(symbol, 164.2, 8)
+        # every row is summed at the first level, where the failure shows; no
+        # row after the failed entry is summed at a later level
+        assert np.bincount(calls[0][2]).tolist() == [6, 8, 6]
+        assert len(calls) > 1
+        for _, alpha, part in calls[1:]:
+            assert part.max() <= 1 and (alpha[part == 1] < 344.4).all()
+        assert operators._diagonal.cache_info().currsize == 1
+        toeplitz_matrix(SymbolSpec.from_modes({-2: modes[-2]}), 164.2, 8)
+        assert operators._diagonal.cache_info().hits == 1
+
+    def test_an_evaluator_refusal_names_its_mode(self):
+        # the second mode passes the 128-point spot check, then returns one value
+        short = RadialProfile.from_callable(
+            lambda r: np.exp(-r) if r.size <= 128 else np.exp(-r[:1]), 0.0, 1.0
+        )
+        symbol = SymbolSpec.from_modes({0: decay(1.3), 1: short}, name="v")
+        refusal = r"^entry quadrature failed for symbol 'v' at mode j=1, column m=\d+: "
+        with pytest.raises(DomainError, match=refusal + r"evaluator returned shape \(1,\)"):
+            toeplitz_matrix(symbol, 0.0, 8)
+        # the first mode is built and kept
+        assert operators._diagonal.cache_info().currsize == 1
+
+    def test_a_later_evaluator_refusal_waits_for_the_modes_before_it(self):
+        # mode 0 fails its last column; mode 1's evaluator refuses on its first
+        # level, in the same pass, but the build names mode 0's entry first
+        short = RadialProfile.from_callable(
+            lambda r: np.exp(-r) if r.size <= 128 else np.exp(-r[:1]), 0.0, 1.0
+        )
+        symbol = SymbolSpec.from_modes({0: decay(1.3), 1: short}, name="v")
+        refusal = r"^entry quadrature failed for symbol 'v' at mode j=0, column m=7: quadrature"
+        with pytest.raises(AccuracyError, match=refusal):
+            toeplitz_matrix(symbol, 164.2, 8)
 
 
 class TestCommutator:

@@ -17,6 +17,7 @@ from fock_toeplitz.special_functions import (
     MAX_NODE_COUNT,
     QuadratureSpec,
     gaussian_weighted_column,
+    gaussian_weighted_columns,
     gaussian_weighted_integral_with_estimate,
     log_gamma,
     tail_radius,
@@ -407,7 +408,8 @@ class TestGaussianWeightedIntegral:
             lambda r: np.exp(-r) if r.size <= 128 else np.exp(-r[:1]), 0.0, 1.0
         )
         spec = SymbolSpec.from_modes({1: profile}, name="v")
-        with pytest.raises(DomainError, match=r"^evaluator returned shape \(1,\) for points"):
+        refusal = r"^entry quadrature failed for symbol 'v' at mode j=1, column m=0: evaluator"
+        with pytest.raises(DomainError, match=refusal + r" returned shape \(1,\) for points"):
             toeplitz_matrix(spec, 0.0, 8)
 
     def test_accuracy_error_carries_estimate(self):
@@ -735,3 +737,53 @@ def test_no_profile_call_takes_more_than_the_batch_but_one_wide_window(monkeypat
     # keeps every node, a window of 385 at the first level
     assert any(row_count > 1 for _, row_count in calls) == (batch > 1)
     assert any(size > batch for size, _ in calls) == (batch < default)
+
+
+def failure_reprs(failures):
+    return {row: (type(exc), str(exc), repr(exc.estimate)) for row, exc in failures.items()}
+
+
+def same_bits(a, b):
+    # a bool, so that a failing assert shows reprs, not a diff of the bytes,
+    # which makes shrinking take minutes
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(
+            integrands,
+            st.lists(alpha_draws, min_size=1, max_size=5),
+            st.sampled_from([0.0, 0.5, 2.0]),
+            st.floats(0.1, 10.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    spec=specs,
+    batch=st.sampled_from([1, special_functions._MAX_BATCH]),
+)
+def test_a_merged_pass_is_each_part_alone_bit_for_bit(parts, spec, batch):
+    parts = [(f, alphas, growth + extra, constant) for (f, growth), alphas, extra, constant in parts]
+    with mock.patch.object(special_functions, "_MAX_BATCH", batch):
+        merged = gaussian_weighted_columns(parts, spec)
+        stopped = gaussian_weighted_columns(parts, spec, first_failure=True)
+        alone = [
+            gaussian_weighted_column(f, alphas, spec, growth_exponent=g, growth_constant=c)
+            for f, alphas, g, c in parts
+        ]
+    assert len(merged) == len(parts)
+    for (values, errors, failures), (values_1, errors_1, failures_1) in zip(merged, alone):
+        assert same_bits(values, values_1) and same_bits(errors, errors_1)
+        assert failure_reprs(failures) == failure_reprs(failures_1)
+    # stopping at the first failure: the parts before it whole, and the part
+    # holding it up to that row, its failure first
+    failing = [i for i, (_, _, failures) in enumerate(alone) if failures]
+    assert len(stopped) == (failing[0] + 1 if failing else len(parts))
+    for (values, errors, failures), (values_1, errors_1, failures_1) in zip(stopped, alone):
+        row = min(failures_1, default=len(values_1))
+        assert same_bits(values[:row], values_1[:row]) and same_bits(errors[:row], errors_1[:row])
+        if failures_1:
+            assert min(failures) == row
+            assert failure_reprs({row: failures[row]}) == failure_reprs({row: failures_1[row]})

@@ -72,6 +72,25 @@ class TestRadialProfile:
         with pytest.raises(DomainError, match="^" + refusal + "$"):
             RadialProfile.from_callable(evaluator, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "growth, field",
+        [
+            (("x", 1.0), "growth_exponent"),
+            ((None, 1.0), "growth_exponent"),
+            ((0.0, "y"), "growth_constant"),
+            ((0.0, None), "growth_constant"),
+            ((0.0, 1j), "growth_constant"),
+        ],
+    )
+    def test_growth_that_is_not_a_number_is_refused_by_name(self, growth, field):
+        # float() alone raises ValueError for 'x' and TypeError for None
+        value = growth[field == "growth_constant"]
+        refusal = re.escape(f"{field} must be a real number, got {value!r}")
+        with pytest.raises(DomainError, match="^" + refusal + "$"):
+            RadialProfile.from_callable(lambda r: np.exp(-np.asarray(r)), *growth)
+        with pytest.raises(DomainError, match="^" + refusal + "$"):
+            RadialProfile(*growth)
+
     def test_callable_accepts_valid_declaration(self):
         p = RadialProfile.from_callable(
             lambda r: np.exp(-np.asarray(r, dtype=float)),
