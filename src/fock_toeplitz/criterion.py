@@ -309,7 +309,7 @@ def _cells(
 
     def column(profile, j, size, name):
         """The first ``size`` entries of a diagonal just built, as a factor."""
-        values, errors, _ = _diagonal(profile, j, s, N, quad, _Unkeyed(name))
+        values, errors, *_ = _diagonal(profile, j, s, N, quad, _Unkeyed(name))
         return _factor((values[:size], errors[:size]), profile, j, name, f"at s={s:g}")
 
     h, h_err = column(u, 0, k_max + v.max_mode + 1, "u")

@@ -18,22 +18,22 @@ band cannot be represented.  A product of operators with diagonal sets A
 and B is O(N |A| |B|) slice products; Berezin transforms, window maxima and
 the exporters read the diagonals too, and only ``entries``, a lazy dense
 view, costs N^2.  A Berezin transform weighs each diagonal d by real kernel
-magnitudes and one scalar phase (z/|z|)^d.  Operators are immutable after
-construction, so the largest entry magnitude, which bounds the error of
-every product, is found once per operator (``max_abs``).
+magnitudes and one scalar phase (z/|z|)^d on a cached (s, N) grid.  An
+operator finds ``max_abs``, which bounds every product's error, once;
+``_operator`` skips for this module's operators the checks their parts pass.
 
 Every entry, here and in the criterion, comes through ``_entries``, and
 each assembled mode diagonal is memoized by ``_diagonal``, a bounded
 ``functools.lru_cache`` keyed by (profile, j, s, N, quadrature spec), not by
-symbol name.  An entry holds the read-only entries and errors and the
-largest error, so a rebuild runs no transform and the criterion reads its
-cells off the diagonals it has just built.  Its counters are
-``_diagonal.cache_info()``.  A build's first miss transforms that mode and
-the build's later modes in one call, its evaluator modes in one quadrature
-pass, and the build's name argument, left out of the key, carries them to
-their misses; a build reads its basis norms off ``_basis_log_norms``.  A
-refusal is raised again on every call, never stored, and names the symbol
-of that call.
+symbol name.  An entry holds the read-only entries and errors, the largest
+error and the largest |entry|, so a rebuild runs no transform, finds its
+``max_abs`` without a pass, and the criterion reads its cells off the
+diagonals it has just built; its counters are ``_diagonal.cache_info()``.
+A build's first miss transforms that mode and the build's later modes in
+one call, its evaluator modes in one quadrature pass, and the build's name
+argument, left out of the key, carries them to their misses; a build reads
+its basis norms off ``_basis_log_norms``.  A refusal is raised again on
+every call, never stored, and names the symbol of that call.
 """
 
 from __future__ import annotations
@@ -107,30 +107,28 @@ class TruncatedOperator:
         op = f"operator {self.label!r}"
         if not is_integer(n) or n < 1:
             raise DomainError(f"{op}: size must be an integer >= 1, got {n!r}")
-        if not (math.isfinite(self.s) and self.s >= 0.0):
+        if not _at_least_zero(self.s, finite=True):
             raise DomainError(f"{op}: s must be finite and >= 0, got {self.s!r}")
         if not is_integer(band) or band < 0:
             raise DomainError(f"{op}: exact_band must be an integer >= 0, got {band!r}")
-        if not error >= 0.0:  # nan fails too; an infinite bound stands
+        if not _at_least_zero(error):  # nan fails too; an infinite bound stands
             raise DomainError(f"{op}: entry_error must be >= 0, got {error!r}")
         for d in self.diagonals:
             if not is_integer(d):
                 raise DomainError(f"{op}: diagonal key {d!r} is not an integer")
         diagonals = {}
         for d in sorted(self.diagonals):
-            # a read-only view: the caller's array keeps its own flags
-            values = np.asarray(self.diagonals[d], dtype=complex).view()
             where = f"{op}: diagonal d={d}"
+            try:  # a read-only view: the caller's array keeps its own flags
+                values = np.asarray(self.diagonals[d], dtype=complex).view()
+            except (TypeError, ValueError):
+                raise DomainError(f"{where}: entries must be numbers") from None
             if abs(d) > band:
                 raise DomainError(f"{where} lies outside declared band {band}")
             if abs(d) >= n or values.shape != (n - abs(d),):
                 need = f"N={n} needs shape ({max(n - abs(d), 0)},)"
                 raise DomainError(f"{where} at {need}, got {values.shape}")
-            if not np.isfinite(values).all():
-                m = np.argmin(np.isfinite(values)) + max(0, -d)
-                raise DomainError(f"{where}: entry at column m={m} is not finite")
-            values.setflags(write=False)
-            diagonals[int(d)] = values
+            diagonals[int(d)] = _read_only_finite(values, d, where)
         object.__setattr__(self, "diagonals", diagonals)
 
     @cached_property
@@ -162,12 +160,53 @@ class TruncatedOperator:
         return self.size - 1 - self.exact_band
 
 
+def _operator(diagonals, size, s, band, label, error, finite=True, max_abs=None):
+    """A TruncatedOperator of parts that pass ``__post_init__`` by construction, which is
+    not run, but for finiteness unless ``finite``; a ``max_abs`` known is stored."""
+    diagonals = dict(sorted(diagonals.items()))
+    if not finite:
+        for d, values in diagonals.items():
+            _read_only_finite(values, d, f"operator {label!r}: diagonal d={d}")
+    op = object.__new__(TruncatedOperator)
+    fields = (diagonals, size, s, band, label, error)
+    op.__dict__.update(zip(TruncatedOperator.__dataclass_fields__, fields))
+    if max_abs is not None:
+        op.__dict__["max_abs"] = max_abs
+    return op
+
+
+def _at_least_zero(value, finite: bool = False) -> bool:
+    """Whether ``value`` is a number >= 0, and finite when ``finite``; nan fails."""
+    try:
+        return value >= 0.0 and (not finite or math.isfinite(value))
+    except (TypeError, ValueError):
+        return False
+
+
+def _read_only_finite(values: np.ndarray, d: int, where: str) -> np.ndarray:
+    """Diagonal ``d``'s ``values`` made read-only, or its first non-finite entry refused."""
+    if not np.isfinite(values).all():
+        m = np.argmin(np.isfinite(values)) + max(0, -d)
+        raise DomainError(f"{where}: entry at column m={m} is not finite")
+    values.setflags(write=False)
+    return values
+
+
 @lru_cache(maxsize=64)
 def _basis_log_norms(s: float, n: int) -> np.ndarray:
     """log Gamma(s + m + 1) for m = 0, ..., n-1, summed in that order; read-only."""
     norms = log_gamma_array(s + np.arange(n) + 1.0)
     norms.setflags(write=False)
     return norms
+
+
+@lru_cache(maxsize=64)
+def _berezin_grid(s: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k < n, 0.5 log Gamma(s + k + 1) and n complex ones for ``berezin``; read-only."""
+    grid = (np.arange(n), 0.5 * _basis_log_norms(s, n), np.ones(n, dtype=complex))
+    for array in grid:
+        array.setflags(write=False)
+    return grid
 
 
 def _kernel_tail_log(r: float, s: float, n: int) -> float:
@@ -253,15 +292,15 @@ class _Unkeyed(str):
 @lru_cache(maxsize=_MAX_MEMO_DIAGONALS)
 def _diagonal(
     profile: RadialProfile, j: int, s: float, N: int, quad: QuadratureSpec, name: _Unkeyed
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, float]:
     """``_entries`` of one mode over its columns in the N x N block, read-only,
-    and the largest error.  Memoized by (profile, j, s, N, quad): a rebuild
-    runs no transform, and a refusal is raised again, never stored."""
+    its largest error and largest |entry|.  Memoized by (profile, j, s, N,
+    quad): a rebuild runs no transform, and a refusal is raised again, never stored."""
     m = np.arange(max(0, -j), N - max(0, j))
     values, errors = _entries(profile, j, m, s, quad, name, _basis_log_norms(s, N))
     values.setflags(write=False)
     errors.setflags(write=False)
-    return values, errors, float(np.max(errors))
+    return values, errors, float(np.max(errors)), _max_abs([values])
 
 
 def toeplitz_matrix(
@@ -283,17 +322,17 @@ def toeplitz_matrix(
     sv = order_value(s)
     N = _truncation(N)
     diagonals = {}
-    worst_error = 0.0
+    worst_error = largest = 0.0
     name = _Unkeyed(spec.name)
     name.build = (spec.mode_items, N, {})
     try:
         for j, profile in spec.mode_items:
             if abs(j) < N:
-                diagonals[j], _, error = _diagonal(profile, j, sv, N, quad, name)
-                worst_error = max(worst_error, error)
+                diagonals[j], _, error, peak = _diagonal(profile, j, sv, N, quad, name)
+                worst_error, largest = max(worst_error, error), max(largest, peak)
     finally:  # the memo's keys keep the name, but not what a refused build computed ahead
         name.build = None
-    return TruncatedOperator(diagonals, N, sv, spec.max_mode, spec.name, worst_error)
+    return _operator(diagonals, N, sv, spec.max_mode, spec.name, worst_error, max_abs=largest)
 
 
 def radial_eigenvalues(
@@ -313,8 +352,12 @@ def radial_eigenvalues(
 
 
 def _propagated_product_error(a: TruncatedOperator, b: TruncatedOperator) -> float:
+    if math.inf in (a.entry_error, b.entry_error):  # stands, also where inf * 0 is nan
+        return math.inf
     width = min(a.exact_band, b.exact_band) + 1
-    return width * (a.entry_error * b.max_abs + b.entry_error * a.max_abs)
+    # an exact factor adds 0, also beside a max_abs that overflows to inf
+    ea, eb = a.entry_error, b.entry_error
+    return width * ((ea and ea * b.max_abs) + (eb and eb * a.max_abs))
 
 
 # An overflowing product is refused by the result's constructor, which names
@@ -358,14 +401,14 @@ def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
     with np.errstate(over="ignore", invalid="ignore"):
         diagonals = {d: ab[d] - ba[d] for d in ab}
     error = 2.0 * _propagated_product_error(a, b)
-    return TruncatedOperator(diagonals, a.size, a.s, band, f"[{a.label},{b.label}]", error)
+    return _operator(diagonals, a.size, a.s, band, f"[{a.label},{b.label}]", error, finite=False)
 
 
 def compose(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
     """Matrix product AB, standing in for operator composition on the window."""
     diagonals, band = _product(a, b)
     error = _propagated_product_error(a, b)
-    return TruncatedOperator(diagonals, a.size, a.s, band, f"{a.label}*{b.label}", error)
+    return _operator(diagonals, a.size, a.s, band, f"{a.label}*{b.label}", error, finite=False)
 
 
 def berezin(a: TruncatedOperator, z: complex) -> complex:
@@ -376,7 +419,10 @@ def berezin(a: TruncatedOperator, z: complex) -> complex:
     :class:`DomainError` asks for a larger truncation.  At z = 0 it is
     A[0, 0].
     """
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"Berezin point z must be finite, got {z!r}") from None
     if not cmath.isfinite(z):
         raise DomainError(f"Berezin point z must be finite, got {z!r}")
     if z == 0.0:
@@ -392,7 +438,8 @@ def berezin(a: TruncatedOperator, z: complex) -> complex:
     # the magnitudes of the coefficients c[k] = conj(z)^k / sqrt(Gamma(s+k+1)),
     # scaled by their largest, which the ratio does not see (unscaled they
     # underflow by s = 200); conj(c[m+d]) c[m] = |c[m+d] c[m]| (z/|z|)^d
-    log_abs = np.arange(n) * math.log(abs(z)) - 0.5 * _basis_log_norms(a.s, n)
+    k, half_log_norms, ones = _berezin_grid(a.s, n)
+    log_abs = k * math.log(abs(z)) - half_log_norms
     magnitude = np.exp(log_abs - log_abs.max())
     phase = z / abs(z)
     numerator = 0j
@@ -400,7 +447,7 @@ def berezin(a: TruncatedOperator, z: complex) -> complex:
         weights = magnitude[max(0, d) : n + min(0, d)] * magnitude[max(0, -d) : n - max(0, d)]
         numerator += phase**d * np.dot(weights, values)
     # the d = 0 term's dot on ones and componentwise division keep A = identity at exactly 1
-    denominator = float(np.dot(magnitude * magnitude, np.ones(n, dtype=complex)).real)
+    denominator = float(np.dot(magnitude * magnitude, ones).real)
     return complex(numerator.real / denominator, numerator.imag / denominator)
 
 
@@ -424,7 +471,10 @@ def _max_abs(arrays) -> float:
 def min_truncation_size(max_abs_z: float, s: "float | SobolevOrder") -> int:
     """Smallest N >= 8 meeting the Berezin tail precondition for |z| <= max_abs_z."""
     sv = order_value(s)
-    r = float(max_abs_z)
+    try:
+        r = float(max_abs_z)
+    except (TypeError, ValueError):
+        r = math.nan  # refused below, by name
     if not (math.isfinite(r) and r >= 0.0):
         raise DomainError(f"max_abs_z must be finite and >= 0, got {max_abs_z!r}")
     for n in range(8, MAX_TRUNCATION + 1):

@@ -202,6 +202,11 @@ class _EvaluatorFailure(Exception):
     :func:`_level_sums` whose first row is ``args[0]``."""
 
 
+class _Stopping(tuple):
+    """The integrands of a pass that refuses at its first failed row in part
+    order, so that ``_level_sums`` leaves later parts unsummed."""
+
+
 def _level_sums(
     f, alpha: np.ndarray, cutoff: np.ndarray, h: float, odd: bool, floor: np.ndarray, part=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,7 +219,10 @@ def _level_sums(
     rows carry a ``part`` each; the integrand is evaluated once per block of
     rows of one part and one width, on at most _MAX_BATCH points but for one
     row whose window is wider.  An integrand that raises is reported as an
-    :class:`_EvaluatorFailure` at its block's first row."""
+    :class:`_EvaluatorFailure` at its block's first row.  When ``f`` is
+    :class:`_Stopping`, once a block's sum or mass is not finite, the blocks
+    of later parts are left unsummed (sum and mass 0): their rows come after
+    a row that the caller refuses."""
     x, weight, log_weight, log_x, x_squared = _unit_nodes(h, odd)
     n = x.size
     scale = h * (cutoff / 2.0) * (0.5 * math.pi)
@@ -245,9 +253,12 @@ def _level_sums(
     integrands, part = ((f,), np.zeros(alpha.size, dtype=int)) if part is None else (f, part)
     order = np.lexsort((width, part))
     groups = np.flatnonzero(np.diff(width[order]) | np.diff(part[order])) + 1
+    failed_part = None
     # an overflowing sum is refused by the caller
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         for group in np.split(order, groups):
+            if failed_part is not None and part[group[0]] != failed_part:
+                break  # blocks come in part order
             size = int(width[group[0]])
             integrand = integrands[part[group[0]]]
             step = max(1, _MAX_BATCH // size)
@@ -271,6 +282,10 @@ def _level_sums(
                 terms = w * values.reshape(t.shape)
                 totals[rows] = np.add.reduce(terms, axis=1)
                 masses[rows] = np.add.reduce(np.abs(terms), axis=1)
+                if isinstance(f, _Stopping) and not (
+                    np.isfinite(totals[rows]).all() and np.isfinite(masses[rows]).all()
+                ):  # the caller refuses a row of this part
+                    failed_part = part[group[0]]
     return totals, masses, n - width
 
 
@@ -315,7 +330,8 @@ def gaussian_weighted_columns(
     per level, one ``_level_sums`` call over every part's rows.  With
     ``first_failure``, for a caller that refuses at the first failed row in
     part order, a row after a failed one is summed at no later level (its
-    value stays nan), the list ends at the part holding the first failure,
+    value stays nan), nor are the later parts' rows in the level where a
+    sum overflows, the list ends at the part holding the first failure,
     and an integrand that raises fails its block's first row with what it
     raised, instead of raising it.
     """
@@ -336,7 +352,8 @@ def gaussian_weighted_columns(
     part, alphas = np.repeat(np.arange(len(parts)), sizes), np.concatenate(columns)
     growth_exponent, log_constant = np.array([(g, math.log(c)) for *_, g, c in parts]).T[:, part]
     # one integrand is passed alone, several with the part of each row
-    integrand = tuple(f for f, *_ in parts) if len(parts) > 1 else parts[0][0]
+    integrands = (_Stopping if first_failure else tuple)(f for f, *_ in parts)
+    integrand = integrands if len(parts) > 1 else parts[0][0]
     exponents = alphas + growth_exponent
     cutoff = np.maximum(spec.tail_cutoff, tail_radius(exponents, spec.abs_tol))
     # Indicator of the discarded tail beyond R for the declared growth bound

@@ -203,21 +203,23 @@ def _fit_exponent_on_samples(radii: np.ndarray, magnitudes: np.ndarray):
 class SymbolSpec:
     """Finite Fourier-radial expansion {j -> v_j} with a text label.
 
-    Zero profiles are dropped at construction; a symbol is radial exactly
-    when its surviving modes are contained in {j = 0}.
+    Each mode is an integer index, stored as an int, and a RadialProfile,
+    and no index is given twice; anything else is refused by a
+    :class:`DomainError` naming the symbol and the index.  ``from_modes``
+    drops zero profiles and sorts the modes; a symbol is radial exactly when
+    its modes are contained in {j = 0}.
     """
 
     mode_items: tuple
     name: str = "symbol"
 
+    def __post_init__(self):
+        object.__setattr__(self, "mode_items", _checked_modes(self.mode_items, self.name))
+
     @classmethod
     def from_modes(cls, modes: Mapping[int, RadialProfile], name: str = "symbol") -> "SymbolSpec":
-        items = tuple(
-            (int(j), profile)
-            for j, profile in sorted(modes.items())
-            if not profile.is_zero
-        )
-        return cls(items, name)
+        items = _checked_modes(modes.items(), name)
+        return cls(tuple(sorted(item for item in items if not item[1].is_zero)), name)
 
     @property
     def mode_indices(self) -> tuple[int, ...]:
@@ -243,6 +245,23 @@ class SymbolSpec:
             {-j: profile.conjugate() for j, profile in self.mode_items},
             name=f"conj({self.name})",
         )
+
+
+def _checked_modes(items, name) -> tuple:
+    """``items`` as (int index, RadialProfile) pairs, refused unless each is
+    one and no index repeats."""
+    checked = {}
+    for j, profile in items:
+        where = f"symbol {name!r}: mode index {j!r}"
+        if not is_integer(j):
+            raise DomainError(f"{where} is not an integer")
+        if not isinstance(profile, RadialProfile):
+            kind = type(profile).__name__
+            raise DomainError(f"{where}: profile must be a RadialProfile, got {kind}")
+        if int(j) in checked:
+            raise DomainError(f"{where} is given more than once")
+        checked[int(j)] = profile
+    return tuple(checked.items())
 
 
 def evaluate(spec: SymbolSpec, z: complex) -> complex:

@@ -1,9 +1,12 @@
 """Products, Berezin transforms and window maxima read an operator's stored
 diagonals.  The dense N x N forms they replaced are kept here as references:
 the products sum the same terms in another order, so they agree to a bound
-set from the float64 epsilon and the number of terms per entry."""
+set from the float64 epsilon and the number of terms per entry.  Builds and
+products skip the constructor's checks that their parts pass by
+construction; the public constructor of the same parts is their reference."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -11,15 +14,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fock_toeplitz.errors import PreconditionError
+from fock_toeplitz import operators
+from fock_toeplitz.errors import DomainError, PreconditionError
 from fock_toeplitz.operators import (
     TruncatedOperator,
     _basis_log_norms,
     berezin,
     commutator,
     compose,
+    toeplitz_matrix,
     window_max_abs,
 )
+from fock_toeplitz.special_functions import DEFAULT_QUADRATURE
+from fock_toeplitz.symbols import RadialProfile, SymbolSpec
 
 EPS = sys.float_info.epsilon
 
@@ -197,3 +204,78 @@ def test_products_refuse_mismatched_operators():
         for product in (commutator, compose):
             with pytest.raises(PreconditionError):
                 product(a, other)
+
+
+def assert_same_operator(op, public):
+    """``op`` equals ``public`` field for field and bit for bit: the same
+    sorted int keys, read-only complex diagonals, scalars and max_abs."""
+    assert list(op.diagonals) == list(public.diagonals)
+    assert all(type(d) is int for d in op.diagonals)
+    for d, values in op.diagonals.items():
+        assert values.dtype == complex and not values.flags.writeable
+        assert values.tobytes() == public.diagonals[d].tobytes()
+    for field in ("size", "s", "exact_band", "label", "entry_error"):
+        mine, theirs = getattr(op, field), getattr(public, field)
+        assert type(mine) is type(theirs) and mine == theirs, field
+    assert op.max_abs == public.max_abs
+
+
+FAMILY = [
+    RadialProfile.monomial(2.0),
+    RadialProfile.polynomial([1.0, -0.5j, 0.25]),
+    RadialProfile.gaussian_terms([(0.8, 2.0, 0.5), (-0.3j, 0.0, 1.2)]),
+]
+
+
+@given(
+    st.dictionaries(st.integers(-5, 5), st.sampled_from(FAMILY), max_size=4),
+    st.integers(1, 24),
+    st.sampled_from([0.0, 0.5, 3.0]),
+)
+def test_builds_equal_the_public_constructor_of_their_parts(modes, n, s):
+    spec = SymbolSpec.from_modes(modes, name="v")
+    name = operators._Unkeyed("v")
+    for _ in range(2):  # cold, then from the memo
+        op = toeplitz_matrix(spec, s, n)
+        parts = {
+            j: operators._diagonal(profile, j, s, n, DEFAULT_QUADRATURE, name)
+            for j, profile in spec.mode_items
+            if abs(j) < n
+        }
+        error = max((float(np.max(errors)) for _, errors, *_ in parts.values()), default=0.0)
+        diagonals = {j: values for j, (values, *_) in parts.items()}
+        public = TruncatedOperator(diagonals, n, float(s), spec.max_mode, "v", error)
+        assert_same_operator(op, public)
+
+
+def rescaled(op, peak, error):
+    """``op`` with its largest entry magnitude moved to ``peak`` (a zero
+    operator as it is) and ``error`` for its entry_error."""
+    scale = op.max_abs or 1.0
+    diagonals = {d: values / scale * peak for d, values in op.diagonals.items()}
+    return TruncatedOperator(diagonals, op.size, op.s, op.exact_band, op.label, error)
+
+
+@given(
+    pairs(),
+    st.sampled_from([commutator, compose]),
+    # at a peak of 1e160 most products overflow
+    st.sampled_from([1.0, 1e160]),
+    st.sampled_from([0.0, 1e-16, math.inf]),
+)
+def test_products_equal_the_public_constructor_of_their_parts(pair, product, peak, error):
+    a, b = (rescaled(op, peak, error) for op in pair)
+    (ab, band), (ba, _) = operators._product(a, b), operators._product(b, a)
+    bound = operators._propagated_product_error(a, b)
+    if product is compose:
+        diagonals, label = ab, "x*x"
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonals, label, bound = {d: ab[d] - ba[d] for d in ab}, "[x,x]", 2.0 * bound
+    try:
+        public = TruncatedOperator(diagonals, a.size, a.s, band, label, bound)
+    except DomainError as refusal:  # an overflowing product, refused alike
+        with pytest.raises(DomainError, match=f"^{re.escape(str(refusal))}$"):
+            product(a, b)
+        return
+    assert_same_operator(product(a, b), public)

@@ -253,7 +253,7 @@ class TestDiagonalMemo:
         name = operators._Unkeyed("mixed")
         for j, profile in MIXED.mode_items:
             memo = operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, name)
-            values, errors, error = memo
+            values, errors, error, peak = memo
             # the entries and their errors; no transforms are kept
             for array in (values, errors):
                 assert array.shape == (12 - abs(j),)
@@ -261,8 +261,27 @@ class TestDiagonalMemo:
                 with pytest.raises(ValueError):
                     array[0] = 0.0
             assert isinstance(error, float)
+            assert error == float(np.max(errors))
+            assert isinstance(peak, float)
+            assert peak == float(np.max(np.abs(values)))
         assert operators._diagonal.cache_info().hits == 4
         assert not op.diagonals[2].flags.writeable
+
+    def test_a_memo_hit_rebuild_runs_no_constructor_checks(self, monkeypatch):
+        toeplitz_matrix(MIXED, 1.0, 12)
+        checked, post_init = [], TruncatedOperator.__post_init__
+
+        def counting(op):
+            checked.append(op.label)
+            post_init(op)
+
+        monkeypatch.setattr(TruncatedOperator, "__post_init__", counting)
+        op = toeplitz_matrix(MIXED, 1.0, 12)
+        assert operators._diagonal.cache_info().hits == 4
+        assert checked == []
+        # the memo's largest |entry| per diagonal: no pass over the diagonals
+        assert "max_abs" in vars(op)
+        assert op.max_abs == max(float(np.abs(values).max()) for values in op.diagonals.values())
 
     def test_memo_key_leaves_out_the_symbol_name(self):
         toeplitz_matrix(ABS2, 0.5, 8)
@@ -500,7 +519,14 @@ class TestBerezin:
 
     @pytest.mark.parametrize(
         "z",
-        [complex("nan"), complex(0.5, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)],
+        [
+            complex("nan"),
+            complex(0.5, math.nan),
+            complex(math.inf, 0.0),
+            complex(0.0, -math.inf),
+            "x",
+            None,
+        ],
     )
     def test_non_finite_point_is_refused_by_name(self, z):
         op = toeplitz_matrix(Z, 0.5, 6, QUAD)
@@ -592,10 +618,14 @@ class TestTruncatedOperator:
             ("s", math.nan, "s must be finite and >= 0, got nan"),
             ("s", -0.5, "s must be finite and >= 0, got -0.5"),
             ("s", math.inf, "s must be finite and >= 0, got inf"),
+            ("s", "x", "s must be finite and >= 0, got 'x'"),
+            ("s", None, "s must be finite and >= 0, got None"),
             ("exact_band", 1.5, "exact_band must be an integer >= 0, got 1.5"),
             ("exact_band", -1, "exact_band must be an integer >= 0, got -1"),
             ("entry_error", math.nan, "entry_error must be >= 0, got nan"),
             ("entry_error", -1e-16, "entry_error must be >= 0, got -1e-16"),
+            ("entry_error", "e", "entry_error must be >= 0, got 'e'"),
+            ("entry_error", None, "entry_error must be >= 0, got None"),
         ],
     )
     def test_bad_scalar_field_refused_by_label_and_field(self, field, value, message):
@@ -606,6 +636,28 @@ class TestTruncatedOperator:
     def test_diagonal_key_that_is_not_an_integer_refused(self):
         with pytest.raises(DomainError, match=r"'bad': diagonal key 0.5 is not an integer"):
             TruncatedOperator({0: np.ones(3), 0.5: np.ones(3)}, 3, 0.0, 1, "bad")
+
+    @pytest.mark.parametrize("values", [["a", "b", "c"], [1.0, 2.0, "x"], [1.0, object(), 2.0]])
+    def test_diagonal_that_is_not_numbers_refused_by_label_and_key(self, values):
+        with pytest.raises(DomainError, match=r"^operator 'bad': diagonal d=0: entries must be numbers$"):
+            TruncatedOperator({0: values}, 3, 0.0, 0, "bad")
+
+    @pytest.mark.parametrize("product", [commutator, compose])
+    def test_an_infinite_bound_stands_beside_an_all_zero_factor(self, product):
+        # inf * 0 is nan, which the constructor refuses as a bound
+        unknown = TruncatedOperator({0: np.ones(3)}, 3, 0.0, 0, "unknown", math.inf)
+        zero = TruncatedOperator({}, 3, 0.0, 0, "zero")
+        for a, b in [(unknown, zero), (zero, unknown), (unknown, unknown)]:
+            assert product(a, b).entry_error == math.inf
+
+    @pytest.mark.parametrize("product", [commutator, compose])
+    def test_an_exact_factor_adds_no_error_beside_an_overflowing_max_abs(self, product):
+        # |1.5e308 (1 + i)| overflows, and 0 * inf is nan
+        big = TruncatedOperator({0: np.full(3, 1.5e308 + 1.5e308j)}, 3, 0.0, 0, "big", 1e-16)
+        zero = TruncatedOperator({}, 3, 0.0, 0, "zero")
+        assert big.max_abs == math.inf
+        for a, b in [(zero, big), (big, zero)]:
+            assert product(a, b).entry_error == 0.0
 
     def test_nonfinite_rejected(self):
         values = np.zeros(2, dtype=complex)
@@ -633,6 +685,22 @@ class TestTruncatedOperator:
         assert np.count_nonzero(op.entries) == sum(v.size for v in op.diagonals.values())
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
+
+
+class TestBerezinGrid:
+    def test_cached_read_only_and_read_by_berezin(self):
+        k, half_log_norms, ones = operators._berezin_grid(2.5, 40)
+        assert operators._berezin_grid(2.5, 40)[0] is k
+        assert k.tolist() == list(range(40))
+        assert half_log_norms.tobytes() == (0.5 * _basis_log_norms(2.5, 40)).tobytes()
+        assert ones.dtype == complex and (ones == 1.0).all()
+        for array in (k, half_log_norms, ones):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        op = toeplitz_matrix(ABS2, 2.5, 40, QUAD)
+        for z in (0.3, 0.2 - 0.4j, 1.0j):
+            berezin(op, z)
+        assert operators._berezin_grid.cache_info().misses == 1
 
 
 class TestBasisLogNorms:
@@ -682,7 +750,7 @@ class TestMinTruncationSize:
         indicator = 2.0 * n * math.log(2.0) - math.lgamma(s + n + 1.0)
         assert indicator <= math.log(1e-12)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, -1e-300, "x", None])
     def test_radius_that_is_not_finite_and_nonnegative_is_refused_by_name(self, radius):
         refusal = f"max_abs_z must be finite and >= 0, got {radius!r}"
         with pytest.raises(DomainError, match=re.escape(refusal)):

@@ -787,3 +787,24 @@ def test_a_merged_pass_is_each_part_alone_bit_for_bit(parts, spec, batch):
         if failures_1:
             assert min(failures) == row
             assert failure_reprs({row: failures[row]}) == failure_reprs({row: failures_1[row]})
+
+
+def test_a_stopping_pass_sums_no_later_part_in_the_level_that_overflows():
+    # alpha = 360 overflows part 0's first level sum; the pass refuses there,
+    # so part 1's rows, after the failed one, are summed at no level
+    calls = []
+
+    def later(t):
+        calls.append(t.size)
+        return np.exp(-t)
+
+    parts = [(lambda t: np.exp(-1.3 * t), [2.0, 360.0], 0.0, 1.0), (later, [3.0, 5.0], 0.0, 1.0)]
+    (values, errors, failures), = gaussian_weighted_columns(parts, first_failure=True)
+    assert list(failures) == [1] and failures[1].estimate == math.inf
+    assert "level sum is not finite" in str(failures[1])
+    assert calls == []
+    alone = gaussian_weighted_column(parts[0][0], [2.0, 360.0])
+    assert same_bits(values[:1], alone[0][:1]) and same_bits(errors[:1], alone[1][:1])
+    # without stopping, every part is summed and reported
+    merged = gaussian_weighted_columns(parts)
+    assert calls and not merged[1][2]

@@ -154,6 +154,38 @@ class TestSymbolSpec:
         assert radial(RadialProfile.monomial(2.0)).is_radial
         assert not RE_Z.is_radial
 
+    def test_from_modes_refuses_a_fractional_index(self):
+        # it was truncated to mode 1
+        refusal = "symbol 'v': mode index 1.5 is not an integer"
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            SymbolSpec.from_modes({1.5: RadialProfile.monomial(1.0)}, name="v")
+
+    def test_an_index_given_twice_is_refused(self):
+        # T_v was built from the second profile, v.mode(1) read the first
+        items = ((1, RadialProfile.monomial(1.0)), (1, RadialProfile.monomial(2.0)))
+        with pytest.raises(DomainError, match=re.escape("symbol 'v': mode index 1 is given more than once")):
+            SymbolSpec(items, "v")
+
+    @pytest.mark.parametrize("index", [0.5, "1", None, math.nan, math.inf])
+    def test_an_index_that_is_not_an_integer_is_refused(self, index):
+        refusal = f"symbol 'v': mode index {index!r} is not an integer"
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            SymbolSpec(((index, RadialProfile.monomial(1.0)),), "v")
+
+    @pytest.mark.parametrize("profile", [lambda r: r, 2.0, None])
+    def test_a_mode_that_is_not_a_profile_is_refused(self, profile):
+        kind = type(profile).__name__
+        refusal = f"symbol 'v': mode index 1: profile must be a RadialProfile, got {kind}"
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            SymbolSpec(((1, profile),), "v")
+
+    def test_integral_indices_are_stored_as_ints(self):
+        profile = RadialProfile.monomial(1.0)
+        spec = SymbolSpec(((2.0, profile), (np.int64(-1), profile)), "v")
+        assert spec.mode_indices == (2, -1)
+        assert [type(j) for j in spec.mode_indices] == [int, int]
+        assert spec.max_mode == 2 and type(spec.max_mode) is int
+
     def test_conjugate_flips_modes(self):
         spec = SymbolSpec.from_modes({1: RadialProfile.polynomial([0.0, 1.0j])})
         conj = spec.conjugate()
