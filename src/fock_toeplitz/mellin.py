@@ -94,8 +94,8 @@ def _columns(
     and {index: failure} for failed quadratures (value and error nan): the
     exact form for a family profile, one column quadrature pass for all the
     evaluator profiles, elementwise.  The pass stops at the first failure in
-    part order (``gaussian_weighted_columns``' ``first_failure``): the
-    failures hold the first failed index, and the list ends at its part.
+    part order, as ``gaussian_weighted_columns`` does: the failures start at
+    the first failed index, and the list ends at its part.
     Every transform comes through here, so here an argument outside the
     holomorphy half-plane is refused with a :class:`DomainError`."""
     alphas = [zetas + 2.0 * s for _, zetas in parts]
@@ -107,12 +107,13 @@ def _columns(
                 f"Mellin argument outside holomorphy half-plane: zeta + 2s = {zeta + 2.0 * s:g} "
                 f"must be finite and > 0 (zeta={zeta!r}, s={s!r})"
             )
+    # the evaluator itself, which the profile's __call__ only wraps
     evaluators = [
-        (v, alpha, v.growth_exponent, v.growth_constant)
+        (v.evaluator, alpha, v.growth_exponent, v.growth_constant)
         for (v, _), alpha in zip(parts, alphas)
         if v.evaluator is not None
     ]
-    passes = iter(evaluators and gaussian_weighted_columns(evaluators, spec, first_failure=True))
+    passes = iter(evaluators and gaussian_weighted_columns(evaluators, spec))
     columns = []
     for (v, _), alpha in zip(parts, alphas):
         if v.evaluator is None:

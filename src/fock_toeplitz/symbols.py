@@ -218,6 +218,9 @@ class SymbolSpec:
 
     @classmethod
     def from_modes(cls, modes: Mapping[int, RadialProfile], name: str = "symbol") -> "SymbolSpec":
+        if not isinstance(modes, Mapping):
+            kind = f"a mapping of index to profile, got {type(modes).__name__}"
+            raise DomainError(f"symbol {name!r}: modes must be {kind}")
         items = _checked_modes(modes.items(), name)
         return cls(tuple(sorted(item for item in items if not item[1].is_zero)), name)
 
@@ -249,11 +252,16 @@ class SymbolSpec:
 
 def _checked_modes(items, name) -> tuple:
     """``items`` as (int index, RadialProfile) pairs, refused unless each is
-    one and no index repeats."""
+    one (a bool is no index) and no index repeats."""
     checked = {}
-    for j, profile in items:
+    for item in items:
+        try:
+            j, profile = item
+        except (TypeError, ValueError):
+            pair = "an (index, profile) pair"
+            raise DomainError(f"symbol {name!r}: mode {item!r} is not {pair}") from None
         where = f"symbol {name!r}: mode index {j!r}"
-        if not is_integer(j):
+        if isinstance(j, (bool, np.bool_)) or not is_integer(j):
             raise DomainError(f"{where} is not an integer")
         if not isinstance(profile, RadialProfile):
             kind = type(profile).__name__

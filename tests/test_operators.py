@@ -374,10 +374,10 @@ class TestOneColumnPassPerBuild:
         level_sums, tail_radius = special_functions._level_sums, special_functions.tail_radius
         calls, radii = [], []
 
-        def recording_sums(f, alpha, cutoff, h, odd, floor, part=None):
-            tags = np.zeros(alpha.size, dtype=int) if part is None else part
+        def recording_sums(f, alpha, cutoff, h, odd, floor, sampled, *part):
+            tags = part[0] if part else np.zeros(alpha.size, dtype=int)
             calls.append((h, alpha.copy(), tags.copy()))
-            return level_sums(f, alpha, cutoff, h, odd, floor, *([] if part is None else [part]))
+            return level_sums(f, alpha, cutoff, h, odd, floor, sampled, *part)
 
         def counting_radius(*args):
             radii.append(args)

@@ -154,11 +154,23 @@ class TestSymbolSpec:
         assert radial(RadialProfile.monomial(2.0)).is_radial
         assert not RE_Z.is_radial
 
-    def test_from_modes_refuses_a_fractional_index(self):
-        # it was truncated to mode 1
-        refusal = "symbol 'v': mode index 1.5 is not an integer"
-        with pytest.raises(DomainError, match=re.escape(refusal)):
-            SymbolSpec.from_modes({1.5: RadialProfile.monomial(1.0)}, name="v")
+    @pytest.mark.parametrize(
+        "modes, refusal",
+        [
+            # it was truncated to mode 1
+            ({1.5: RadialProfile.monomial(1.0)}, "mode index 1.5 is not an integer"),
+            # it was taken as mode 1
+            ({True: RadialProfile.monomial(1.0)}, "mode index True is not an integer"),
+            # it raised an AttributeError
+            (
+                [(1, RadialProfile.monomial(1.0))],
+                "modes must be a mapping of index to profile, got list",
+            ),
+        ],
+    )
+    def test_from_modes_refuses_malformed_modes(self, modes, refusal):
+        with pytest.raises(DomainError, match="^" + re.escape(f"symbol 'v': {refusal}") + "$"):
+            SymbolSpec.from_modes(modes, name="v")
 
     def test_an_index_given_twice_is_refused(self):
         # T_v was built from the second profile, v.mode(1) read the first
@@ -166,7 +178,7 @@ class TestSymbolSpec:
         with pytest.raises(DomainError, match=re.escape("symbol 'v': mode index 1 is given more than once")):
             SymbolSpec(items, "v")
 
-    @pytest.mark.parametrize("index", [0.5, "1", None, math.nan, math.inf])
+    @pytest.mark.parametrize("index", [0.5, "1", None, math.nan, math.inf, True, np.bool_(False)])
     def test_an_index_that_is_not_an_integer_is_refused(self, index):
         refusal = f"symbol 'v': mode index {index!r} is not an integer"
         with pytest.raises(DomainError, match=re.escape(refusal)):
@@ -178,6 +190,15 @@ class TestSymbolSpec:
         refusal = f"symbol 'v': mode index 1: profile must be a RadialProfile, got {kind}"
         with pytest.raises(DomainError, match=re.escape(refusal)):
             SymbolSpec(((1, profile),), "v")
+
+    # (1, 2) is the pair's parts, not a pair: it raised a bare TypeError
+    @pytest.mark.parametrize(
+        "items, item", [((1, 2), "1"), (((1,),), "(1,)"), (((1, 2, 3),), "(1, 2, 3)"), ((None,), "None")]
+    )
+    def test_a_mode_that_is_not_a_pair_is_refused(self, items, item):
+        refusal = f"symbol 'v': mode {item} is not an (index, profile) pair"
+        with pytest.raises(DomainError, match="^" + re.escape(refusal) + "$"):
+            SymbolSpec(items, "v")
 
     def test_integral_indices_are_stored_as_ints(self):
         profile = RadialProfile.monomial(1.0)
