@@ -21,8 +21,8 @@ rounding; ``commutator_cross_check`` compares C with cached scalar transforms.
 "Vanishing" always means: magnitude below ``verdict_multiplier`` times the
 propagated error estimate (quadrature error for evaluator profiles, rounding
 error for exact Gaussian-polynomial transforms).  A report reads its cells
-off the diagonals of T_u and T_v it has just built (the diagonal memo);
-``phi``, ``psi`` and the probe compute theirs through the same ``_entries``.
+off the diagonals of T_u and T_v it has just built (``_diagonals``);
+``phi``, ``psi`` and the probe compute theirs, scaled alike, by ``_entries``.
 All four read factors through ``_factor``, which refuses a nonzero profile
 whose entries all underflow to exactly 0, or hold a subnormal value or a
 nonzero value with a zero error bar, rather than read them as resolved;
@@ -45,9 +45,8 @@ from .fock_space import SobolevOrder, order_value
 from .mellin import mellin_weighted_cached
 from .operators import (
     TruncatedOperator,
-    _diagonal,
+    _diagonals,
     _entries,
-    _Unkeyed,
     commutator,
     toeplitz_matrix,
     window_max_abs,
@@ -307,20 +306,19 @@ def _cells(
     _check_gamma_argument(s, k_max, max(v.mode_indices, default=0))
     comm = commutator(op_u, toeplitz_matrix(v, s, N, quad))
 
-    def column(profile, j, size, name):
-        """The first ``size`` entries of a diagonal just built, as a factor."""
-        values, errors, *_ = _diagonal(profile, j, s, N, quad, _Unkeyed(name))
+    def factor(profile, j, size, name, values, errors, *_):
+        """The first ``size`` entries of a memo entry just built, as a factor."""
         return _factor((values[:size], errors[:size]), profile, j, name, f"at s={s:g}")
 
-    h, h_err = column(u, 0, k_max + v.max_mode + 1, "u")
+    h, h_err = factor(u, 0, k_max + v.max_mode + 1, "u", *_diagonals([(0, u)], s, N, quad, "u")[0])
     cells = {}
-    for j, profile in v.mode_items:
+    for (j, profile), entry in zip(v.mode_items, _diagonals(v.mode_items, s, N, quad, v.name)):
         k = np.arange(max(0, -j), k_max + 1)
         if j == 0:
             phis, phi_err = np.zeros(k.size, dtype=complex), np.zeros(k.size)
         else:
             phis, phi_err = h[k] - h[k + j], h_err[k] + h_err[k + j]
-        psis, psi_err = column(profile, j, k.size, v.name)
+        psis, psi_err = factor(profile, j, k.size, v.name, *entry)
         columns = (k, phis, phi_err, psis, psi_err)
         for key, *fields in zip(*(column.tolist() for column in columns)):
             cells[(j, key)] = Cell(j, key, *fields)

@@ -1,5 +1,7 @@
 """Exception types shared across the library, and its integer-argument test."""
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Input outside a function's mathematical domain."""
@@ -34,8 +36,8 @@ class ConfigurationError(Exception):
 
 
 def is_integer(value) -> bool:
-    """Whether ``value`` is a finite number with an integer value."""
+    """Whether ``value`` is a finite number with an integer value; a bool is none."""
     try:
-        return int(value) == value
+        return int(value) == value and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):  # not a number, nan or infinite
         return False

@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ResourceError
 from .special_functions import log_gamma
 
@@ -31,13 +33,13 @@ KERNEL_TERM_CAP = 512
 
 @dataclass(frozen=True)
 class SobolevOrder:
-    """The nonnegative real order selecting the space and density."""
+    """The nonnegative real order selecting the space and density; a bool is none."""
 
     s: float
 
     def __post_init__(self):
         try:
-            s = float(self.s)
+            s = math.nan if isinstance(self.s, (bool, np.bool_)) else float(self.s)
         except (TypeError, ValueError, OverflowError):
             s = math.nan  # refused below, naming the value as given
         if not math.isfinite(s) or s < 0.0:

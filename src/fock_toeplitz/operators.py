@@ -22,18 +22,15 @@ magnitudes and one scalar phase (z/|z|)^d on a cached (s, N) grid.  An
 operator finds ``max_abs``, which bounds every product's error, once;
 ``_operator`` skips for this module's operators the checks their parts pass.
 
-Every entry, here and in the criterion, comes through ``_entries``, and
-each assembled mode diagonal is memoized by ``_diagonal``, a bounded
-``functools.lru_cache`` keyed by (profile, j, s, N, quadrature spec), not by
-symbol name.  An entry holds the read-only entries and errors, the largest
-error and the largest |entry|, so a rebuild runs no transform, finds its
-``max_abs`` without a pass, and the criterion reads its cells off the
-diagonals it has just built; its counters are ``_diagonal.cache_info()``.
-A build's first miss transforms that mode and the build's later modes in
-one call, its evaluator modes in one quadrature pass, and the build's name
-argument, left out of the key, carries them to their misses; a build reads
-its basis norms off ``_basis_log_norms``.  A refusal is raised again on
-every call, never stored, and names the symbol of that call.
+Every entry, here and in the criterion, is scaled by ``_scaled``.  Builds,
+eigenvalues and criterion cells read mode diagonals through ``_diagonals``,
+an LRU of at most ``_MAX_MEMO_DIAGONALS`` entries keyed by (profile, j, s,
+N, quadrature spec), not by symbol name, that counts its hits and misses.
+An entry holds the read-only entries and errors, the largest error and the
+largest |entry|: a rebuild runs no transform and finds its ``max_abs``
+without a pass.  A build's misses are one transform call (one quadrature
+pass for its evaluator modes); a refusal is raised again on every call,
+never stored, and names the symbol of that call.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ import cmath
 import itertools
 import json
 import math
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -71,10 +69,13 @@ __all__ = [
 # profiles: their raw quadrature value overflows once (2m+j+2+2s)/2 passes
 # about 172.  With exp(-1.3 r), N=160 fails from s=12; at s=0, from N=174.
 MAX_TRUNCATION = 160
-# Assembled diagonals that _diagonal keeps for rebuilds.  An entry is at most
+# Assembled diagonals that _diagonals keeps for rebuilds.  An entry is at most
 # N = 160 entries and their errors, 24 bytes each (3.8 KB), so the memo
 # holds at most about 1 MB.
 _MAX_MEMO_DIAGONALS = 256
+# The diagonal memo, least recently read first, and its hits and misses by mode.
+_memo: OrderedDict = OrderedDict()
+_memo_counts: Counter = Counter()
 # Berezin transforms need the kernel coefficients beyond the truncation,
 # |z|^(2N) / Gamma(s+N+1), below this; min_truncation_size searches for it.
 _KERNEL_TAIL_TOL = 1e-12
@@ -193,17 +194,12 @@ def _read_only_finite(values: np.ndarray, d: int, where: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _basis_log_norms(s: float, n: int) -> np.ndarray:
-    """log Gamma(s + m + 1) for m = 0, ..., n-1, summed in that order; read-only."""
-    norms = log_gamma_array(s + np.arange(n) + 1.0)
-    norms.setflags(write=False)
-    return norms
-
-
-@lru_cache(maxsize=64)
-def _berezin_grid(s: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k < n, 0.5 log Gamma(s + k + 1) and n complex ones for ``berezin``; read-only."""
-    grid = (np.arange(n), 0.5 * _basis_log_norms(s, n), np.ones(n, dtype=complex))
+def _basis_grid(s: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For k < n, read-only: log Gamma(s + k + 1), summed in that order, for
+    builds; k, half those logs and n complex ones for ``berezin``."""
+    k = np.arange(n)
+    norms = log_gamma_array(s + k + 1.0)
+    grid = (norms, k, 0.5 * norms, np.ones(n, dtype=complex))
     for array in grid:
         array.setflags(write=False)
     return grid
@@ -220,32 +216,13 @@ def _truncation(N: int) -> int:
     return int(N)
 
 
-def _entries(
-    profile: RadialProfile,
-    j: int,
-    m: np.ndarray,
-    s: float,
-    quad: QuadratureSpec,
-    name: str,
-    log_gammas: "np.ndarray | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The one path from a profile to entries <T e_m, e_{m+j}>, at the columns
-    ``m``, with their absolute errors: one column of transforms, whose
-    log_scale meets the basis log-norms (read off ``log_gammas``, log
-    Gamma(s + k + 1) for k < N, when a build passes them) before anything is
-    exponentiated.  A failed quadrature is re-raised as an
-    :class:`AccuracyError`, an evaluator's :class:`DomainError` as one, and
-    an entry or error beyond double range refused by a :class:`DomainError`,
-    each naming (j, m)."""
-    if getattr(name, "build", None) is None:
-        column = _columns([(profile, 2.0 * m + j + 2)], s, quad)[0]
-    else:  # a build's first miss transforms its later modes too, kept for their misses
-        modes, N, ahead = name.build
-        if j not in ahead:
-            later = [(k, v) for k, v in modes[[k for k, _ in modes].index(j) :] if abs(k) < N]
-            parts = [(v, 2.0 * np.arange(max(0, -k), N - max(0, k)) + k + 2) for k, v in later]
-            ahead.update(zip((k for k, _ in later), _columns(parts, s, quad)))
-        column = ahead.pop(j)
+def _scaled(column: tuple, j: int, m: np.ndarray, log_norms: np.ndarray, name: str):
+    """Entries <T e_m, e_{m+j}> at the columns ``m`` and their absolute errors from a
+    ``_columns`` column, whose log_scale meets ``log_norms`` (log Gamma(s+m+1) +
+    log Gamma(s+m+j+1)) before any exp.  A failed quadrature is re-raised as an
+    :class:`AccuracyError`, an evaluator's :class:`DomainError` as one, and an
+    entry or error beyond double range refused by a :class:`DomainError`, each
+    naming symbol ``name`` and (j, m)."""
     log_scale, values, errors, failures = column
     if failures:
         i = min(failures)
@@ -257,13 +234,6 @@ def _entries(
         if isinstance(exc, DomainError):
             raise DomainError(f"entry quadrature failed for {where}: {exc}") from exc
         raise exc
-    if log_gammas is None:
-        grid = np.sort(np.concatenate([m, m + j]))  # each distinct norm argument once
-        grid = grid[np.r_[True, grid[1:] != grid[:-1]]]
-        log_gammas = log_gamma_array(s + grid + 1.0)
-        log_norms = log_gammas[grid.searchsorted(m)] + log_gammas[grid.searchsorted(m + j)]
-    else:
-        log_norms = log_gammas[m] + log_gammas[m + j]
     with np.errstate(over="ignore", invalid="ignore"):
         scale = 2.0 * math.pi * np.exp(log_scale - 0.5 * log_norms)
         values, errors = values * scale, errors * scale
@@ -274,33 +244,43 @@ def _entries(
     return values, errors
 
 
-class _Unkeyed(str):
-    """A symbol name equal to every other, so that ``_diagonal``'s key leaves
-    it out while a refusal, which is never stored, still names the symbol.
-    A build's name also carries the build for ``_entries``: its mode items,
-    N, and the transforms computed ahead of their modes' misses."""
-
-    build = None
-
-    def __eq__(self, other):
-        return True
-
-    def __hash__(self):
-        return 0
+def _entries(
+    profile: RadialProfile, j: int, m: np.ndarray, s: float, quad: QuadratureSpec, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_scaled`` entries of one profile at any columns ``m``, uncached, for
+    ``phi``, ``psi`` and the probe: one column of transforms."""
+    log_norms = log_gamma_array(s + m + 1.0) + log_gamma_array(s + (m + j) + 1.0)
+    return _scaled(_columns([(profile, 2.0 * m + j + 2)], s, quad)[0], j, m, log_norms, name)
 
 
-@lru_cache(maxsize=_MAX_MEMO_DIAGONALS)
-def _diagonal(
-    profile: RadialProfile, j: int, s: float, N: int, quad: QuadratureSpec, name: _Unkeyed
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``_entries`` of one mode over its columns in the N x N block, read-only,
-    its largest error and largest |entry|.  Memoized by (profile, j, s, N,
-    quad): a rebuild runs no transform, and a refusal is raised again, never stored."""
-    m = np.arange(max(0, -j), N - max(0, j))
-    values, errors = _entries(profile, j, m, s, quad, name, _basis_log_norms(s, N))
-    values.setflags(write=False)
-    errors.setflags(write=False)
-    return values, errors, float(np.max(errors)), _max_abs([values])
+def _diagonals(items, s: float, N: int, quad: QuadratureSpec, name: str) -> list[tuple]:
+    """The memo entry of each mode (j, profile) of ``items``, |j| < N, over its
+    columns in the N x N block: its ``_scaled`` entries and errors, read-only,
+    their largest error and largest |entry|.  The misses are transformed in one
+    ``_columns`` call and stored in mode order up to the first refusal, which
+    is raised, naming symbol ``name``, and never stored."""
+    found, missed = [], []
+    for j, profile in items:
+        key = (profile, j, s, N, quad)
+        entry = _memo.get(key)
+        if entry is None:
+            missed.append((len(found), j, key, np.arange(max(0, -j), N - max(0, j))))
+        else:
+            _memo.move_to_end(key)
+        found.append(entry)
+    _memo_counts["hits"] += len(found) - len(missed)
+    _memo_counts["misses"] += len(missed)
+    if missed:
+        log_gammas = _basis_grid(s, N)[0]
+        parts = [(key[0], 2.0 * m + j + 2) for _, j, key, m in missed]
+        for (i, j, key, m), column in zip(missed, _columns(parts, s, quad)):
+            values, errors = _scaled(column, j, m, log_gammas[m] + log_gammas[m + j], name)
+            values.setflags(write=False)
+            errors.setflags(write=False)
+            found[i] = _memo[key] = values, errors, float(np.max(errors)), _max_abs([values])
+            if len(_memo) > _MAX_MEMO_DIAGONALS:
+                _memo.popitem(last=False)
+    return found
 
 
 def toeplitz_matrix(
@@ -321,17 +301,11 @@ def toeplitz_matrix(
     """
     sv = order_value(s)
     N = _truncation(N)
-    diagonals = {}
-    worst_error = largest = 0.0
-    name = _Unkeyed(spec.name)
-    name.build = (spec.mode_items, N, {})
-    try:
-        for j, profile in spec.mode_items:
-            if abs(j) < N:
-                diagonals[j], _, error, peak = _diagonal(profile, j, sv, N, quad, name)
-                worst_error, largest = max(worst_error, error), max(largest, peak)
-    finally:  # the memo's keys keep the name, but not what a refused build computed ahead
-        name.build = None
+    items = [(j, profile) for j, profile in spec.mode_items if abs(j) < N]
+    diagonals, worst_error, largest = {}, 0.0, 0.0
+    for (j, _), (values, _, error, peak) in zip(items, _diagonals(items, sv, N, quad, spec.name)):
+        diagonals[j] = values
+        worst_error, largest = max(worst_error, error), max(largest, peak)
     return _operator(diagonals, N, sv, spec.max_mode, spec.name, worst_error, max_abs=largest)
 
 
@@ -348,7 +322,7 @@ def radial_eigenvalues(
     """
     sv = order_value(s)
     N = _truncation(N)
-    return _diagonal(v0, 0, sv, N, quad, _Unkeyed("radial"))[0].copy()
+    return _diagonals([(0, v0)], sv, N, quad, "radial")[0][0].copy()
 
 
 def _propagated_product_error(a: TruncatedOperator, b: TruncatedOperator) -> float:
@@ -438,7 +412,7 @@ def berezin(a: TruncatedOperator, z: complex) -> complex:
     # the magnitudes of the coefficients c[k] = conj(z)^k / sqrt(Gamma(s+k+1)),
     # scaled by their largest, which the ratio does not see (unscaled they
     # underflow by s = 200); conj(c[m+d]) c[m] = |c[m+d] c[m]| (z/|z|)^d
-    k, half_log_norms, ones = _berezin_grid(a.s, n)
+    _, k, half_log_norms, ones = _basis_grid(a.s, n)
     log_abs = k * math.log(abs(z)) - half_log_norms
     magnitude = np.exp(log_abs - log_abs.max())
     phase = z / abs(z)

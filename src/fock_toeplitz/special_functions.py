@@ -249,8 +249,20 @@ def _windows(a: np.ndarray, size: int) -> np.ndarray:
 
 
 class _EvaluatorFailure(Exception):
-    """An integrand raised, its exception the ``__cause__``, on the block of
-    :func:`_level_sums` whose first row is ``args[0]``."""
+    """An integrand raised, its exception the ``__cause__``, on the points of
+    row ``args[0]`` of :func:`_level_sums` (on its block, if none raises alone)."""
+
+
+def _by_row(f, points: np.ndarray, exc: Exception) -> tuple[list, int, Exception]:
+    """``pointwise(f, row)`` of each row alone until one raises, that row and what it
+    raised; or [], 0 and ``exc``, what the rows raised together, if none does."""
+    values = []
+    for row in points:
+        try:
+            values.append(pointwise(f, row))
+        except Exception as raised:
+            return values, len(values), raised
+    return [], 0, exc
 
 
 def _level_sums(
@@ -268,10 +280,11 @@ def _level_sums(
     ``f[part[i]]`` when the rows carry a ``part`` each; the integrand is
     evaluated once per block of rows of one part and one width, on at most
     _MAX_BATCH points but for one row whose window is wider.  An integrand
-    that raises is reported as an :class:`_EvaluatorFailure` at its block's
-    first row.  Once a part's rows hold an L1 mass that is not finite, the
-    blocks of later parts are left unsummed (sum and mass 0): their rows
-    come after a row that the caller refuses."""
+    that raises on a block is reported as an :class:`_EvaluatorFailure` at
+    the block's first row that raises alone (``_by_row``).  Once a part's
+    rows hold an L1 mass that is not finite, the blocks of later parts are
+    left unsummed (sum and mass 0): their rows come after a row that the
+    caller refuses."""
     x, weight, u = _unit_nodes(h, odd)
     n = x.size
     scale = h * (cutoff / 2.0) * (0.5 * math.pi)
@@ -332,7 +345,8 @@ def _level_sums(
                 try:
                     values = pointwise(integrands[p], t.reshape(-1))
                 except Exception as exc:
-                    raise _EvaluatorFailure(order[start]) from exc
+                    _, row, exc = _by_row(integrands[p], t, exc)
+                    raise _EvaluatorFailure(order[start + row]) from exc
                 terms = w * values.reshape(t.shape)
                 totals[rows] = np.add.reduce(terms, axis=1)
                 masses[rows] = np.add.reduce(np.abs(terms), axis=1)
@@ -358,8 +372,9 @@ def gaussian_weighted_column(
     the column stops (a later row stays nan unless it converged before): an
     :class:`AccuracyError` for a stalled refinement (estimate attached) or a
     level sum or L1 mass that is not finite (infinite estimate: an infinite
-    sum would pass the relative stopping test), or what ``f`` raised on a
-    block of rows starting at the row; a failed row's value and error are nan.
+    sum would pass the relative stopping test), or what ``f`` raised on the
+    row's own points (or on a block of rows starting at the row, when none
+    raises alone); a failed row's value and error are nan.
 
     ``f`` maps a 1-d array of points in (0, R) to real or complex values of
     the same shape (other shapes are refused), with |f(t)| <= growth_constant
@@ -436,12 +451,16 @@ def gaussian_weighted_columns(
         rows = np.flatnonzero((part == p) & (alphas > 1.0))
         if not rows.size:
             continue
+        points = np.sqrt(0.5 * (alphas[rows] - 1.0))
         try:
-            peak[rows] = np.abs(pointwise(f, np.sqrt(0.5 * (alphas[rows] - 1.0))))
-        except Exception as exc:
-            failures[int(rows[0])] = exc
-            active = active[active < rows[0]]
+            peak[rows] = np.abs(pointwise(f, points))
+        except Exception as exc:  # the rows before the one that raises are summed
+            before, i, exc = _by_row(f, points[:, None], exc)
+            peak[rows[:i]] = np.abs(before).reshape(-1)
+            failures[int(rows[i])] = exc
+            active = active[active < rows[i]]
             break
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         half = 0.5 * (alphas - 1.0)  # t*^2
         log_mass = half * (np.log(half) - 1.0) + 0.5 * math.log(0.5 * math.pi)

@@ -252,7 +252,7 @@ class SymbolSpec:
 
 def _checked_modes(items, name) -> tuple:
     """``items`` as (int index, RadialProfile) pairs, refused unless each is
-    one (a bool is no index) and no index repeats."""
+    one and no index repeats."""
     checked = {}
     for item in items:
         try:
@@ -261,7 +261,7 @@ def _checked_modes(items, name) -> tuple:
             pair = "an (index, profile) pair"
             raise DomainError(f"symbol {name!r}: mode {item!r} is not {pair}") from None
         where = f"symbol {name!r}: mode index {j!r}"
-        if isinstance(j, (bool, np.bool_)) or not is_integer(j):
+        if not is_integer(j):
             raise DomainError(f"{where} is not an integer")
         if not isinstance(profile, RadialProfile):
             kind = type(profile).__name__

@@ -1,7 +1,7 @@
 """Test-session settings: property tests draw the same examples on every run,
-and every test starts with an empty diagonal memo, basis-norm memo,
-Berezin grid and ``mellin_weighted_cached``, so a test that counts
-transforms or norms sees cold builds."""
+and every test starts with an empty diagonal memo and counts, basis grid
+and ``mellin_weighted_cached``, so a test that counts transforms or norms
+sees cold builds."""
 
 import pytest
 from hypothesis import settings
@@ -14,7 +14,7 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    operators._diagonal.cache_clear()
-    operators._basis_log_norms.cache_clear()
-    operators._berezin_grid.cache_clear()
+    operators._memo.clear()
+    operators._memo_counts.clear()
+    operators._basis_grid.cache_clear()
     mellin.mellin_weighted_cached.cache_clear()

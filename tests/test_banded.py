@@ -18,7 +18,7 @@ from fock_toeplitz import operators
 from fock_toeplitz.errors import DomainError, PreconditionError
 from fock_toeplitz.operators import (
     TruncatedOperator,
-    _basis_log_norms,
+    _basis_grid,
     berezin,
     commutator,
     compose,
@@ -47,7 +47,7 @@ def kernel_coefficients(z, s, n):
     if z == 0.0:
         return np.eye(1, n, dtype=complex)[0]
     k = np.arange(n)
-    log_abs = k * math.log(abs(z)) - 0.5 * _basis_log_norms(s, n)
+    log_abs = k * math.log(abs(z)) - 0.5 * _basis_grid(s, n)[0]
     return (z.conjugate() / abs(z)) ** k * np.exp(log_abs - np.max(log_abs))
 
 
@@ -234,14 +234,11 @@ FAMILY = [
 )
 def test_builds_equal_the_public_constructor_of_their_parts(modes, n, s):
     spec = SymbolSpec.from_modes(modes, name="v")
-    name = operators._Unkeyed("v")
     for _ in range(2):  # cold, then from the memo
         op = toeplitz_matrix(spec, s, n)
-        parts = {
-            j: operators._diagonal(profile, j, s, n, DEFAULT_QUADRATURE, name)
-            for j, profile in spec.mode_items
-            if abs(j) < n
-        }
+        items = [(j, profile) for j, profile in spec.mode_items if abs(j) < n]
+        memo = operators._diagonals(items, s, n, DEFAULT_QUADRATURE, "v")
+        parts = {j: entry for (j, _), entry in zip(items, memo)}
         error = max((float(np.max(errors)) for _, errors, *_ in parts.values()), default=0.0)
         diagonals = {j: values for j, (values, *_) in parts.items()}
         public = TruncatedOperator(diagonals, n, float(s), spec.max_mode, "v", error)

@@ -152,7 +152,7 @@ class TestPsi:
             value, _ = psi(1, 2, s, RadialProfile.monomial(1.0))
             assert value.real == pytest.approx(math.sqrt(s + 3.0) / (2.0 * math.pi), rel=1e-9)
 
-    @pytest.mark.parametrize("k", [-5, math.nan, 1.5])
+    @pytest.mark.parametrize("k", [-5, math.nan, 1.5, True, False])
     def test_k_is_checked_as_phi_checks_it(self, k):
         # the Mellin integral diverges at k = -5; phi refuses the same k
         refusal = rf"^k must be a nonnegative integer, got {k!r}$"
@@ -417,7 +417,7 @@ class TestFunctionalEquationResiduals:
         with pytest.raises(DomainError, match=refusal):
             functional_equation_residuals(ONE, Z, 0.0, 4, verdict_multiplier=multiplier)
 
-    @pytest.mark.parametrize("N", [math.nan, math.inf, "12", 0, 161, 12.5])
+    @pytest.mark.parametrize("N", [math.nan, math.inf, "12", 0, 161, 12.5, True, False])
     def test_truncation_size_is_checked_as_toeplitz_matrix_checks_it(self, N):
         refusal = rf"^N must be an integer in \[1, 160\], got {re.escape(repr(N))}$"
         with pytest.raises(DomainError, match=refusal):
@@ -598,7 +598,7 @@ class TestCommutatorCrossCheck:
         with pytest.raises(PreconditionError):
             commutator_cross_check(R2, Z2, 0.0, 4, QUAD, k_max=10)
 
-    @pytest.mark.parametrize("k_max", [2.5, -1, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("k_max", [2.5, -1, math.nan, math.inf, "3", True, False])
     def test_k_max_must_be_a_nonnegative_integer(self, k_max):
         with pytest.raises(DomainError, match=rf"^k_max must be an integer >= 0, got {k_max!r}$"):
             commutator_cross_check(R2, Z2, 0.0, 10, QUAD, k_max=k_max)
@@ -627,7 +627,7 @@ class TestCommutatorCrossCheck:
 
         log_gamma_array = operators.log_gamma_array
         monkeypatch.setattr(operators, "log_gamma_array", lambda x: log_gamma_array(x) + 1e-6)
-        operators._diagonal.cache_clear()
+        operators._memo.clear()
         assert max(commutator_cross_check(R2, Z, 0.5, 12).values()) >= 1e-6
         assert check_05_criterion_matrix_equivalence().passed is False
 

@@ -13,7 +13,7 @@ from fock_toeplitz.fock_space import (
     kernel_eval,
     order_value,
 )
-from fock_toeplitz.operators import toeplitz_matrix
+from fock_toeplitz.operators import radial_eigenvalues, toeplitz_matrix
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec
 
 
@@ -23,12 +23,14 @@ class TestSobolevOrder:
         assert order_value(2.3) == 2.3
         assert order_value(SobolevOrder(1.5)) == 1.5
 
-    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, True, False])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             SobolevOrder(bad)
 
-    @pytest.mark.parametrize("bad", ["x", None, 1j, pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize(
+        "bad", ["x", None, 1j, pytest.param(10**400, id="10**400"), True, False, np.True_]
+    )
     def test_non_numbers_are_refused_by_name(self, bad):
         refusal = "^" + re.escape(f"Sobolev order must be finite and >= 0, got {bad!r}") + "$"
         with pytest.raises(DomainError, match=refusal):
@@ -40,6 +42,11 @@ class TestSobolevOrder:
             toeplitz_matrix(spec, "x", 8)
         with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got None$"):
             phi(1, 0, None, RadialProfile.monomial(2.0))
+        # a bool is no order: True read as s = 1.0, False as s = 0
+        with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got True$"):
+            toeplitz_matrix(spec, True, 4)
+        with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got False$"):
+            radial_eigenvalues(RadialProfile.monomial(2.0), False, 3)
 
 
 class TestDensity:

@@ -12,7 +12,7 @@ from fock_toeplitz import mellin, operators, special_functions
 from fock_toeplitz.errors import AccuracyError, DomainError, PreconditionError
 from fock_toeplitz.operators import (
     TruncatedOperator,
-    _basis_log_norms,
+    _basis_grid,
     berezin,
     commutator,
     compose,
@@ -153,7 +153,7 @@ class TestToeplitzMatrix:
             assert info.value.estimate == math.inf
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert operators._diagonal.cache_info().currsize == 0
+        assert len(operators._memo) == 0
 
     def test_failure_set_is_pinned(self):
         # exp(-1.3 r) at j=2 on N x s: the builds that fail and the column
@@ -241,19 +241,17 @@ class TestRadialEigenvalues:
 class TestDiagonalMemo:
     def test_rebuild_is_bit_identical(self):
         first = toeplitz_matrix(MIXED, 2.7, 40)
-        assert operators._diagonal.cache_info().currsize == 4
+        assert len(operators._memo) == 4
         again = toeplitz_matrix(MIXED, 2.7, 40)
-        assert operators._diagonal.cache_info().hits == 4
+        assert operators._memo_counts["hits"] == 4
         assert again is not first
         assert again.entries.tobytes() == first.entries.tobytes()
         assert (again.entry_error, again.label) == (first.entry_error, first.label)
 
     def test_memo_arrays_are_read_only(self):
         op = toeplitz_matrix(MIXED, 1.0, 12)
-        name = operators._Unkeyed("mixed")
-        for j, profile in MIXED.mode_items:
-            memo = operators._diagonal(profile, j, 1.0, 12, DEFAULT_QUADRATURE, name)
-            values, errors, error, peak = memo
+        memo = operators._diagonals(MIXED.mode_items, 1.0, 12, DEFAULT_QUADRATURE, "mixed")
+        for (j, _), (values, errors, error, peak) in zip(MIXED.mode_items, memo):
             # the entries and their errors; no transforms are kept
             for array in (values, errors):
                 assert array.shape == (12 - abs(j),)
@@ -264,7 +262,7 @@ class TestDiagonalMemo:
             assert error == float(np.max(errors))
             assert isinstance(peak, float)
             assert peak == float(np.max(np.abs(values)))
-        assert operators._diagonal.cache_info().hits == 4
+        assert operators._memo_counts["hits"] == 4
         assert not op.diagonals[2].flags.writeable
 
     def test_a_memo_hit_rebuild_runs_no_constructor_checks(self, monkeypatch):
@@ -277,7 +275,7 @@ class TestDiagonalMemo:
 
         monkeypatch.setattr(TruncatedOperator, "__post_init__", counting)
         op = toeplitz_matrix(MIXED, 1.0, 12)
-        assert operators._diagonal.cache_info().hits == 4
+        assert operators._memo_counts["hits"] == 4
         assert checked == []
         # the memo's largest |entry| per diagonal: no pass over the diagonals
         assert "max_abs" in vars(op)
@@ -285,12 +283,12 @@ class TestDiagonalMemo:
 
     def test_memo_key_leaves_out_the_symbol_name(self):
         toeplitz_matrix(ABS2, 0.5, 8)
-        assert operators._diagonal.cache_info().currsize == 1
+        assert len(operators._memo) == 1
         renamed = SymbolSpec.from_modes({0: ABS2.mode(0)}, name="other")
         assert toeplitz_matrix(renamed, 0.5, 8).label == "other"
         radial_eigenvalues(ABS2.mode(0), 0.5, 8)
-        assert operators._diagonal.cache_info().currsize == 1
-        assert operators._diagonal.cache_info().hits == 2
+        assert len(operators._memo) == 1
+        assert operators._memo_counts["hits"] == 2
 
     def test_refusal_names_each_symbol_that_shares_a_profile(self):
         # a refusal is never stored, so the same failing diagonal names the
@@ -302,7 +300,7 @@ class TestDiagonalMemo:
                 toeplitz_matrix(symbol, 0.0, 60)
         with pytest.raises(DomainError, match=r"symbol 'radial' at mode j=0, column m=46 "):
             radial_eigenvalues(profile, 0.0, 60)
-        assert operators._diagonal.cache_info().currsize == 0
+        assert len(operators._memo) == 0
 
     @pytest.mark.parametrize("symbol", [MIXED, RE_Z, EXP_DECAY])
     def test_entry_error_is_the_largest_diagonal_error_cold_and_warm(self, symbol):
@@ -314,6 +312,62 @@ class TestDiagonalMemo:
             largest = max(largest, float(np.max(errors)))
         for memo in ("cold", "warm"):
             assert toeplitz_matrix(symbol, s, n).entry_error == largest, memo
+
+    @staticmethod
+    def counting_columns(monkeypatch):
+        """Record the profiles of every column ``_diagonals`` transforms."""
+        computed, columns = [], operators._columns
+
+        def counting(parts, s, spec):
+            computed.extend(profile for profile, _ in parts)
+            return columns(parts, s, spec)
+
+        monkeypatch.setattr(operators, "_columns", counting)
+        return computed
+
+    def test_the_memo_holds_at_most_its_bound_and_drops_the_least_recently_read(
+        self, monkeypatch
+    ):
+        bound = operators._MAX_MEMO_DIAGONALS
+        symbols = [
+            SymbolSpec.from_modes({0: RadialProfile.monomial(float(p))}, name=f"r{p}")
+            for p in range(bound + 1)
+        ]
+        first = [toeplitz_matrix(symbol, 0.5, 4) for symbol in symbols[:bound]]
+        assert len(operators._memo) == bound
+        toeplitz_matrix(symbols[0], 0.5, 4)  # read just before the memo overflows
+        toeplitz_matrix(symbols[bound], 0.5, 4)
+        assert len(operators._memo) == bound
+        computed = self.counting_columns(monkeypatch)
+        # symbol 0 was read after symbol 1, which the overflow dropped
+        assert toeplitz_matrix(symbols[0], 0.5, 4).entries.tobytes() == first[0].entries.tobytes()
+        assert computed == []
+        again = toeplitz_matrix(symbols[1], 0.5, 4)
+        assert computed == [symbols[1].mode(0)]
+        assert again.entries.tobytes() == first[1].entries.tobytes()
+        assert again.entry_error == first[1].entry_error
+        assert len(operators._memo) == bound
+
+    def test_hits_and_misses_count_the_modes_of_each_build(self):
+        toeplitz_matrix(MIXED, 2.7, 40)  # four misses
+        toeplitz_matrix(MIXED, 2.7, 40)  # four hits
+        assert dict(operators._memo_counts) == {"hits": 4, "misses": 4}
+        toeplitz_matrix(SymbolSpec.from_modes({0: MIXED.mode(0), 7: ABS2.mode(0)}), 2.7, 40)
+        radial_eigenvalues(MIXED.mode(0), 2.7, 40)
+        assert dict(operators._memo_counts) == {"hits": 6, "misses": 5}
+        assert len(operators._memo) == 5
+
+    def test_a_refused_build_changes_neither_the_memo_size_nor_earlier_entries(self):
+        # r^300 at mode 1 leaves double range from column m=45 at s = 0
+        earlier = {-1: RE_Z.mode(-1), 0: ABS2.mode(0)}
+        toeplitz_matrix(SymbolSpec.from_modes(earlier), 0.0, 60)
+        before = dict(operators._memo)
+        refused = SymbolSpec.from_modes({**earlier, 1: RadialProfile.monomial(300.0)}, name="big")
+        with pytest.raises(DomainError, match=r"^entry of symbol 'big' at mode j=1, column m=45 "):
+            toeplitz_matrix(refused, 0.0, 60)
+        assert len(operators._memo) == len(before) == 2
+        for key, entry in operators._memo.items():
+            assert all(part is kept for part, kept in zip(entry, before[key]))
 
     def test_eigenvalues_are_a_writable_copy(self):
         first = radial_eigenvalues(ABS2.mode(0), 0.5, 8)
@@ -394,7 +448,7 @@ class TestOneColumnPassPerBuild:
             j: toeplitz_matrix(SymbolSpec.from_modes({j: profile}), 2.7, 40).diagonals[j]
             for j, profile in modes.items()
         }
-        operators._diagonal.cache_clear()
+        operators._memo.clear()
         calls, radii = self.recording(monkeypatch)
         op = toeplitz_matrix(symbol, 2.7, 40)
         assert len(radii) == 1
@@ -428,9 +482,9 @@ class TestOneColumnPassPerBuild:
         assert len(calls) > 1
         for _, alpha, part in calls[1:]:
             assert part.max() <= 1 and (alpha[part == 1] < 344.4).all()
-        assert operators._diagonal.cache_info().currsize == 1
+        assert len(operators._memo) == 1
         toeplitz_matrix(SymbolSpec.from_modes({-2: modes[-2]}), 164.2, 8)
-        assert operators._diagonal.cache_info().hits == 1
+        assert operators._memo_counts["hits"] == 1
 
     def test_an_evaluator_refusal_names_its_mode(self):
         # the second mode passes the 128-point spot check, then returns one value
@@ -442,7 +496,7 @@ class TestOneColumnPassPerBuild:
         with pytest.raises(DomainError, match=refusal + r"evaluator returned shape \(1,\)"):
             toeplitz_matrix(symbol, 0.0, 8)
         # the first mode is built and kept
-        assert operators._diagonal.cache_info().currsize == 1
+        assert len(operators._memo) == 1
 
     def test_a_later_evaluator_refusal_waits_for_the_modes_before_it(self):
         # mode 0 fails its last column; mode 1's evaluator refuses on its first
@@ -622,6 +676,7 @@ class TestTruncatedOperator:
             ("s", None, "s must be finite and >= 0, got None"),
             ("exact_band", 1.5, "exact_band must be an integer >= 0, got 1.5"),
             ("exact_band", -1, "exact_band must be an integer >= 0, got -1"),
+            ("exact_band", True, "exact_band must be an integer >= 0, got True"),
             ("entry_error", math.nan, "entry_error must be >= 0, got nan"),
             ("entry_error", -1e-16, "entry_error must be >= 0, got -1e-16"),
             ("entry_error", "e", "entry_error must be >= 0, got 'e'"),
@@ -687,35 +742,28 @@ class TestTruncatedOperator:
             op.entries[0, 0] = 5.0
 
 
-class TestBerezinGrid:
+class TestBasisGrid:
+    @pytest.mark.parametrize("s", [0.0, 0.1, 0.5, 2.3, 1 / 3, 29.97, 150.0])
+    def test_log_norms_equal_scalar_log_gamma_exactly(self, s):
+        expected = np.array([log_gamma(s + m + 1.0) for m in range(160)])
+        got = _basis_grid(s, 160)[0]
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
     def test_cached_read_only_and_read_by_berezin(self):
-        k, half_log_norms, ones = operators._berezin_grid(2.5, 40)
-        assert operators._berezin_grid(2.5, 40)[0] is k
+        grid = _basis_grid(2.5, 40)
+        assert _basis_grid(2.5, 40) is grid
+        log_norms, k, half_log_norms, ones = grid
         assert k.tolist() == list(range(40))
-        assert half_log_norms.tobytes() == (0.5 * _basis_log_norms(2.5, 40)).tobytes()
+        assert half_log_norms.tobytes() == (0.5 * log_norms).tobytes()
         assert ones.dtype == complex and (ones == 1.0).all()
-        for array in (k, half_log_norms, ones):
+        for array in grid:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         op = toeplitz_matrix(ABS2, 2.5, 40, QUAD)
         for z in (0.3, 0.2 - 0.4j, 1.0j):
             berezin(op, z)
-        assert operators._berezin_grid.cache_info().misses == 1
-
-
-class TestBasisLogNorms:
-    @pytest.mark.parametrize("s", [0.0, 0.1, 0.5, 2.3, 1 / 3, 29.97, 150.0])
-    def test_equals_scalar_log_gamma_exactly(self, s):
-        expected = np.array([log_gamma(s + m + 1.0) for m in range(160)])
-        got = _basis_log_norms(s, 160)
-        assert got.dtype == np.float64
-        assert got.tobytes() == expected.tobytes()
-
-    def test_cached_and_read_only(self):
-        first = _basis_log_norms(2.5, 40)
-        assert _basis_log_norms(2.5, 40) is first
-        with pytest.raises(ValueError, match="read-only"):
-            first[0] = 0.0
+        assert _basis_grid.cache_info().misses == 1
 
 
 def _unit_operator(size):
@@ -735,7 +783,7 @@ SIZED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "4", 2.5])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "4", 2.5, True, False])
 @pytest.mark.parametrize("call", sorted(SIZED_CALLS))
 def test_size_that_is_not_a_finite_integer_is_refused_by_name(call, value):
     build, error, name = SIZED_CALLS[call]

@@ -465,6 +465,21 @@ class TestGaussianWeightedIntegral:
         with pytest.raises(DomainError, match="^" + re.escape(refusal + "no value at r = 1") + "$"):
             toeplitz_matrix(spec, 0.0, 8)
 
+    def test_an_evaluator_that_raises_on_one_column_s_points_names_that_column(self):
+        from fock_toeplitz import RadialProfile, SymbolSpec, toeplitz_matrix
+
+        # at s = 0 mode j=1 has alpha = 2m + 3: columns 0 and 1 share a level-sum
+        # block, and only column 1's window reaches beyond t = 7.5
+        def evaluator(r):
+            if (r > 7.5).any():
+                raise DomainError("no value beyond r = 7.5")
+            return np.exp(-r)
+
+        spec = SymbolSpec.from_modes({1: RadialProfile(0.0, 1.0, evaluator=evaluator)}, name="v")
+        refusal = "entry quadrature failed for symbol 'v' at mode j=1, column m=1: "
+        with pytest.raises(DomainError, match="^" + re.escape(refusal + "no value beyond r = 7.5")):
+            toeplitz_matrix(spec, 0.0, 3)
+
     def test_accuracy_error_carries_estimate(self):
         # A jump integrand defeats the smoothness assumption.
         ragged = QuadratureSpec(node_count=8, tail_cutoff=8.0, abs_tol=1e-15, rel_tol=1e-15)
@@ -926,6 +941,48 @@ def test_a_raise_on_the_peaks_fails_the_part_s_first_row_with_a_peak():
     # the alpha < 1 row before it has no peak read and is summed; the rows
     # from the failed one on are not
     assert np.isfinite(values_1[0]) and np.isnan(values_1[1:]).all()
+
+
+def test_a_raise_on_one_row_s_peak_fails_that_row_and_sums_the_rows_before_it():
+    peak = np.sqrt(0.5 * (np.array([5.0]) - 1.0))
+    raised = []
+
+    def f(t):
+        if np.isin(t, peak).any():
+            raised.append(t.size)
+            raise ValueError("no value at the peak of alpha = 5")
+        return np.exp(-t)
+
+    parts = [(lambda t: np.exp(-t), [2.0, 0.5], 0.0, 1.0), (f, [0.5, 3.0, 5.0], 0.0, 1.0)]
+    _, (values_1, errors_1, failures_1) = gaussian_weighted_columns(parts)
+    # the call on both peaks raised, then the call on alpha = 5's peak alone
+    assert raised == [2, 1]
+    assert list(failures_1) == [2] and str(failures_1[2]) == "no value at the peak of alpha = 5"
+    (alone, alone_errors, no_failures), = gaussian_weighted_columns([(f, [0.5, 3.0], 0.0, 1.0)])
+    assert not no_failures and np.isfinite(alone).all()
+    assert same_bits(values_1[:2], alone) and same_bits(errors_1[:2], alone_errors)
+    assert np.isnan(values_1[2])
+
+
+def test_a_raise_on_a_level_sum_block_fails_the_first_row_whose_own_points_raise():
+    # alphas 3 and 5 share the first level's block; only alpha = 5's window
+    # reaches beyond t = 7.5
+    raised = []
+
+    def f(t):
+        if (t > 7.5).any():
+            raised.append(t.size)
+            raise ValueError("no value beyond 7.5")
+        return np.exp(-t)
+
+    values, errors, failures = gaussian_weighted_column(f, [3.0, 5.0])
+    # the block of both rows raised, then alpha = 5's row alone
+    assert len(raised) == 2 and raised[0] == 2 * raised[1]
+    assert list(failures) == [1] and str(failures[1]) == "no value beyond 7.5"
+    alone, alone_errors, no_failures = gaussian_weighted_column(f, [3.0])
+    assert not no_failures and np.isfinite(alone).all()
+    assert same_bits(values[:1], alone) and same_bits(errors[:1], alone_errors)
+    assert np.isnan(values[1])
 
 
 def test_a_pass_sums_no_later_part_in_the_level_that_overflows():
