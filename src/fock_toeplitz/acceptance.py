@@ -122,21 +122,24 @@ def bounded_v() -> SymbolSpec:
 # ---------------------------------------------------------------------------
 
 
+def _transform(v: RadialProfile, s: float, zeta: float) -> complex:
+    """M[v G_s](zeta), its value times exp(log_scale)."""
+    transform = mellin_weighted(v, s, zeta, QUAD)
+    return transform.value * math.exp(transform.log_scale)
+
+
 def check_01_mellin_oracle() -> CheckResult:
     tolerance = 1e-10
     worst = 0.0
-    anchor = abs(
-        mellin_weighted(_via_quadrature(RadialProfile.monomial(0.0)), 0.0, 2.0, QUAD).value
-        - 1.0 / (2.0 * math.pi)
-    ) * (2.0 * math.pi)
+    monomial = _via_quadrature(RadialProfile.monomial(0.0))
+    anchor = abs(_transform(monomial, 0.0, 2.0) - 1.0 / (2.0 * math.pi)) * (2.0 * math.pi)
     for p in (0.0, 1.0, 2.0, 3.0):
         closed = RadialProfile.monomial(p)
         quadrature = _via_quadrature(closed)
         for s in S_VALUES:
             for zeta in range(1, 61):
-                exact = mellin_weighted(closed, s, float(zeta), QUAD)
-                exact = exact.value * math.exp(exact.log_scale)
-                value = mellin_weighted(quadrature, s, float(zeta), QUAD).value
+                exact = _transform(closed, s, float(zeta))
+                value = _transform(quadrature, s, float(zeta))
                 worst = max(worst, abs(value - exact) / abs(exact))
     passed = worst <= tolerance and anchor <= tolerance
     return CheckResult(

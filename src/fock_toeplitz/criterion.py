@@ -403,7 +403,8 @@ def functional_equation_residuals(
     sv = order_value(s)
     if not is_integer(k_max) or k_max < 1:
         raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
-    if not (isinstance(verdict_multiplier, numbers.Real) and 0.0 < verdict_multiplier < math.inf):
+    real = isinstance(verdict_multiplier, numbers.Real) and not isinstance(verdict_multiplier, bool)
+    if not (real and 0.0 < verdict_multiplier < math.inf):
         raise DomainError(f"verdict_multiplier must be finite and > 0, got {verdict_multiplier!r}")
     k_max = int(k_max)
     if N is None:

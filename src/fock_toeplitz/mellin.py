@@ -52,8 +52,9 @@ class MellinValue:
     """A transform value at one real argument, with its error estimate.
 
     The transform is ``value * exp(log_scale)``, and its absolute error
-    ``abs_error_estimate * exp(log_scale)``; ``log_scale`` is 0 for
-    quadrature values and carries the Gamma magnitude of exact ones.
+    ``abs_error_estimate * exp(log_scale)``; ``log_scale`` carries the Gamma
+    magnitude of exact values and the weight's log mass of quadrature ones
+    (Laplace's estimate of log Gamma(alpha/2) - log 2, 0 for alpha <= 1).
     """
 
     value: complex
@@ -119,11 +120,11 @@ def _columns(
         if v.evaluator is None:
             columns.append((*_family_transform(v.terms, alpha), {}))
             continue
-        values, errors, failures = next(passes)
+        log_scale, values, errors, failures = next(passes)
         # numpy's complex / float multiplies by 1/pi; dividing each part rounds
         # as Python's complex division does
         values = (values.view(float) / math.pi).view(complex)
-        columns.append((np.zeros(alpha.shape), values, errors / math.pi, failures))
+        columns.append((log_scale, values, errors / math.pi, failures))
         if failures:
             break
     return columns

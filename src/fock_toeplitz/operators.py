@@ -177,9 +177,10 @@ def _operator(diagonals, size, s, band, label, error, finite=True, max_abs=None)
 
 
 def _at_least_zero(value, finite: bool = False) -> bool:
-    """Whether ``value`` is a number >= 0, and finite when ``finite``; nan fails."""
+    """Whether ``value`` is a number >= 0, and finite when ``finite``; nan and a bool fail."""
     try:
-        return value >= 0.0 and (not finite or math.isfinite(value))
+        number = value >= 0.0 and not isinstance(value, (bool, np.bool_))
+        return number and (not finite or math.isfinite(value))
     except (TypeError, ValueError):
         return False
 
@@ -446,7 +447,7 @@ def min_truncation_size(max_abs_z: float, s: "float | SobolevOrder") -> int:
     """Smallest N >= 8 meeting the Berezin tail precondition for |z| <= max_abs_z."""
     sv = order_value(s)
     try:
-        r = float(max_abs_z)
+        r = math.nan if isinstance(max_abs_z, (bool, np.bool_)) else float(max_abs_z)
     except (TypeError, ValueError):
         r = math.nan  # refused below, by name
     if not (math.isfinite(r) and r >= 0.0):

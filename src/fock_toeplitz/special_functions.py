@@ -13,20 +13,22 @@ the ladder h_k = 12 / node_count / 2^k, k <= 8 (each level evaluates only its
 new, odd-index nodes) until two consecutive levels agree within tolerance;
 the last inter-level difference is the reported error estimate.
 
-A whole column of exponents is one vectorised pass per level: the integrand
-is evaluated on one window of nodes per row, and each row keeps its own
-radius, stopping rule and error estimate, so a row's result does not depend
-on the rows beside it.  Under the declared growth bound |f(t)| <= C (1+t)^m,
-a row's window holds every node whose term may reach tau = 1e-3 tol / n (tol
+Each row is summed in units of e^L, L its log_scale: the log of the weight's
+mass Gamma(alpha/2) / 2 by Laplace's estimate (0 for alpha <= 1), taken out
+of each term's exponent, so that no term overflows at any alpha.  A whole
+column of exponents is one vectorised pass per level: the integrand is
+evaluated on one window of nodes per row, and each row keeps its own radius,
+stopping rule and error estimate, so a row's result does not depend on the
+rows beside it.  Under the declared growth bound |f(t)| <= C (1+t)^m, a
+row's window holds every node whose term may reach tau = 1e-3 tol / n (tol
 the row's stopping tolerance, n nodes in the level), and each node left out
 adds tau to the row's error estimate, at most 1e-3 tol per level.  The first
 level has no sum to take tol from: it takes the tol of a tenth of the row's
-trial magnitude, |f(t*)| times the weight's mass Gamma(alpha/2) / 2 (by
-Laplace's estimate), t* the peak of the weight, and a row whose own first
-sum gives a smaller tol is summed again with tol = abs_tol.  The bound is
-unimodal along the nodes, so it is read by products and sums alone on a
-grid of 74 points, once per row for all its levels.  Windows are widened to
-multiples of 32 nodes, and the rows
+trial magnitude, |f(t*)| in units of the weight's mass, t* the peak of the
+weight, and a row whose own first sum gives a smaller tol is summed again
+with tol = abs_tol.  The bound is unimodal along the nodes, so it is read by
+products and sums alone on a grid of 74 points, once per row for all its
+levels.  Windows are widened to multiples of 32 nodes, and the rows
 of one width are summed in C-contiguous (rows, width) blocks of at most
 _MAX_BATCH nodes (one row when its window alone is wider), the integrand
 evaluated once per block: numpy sums each row of such a block pairwise,
@@ -39,6 +41,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -267,14 +270,16 @@ def _by_row(f, points: np.ndarray, exc: Exception) -> tuple[list, int, Exception
 
 def _level_sums(
     f, alpha: np.ndarray, cutoff: np.ndarray, h: float, odd: bool, floor: np.ndarray,
-    sampled: np.ndarray, part=None,
+    sampled: np.ndarray, log_mass: np.ndarray, part=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One trapezoid pass of the tanh-sinh rule at step ``h`` (odd nodes only
     when ``odd``) for each row (alpha, cutoff): the sums, their L1 masses,
     which bound summation rounding, and the number of nodes each row left
-    out.  Row i sums one window of nodes that holds every node whose weighted
-    density w t^(alpha-1) e^{-t^2} may reach e^{floor_i} (all nodes when
-    floor_i is -inf), found from its bound on the mask grid, ``sampled[i]``
+    out, in units of e^{log_mass_i}, taken out of each term's exponent (the
+    row's node scale h R pi/4 multiplies its sums).  Row i sums one window of
+    nodes that holds every node whose (unscaled) weighted density
+    w t^(alpha-1) e^{-t^2} may reach e^{floor_i} (all nodes when floor_i is
+    -inf), found from its bound on the mask grid, ``sampled[i]``
     (``_mask_samples(alpha, cutoff)``, which a caller that sums the same
     rows at several levels forms once).  Row i integrates ``f``, or
     ``f[part[i]]`` when the rows carry a ``part`` each; the integrand is
@@ -316,6 +321,7 @@ def _level_sums(
     key = key[order]
     bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), alpha.size]
     first, cutoff, scale, exponent = first[order], cutoff[order], scale[order], alpha[order] - 1.0
+    log_mass = log_mass[order]
     totals, masses = np.zeros(alpha.size, dtype=complex), np.zeros(alpha.size)
     tag, since = None, 0
     # an overflowing sum is refused by the caller
@@ -337,10 +343,11 @@ def _level_sums(
                 t = x_windows[first[rows]]
                 t *= cutoff[rows, None]
                 w = weight_windows[first[rows]]
-                w *= scale[rows, None]
                 density = np.log(t)
                 density *= exponent[rows, None]
                 density -= t * t
+                # ~L near the peak, so subtracting L is exact there (Sterbenz)
+                density -= log_mass[rows, None]
                 w *= np.exp(density, out=density)
                 try:
                     values = pointwise(integrands[p], t.reshape(-1))
@@ -348,8 +355,8 @@ def _level_sums(
                     _, row, exc = _by_row(integrands[p], t, exc)
                     raise _EvaluatorFailure(order[start + row]) from exc
                 terms = w * values.reshape(t.shape)
-                totals[rows] = np.add.reduce(terms, axis=1)
-                masses[rows] = np.add.reduce(np.abs(terms), axis=1)
+                totals[rows] = np.add.reduce(terms, axis=1) * scale[rows]
+                masses[rows] = np.add.reduce(np.abs(terms), axis=1) * scale[rows]
     unordered = np.empty_like(order)
     unordered[order] = np.arange(order.size)
     return totals[unordered], masses[unordered], n - width
@@ -362,16 +369,20 @@ def gaussian_weighted_column(
     *,
     growth_exponent: float = 0.0,
     growth_constant: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """I(f, alpha) for every alpha > 0 of a column, with absolute error
     estimates (inter-level difference + truncation-tail indicator + rounding
-    floor + bound on the terms left out).
+    of the sums and of the terms' exponents + bound on the terms left out).
 
-    Returns (values, errors, failures): complex values and float estimates
-    per alpha, and {row: failure} from the first failed row on, after which
-    the column stops (a later row stays nan unless it converged before): an
-    :class:`AccuracyError` for a stalled refinement (estimate attached) or a
-    level sum or L1 mass that is not finite (infinite estimate: an infinite
+    Returns (log_scale, values, errors, failures): per alpha, L, the log of
+    Laplace's estimate sqrt(pi/2) t*^(alpha-1) e^(-t*^2) of the weight's mass
+    Gamma(alpha/2) / 2 (0 for alpha <= 1), the complex value and float
+    estimate in units of e^L (I = value e^L; tolerances scale alike, and
+    past L ~ 715 only rel_tol holds), and {row: failure} from the first
+    failed row on, after which the column stops (a later row stays nan
+    unless it converged before): an :class:`AccuracyError` for a stalled
+    refinement (its absolute estimate attached) or a level sum or L1 mass
+    that is not finite (infinite estimate: an infinite
     sum would pass the relative stopping test), or what ``f`` raised on the
     row's own points (or on a block of rows starting at the row, when none
     raises alone); a failed row's value and error are nan.
@@ -384,19 +395,18 @@ def gaussian_weighted_column(
     leaves out the nodes whose terms that bound proves below tau: 1e-3 tol / n
     (n nodes in the level, tol the row's stopping tolerance at the level
     before; at the first level the one that a tenth of the row's trial
-    magnitude gives, |f(t*)| sqrt(pi/2) t*^(alpha-1) e^(-t*^2) with
-    t* = sqrt((alpha-1)/2), or abs_tol when alpha <= 1, the trial is not
-    finite or the row's own sum gives a smaller one).  Its estimate gains
-    dropped = dropped_before / 2 + n_dropped tau.  Deterministic for a fixed
-    spec, and a row's result does not depend on the other rows of the
-    column.
+    magnitude |f(t*)| gives, t* = sqrt((alpha-1)/2), or abs_tol when
+    alpha <= 1, the trial is not finite or the row's own sum gives a smaller
+    one).  Its estimate gains dropped = dropped_before / 2 + n_dropped tau.
+    Deterministic for a fixed spec, and a row's result does not depend on
+    the other rows of the column.
     """
     return gaussian_weighted_columns([(f, alphas, growth_exponent, growth_constant)], spec)[0]
 
 
 def gaussian_weighted_columns(
     parts, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> list[tuple[np.ndarray, np.ndarray, dict[int, Exception]]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]]:
     """:func:`gaussian_weighted_column` of each part (f, alphas, growth_exponent,
     growth_constant), bit for bit, in one pass: one ``tail_radius`` call, one
     integrand call per part on its rows' peaks and, per level, one
@@ -427,13 +437,27 @@ def gaussian_weighted_columns(
     integrand = integrands if len(parts) > 1 else integrands[0]
     exponents = alphas + growth_exponent
     cutoff = np.maximum(spec.tail_cutoff, tail_radius(exponents, spec.abs_tol))
+    # Rows are summed in units of e^L, L the log of the weight's mass Gamma(alpha/2)
+    # / 2 by Laplace's estimate sqrt(pi/2) t*^(alpha-1) e^(-t*^2), t*^2 = (alpha-1)/2
+    # (high by at most sqrt(2), at alpha -> 1; an lgamma per row took 2-3% of a
+    # matrix-build list), L = 0 for alpha <= 1.  So no term overflows, and the
+    # tolerances scale by e^-L (past L ~ 715 abs_tol e^-L is raised to the least
+    # normal double, and only rel_tol holds).
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        half = 0.5 * (alphas - 1.0)
+        laplace = half * (np.log(half) - 1.0) + 0.5 * math.log(0.5 * math.pi)
+        log_mass = np.where(half > 0.0, laplace, 0.0)
+        abs_tol = np.maximum(spec.abs_tol * np.exp(-log_mass), np.finfo(float).tiny)
     # Indicator of the discarded tail beyond R for the declared growth bound
     # C (1+t)^gamma: C R^(alpha+gamma) e^(-R^2).
-    tail_log = log_constant + exponents * np.log(cutoff) - cutoff * cutoff
+    tail_log = log_constant + exponents * np.log(cutoff) - cutoff * cutoff - log_mass
     tail_bound = np.where(tail_log < 700.0, np.exp(np.minimum(tail_log, 700.0)), np.inf)
+    # a term's exponent, and so the term, rounds by eps (|L| + |alpha-1| |log R|)
+    exponent_rounding = np.abs(log_mass) + np.abs(alphas - 1.0) * np.abs(np.log(cutoff))
     # log of the growth bound C (1+R)^gamma of f on (0, R], plus the margin left
-    # for the rounding of the pruning mask; rows with alpha < 1 keep every node.
-    growth_log = log_constant + growth_exponent * np.log1p(cutoff) + _MASK_MARGIN
+    # for the rounding of the pruning mask, less L, which the unscaled pruning
+    # bound does not carry; rows with alpha < 1 keep every node.
+    growth_log = log_constant + growth_exponent * np.log1p(cutoff) + _MASK_MARGIN - log_mass
     growth_log[alphas < 1.0] = np.inf
     sampled = _mask_samples(alphas, cutoff)
 
@@ -442,10 +466,7 @@ def gaussian_weighted_columns(
     failures: dict[int, Exception] = {}
     active = np.arange(alphas.size)
     # The first level has no sum to take its tolerance from, so it takes a share
-    # of the trial magnitude |f(t*)| M, M = Gamma(alpha/2) / 2 the weight's mass,
-    # formed in logs by Laplace's estimate sqrt(pi/2) t*^(alpha-1) e^(-t*^2): it
-    # is high by at most sqrt(2) (at alpha -> 1), and an lgamma per row took 2-3%
-    # of a matrix-build list.
+    # of the trial magnitude |f(t*)| (times the weight's mass, which is e^L).
     peak = np.zeros(alphas.size)  # |f(t*)|, 0 where alpha <= 1
     for p, f in enumerate(integrands):
         rows = np.flatnonzero((part == p) & (alphas > 1.0))
@@ -461,11 +482,7 @@ def gaussian_weighted_columns(
             active = active[active < rows[i]]
             break
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        half = 0.5 * (alphas - 1.0)  # t*^2
-        log_mass = half * (np.log(half) - 1.0) + 0.5 * math.log(0.5 * math.pi)
-        trial = np.exp(np.log(peak) + log_mass)
-    guess = np.where(np.isfinite(trial), _TRIAL_SHARE * trial, 0.0)
+    guess = np.where(np.isfinite(peak), _TRIAL_SHARE * peak, 0.0)
     previous, previous_mass = np.zeros(alphas.size, dtype=complex), np.zeros(alphas.size)
     estimate, dropped = np.full(alphas.size, np.inf), np.zeros(alphas.size)
     eps = float(np.finfo(float).eps)
@@ -485,7 +502,8 @@ def gaussian_weighted_columns(
             floor = np.log(tau) - growth_log[rows]
             try:
                 return _level_sums(
-                    integrand, alphas[rows], cutoff[rows], h, odd, floor, sampled[rows], *tags
+                    integrand, alphas[rows], cutoff[rows], h, odd, floor, sampled[rows],
+                    log_mass[rows], *tags
                 )
             except _EvaluatorFailure as failure:
                 raise _EvaluatorFailure(int(rows[failure.args[0]])) from failure.__cause__
@@ -493,7 +511,7 @@ def gaussian_weighted_columns(
         while active.size:  # once more without the rows from a failed one on
             # the tolerance that sets the bound tau each left-out term stays below
             tolerance = np.abs(previous[active]) if odd else guess[active]
-            tolerance = np.maximum(spec.abs_tol, spec.rel_tol * tolerance)
+            tolerance = np.maximum(abs_tol[active], spec.rel_tol * tolerance)
             tau = tolerance * (_DROP_SHARE / nodes)
             try:
                 sums, masses, left_out = summed(active, tau)
@@ -501,10 +519,10 @@ def gaussian_weighted_columns(
                     # A row whose own first sum gives a smaller tolerance is summed
                     # again at abs_tol, but none after a sum that is not finite: more
                     # nodes would not make it finite, and a later part may be unsummed.
-                    again = tolerance > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sums))
+                    again = tolerance > np.maximum(abs_tol[active], spec.rel_tol * np.abs(sums))
                     again &= ~np.logical_or.accumulate(~(np.isfinite(sums) & np.isfinite(masses)))
                     if again.any():
-                        tau[again] = spec.abs_tol * (_DROP_SHARE / nodes)
+                        tau[again] = abs_tol[active[again]] * (_DROP_SHARE / nodes)
                         summed_again = summed(active[again], tau[again])
                         sums[again], masses[again], left_out[again] = summed_again
                 break
@@ -528,11 +546,12 @@ def gaussian_weighted_columns(
         diff = np.abs(current - before)
         # Summation rounding scales with the L1 mass.  Nesting rounds once more per
         # level; later levels halve it, so it adds < 2 eps * mass, inside the 8 eps.
-        rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
+        summation = 8.0 + math.sqrt(spec.node_count * 2**level)
+        rounding = (summation + exponent_rounding[active]) * eps * l1_mass
         estimate[active] = diff + tail_bound[active] + rounding + dropped[active]
         previous[active], previous_mass[active] = current, l1_mass
         if odd:  # the first level has none to agree with
-            done = finite & (diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(current)))
+            done = finite & (diff <= np.maximum(abs_tol[active], spec.rel_tol * np.abs(current)))
             rows = active[done]
             values[rows], errors[rows] = current[done], estimate[rows]
             finite &= ~done
@@ -540,16 +559,18 @@ def gaussian_weighted_columns(
         if failures:
             active = active[active < min(failures)]
     for row in active.tolist():
+        with np.errstate(over="ignore"):  # the estimate in absolute terms
+            stalled = float(estimate[row] * np.exp(log_mass[row]))
         failures[row] = AccuracyError(
             f"quadrature did not reach tolerance (abs_tol={spec.abs_tol:g}, "
             f"rel_tol={spec.rel_tol:g}) for alpha={alphas[row]:g}: "
-            f"error estimate {estimate[row]:.3e} after {_MAX_REFINEMENTS} refinements",
-            estimate=float(estimate[row]),
+            f"error estimate {stalled:.3e} after {_MAX_REFINEMENTS} refinements",
+            estimate=stalled,
         )
     results, lo = [], 0
     for hi in itertools.accumulate(sizes):
         failed = {row - lo: failures[row] for row in sorted(failures) if lo <= row < hi}
-        results.append((values[lo:hi], errors[lo:hi], failed))
+        results.append((log_mass[lo:hi], values[lo:hi], errors[lo:hi], failed))
         lo = hi
         if failed:
             break
@@ -565,10 +586,17 @@ def gaussian_weighted_integral_with_estimate(
     growth_constant: float = 1.0,
 ) -> tuple[complex, float]:
     """I(f, alpha) for alpha > 0 and its absolute error estimate: the
-    one-alpha :func:`gaussian_weighted_column`, whose failure it raises."""
-    values, errors, failures = gaussian_weighted_column(
+    one-alpha :func:`gaussian_weighted_column`, whose failure it raises, times
+    e^log_scale; a value or estimate beyond double range is refused with a
+    :class:`DomainError`."""
+    (log_scale,), (value,), (error,), failures = gaussian_weighted_column(
         f, [alpha], spec, growth_exponent=growth_exponent, growth_constant=growth_constant
     )
     if failures:
         raise failures[0]
-    return complex(values[0]), float(errors[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.exp(0.5 * log_scale)  # e^log_scale may overflow where the value does not
+        value, error = complex(value * root * root), float(error * root * root)
+    if not (cmath.isfinite(value) and math.isfinite(error)):
+        raise DomainError(f"I(f, alpha={alpha:g}) leaves double range (log scale {log_scale:.6g})")
+    return value, error

@@ -27,9 +27,13 @@ QUAD = QuadratureSpec.for_exponent(80.0)
 
 R2 = RadialProfile.monomial(2.0)
 R2_CALLABLE = RadialProfile.from_callable(lambda r: np.asarray(r, dtype=float) ** 2, 2.0, 1.0)
-# exp(-1.3 r) at s = 12: the quadrature level sum at zeta = 320 overflows
 DECAY = RadialProfile.from_callable(
     lambda r: np.exp(-1.3 * np.asarray(r, dtype=float)), growth_exponent=0.0, growth_constant=1.0
+)
+# exp(-1.3 r) up to r = 9, then infinite: the level sum of a column whose
+# window reaches beyond r = 9 (alpha above ~ 100) is not finite
+INFINITE_TAIL = RadialProfile(
+    0.0, 1.0, evaluator=lambda r: np.where(r > 9.0, np.inf, np.exp(-1.3 * r))
 )
 ONE = RadialProfile.monomial(0.0)
 Z = SymbolSpec.from_modes({1: RadialProfile.monomial(1.0)}, name="z")
@@ -86,9 +90,11 @@ class TestPhi:
                 assert abs(value - (-j / (2.0 * math.pi))) <= 1e-10 + 3.0 * err
 
     def test_evaluator_quadrature_failure_names_the_column(self):
-        # H(k + j) reads u's column at m = 159, where the level sum overflows
-        with pytest.raises(AccuracyError, match=r"symbol 'u' at mode j=0, column m=159: "):
-            phi(1, 158, 12.0, DECAY)
+        # H(k + j) reads u's column at m = 159 (alpha = 320), where the level sum
+        # is not finite; H(k) reads m = 0 (alpha = 2, R = 8)
+        with pytest.raises(AccuracyError, match=r"symbol 'u' at mode j=0, column m=159: ") as info:
+            phi(159, 0, 0.0, INFINITE_TAIL)
+        assert "level sum is not finite" in str(info.value) and info.value.estimate == math.inf
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -167,7 +173,7 @@ class TestPsi:
 
     def test_evaluator_quadrature_failure_names_the_column(self):
         with pytest.raises(AccuracyError, match=r"symbol 'v' at mode j=0, column m=159: ") as info:
-            psi(0, 159, 12.0, DECAY)
+            psi(0, 159, 12.0, INFINITE_TAIL)
         assert info.value.estimate == math.inf
 
 
@@ -411,7 +417,7 @@ class TestFunctionalEquationResiduals:
             commutator_cross_check(R2, v, 1.0, 8)
         assert functional_equation_residuals(R2, v, 1.0, 3).verdict.modes == (-3,)
 
-    @pytest.mark.parametrize("multiplier", [-1.0, 0.0, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("multiplier", [-1.0, 0.0, math.nan, math.inf, "3", True])
     def test_verdict_multiplier_must_be_finite_and_positive(self, multiplier):
         refusal = rf"^verdict_multiplier must be finite and > 0, got {re.escape(repr(multiplier))}$"
         with pytest.raises(DomainError, match=refusal):

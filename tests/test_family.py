@@ -5,7 +5,7 @@ against mpmath."""
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fock_toeplitz.mellin as mellin
@@ -13,6 +13,7 @@ import fock_toeplitz.operators as operators
 from fock_toeplitz.config import build_profile
 from fock_toeplitz.criterion import functional_equation_residuals, phi
 from fock_toeplitz.operators import toeplitz_matrix
+from fock_toeplitz.special_functions import DEFAULT_QUADRATURE
 from fock_toeplitz.symbols import RadialProfile, SymbolSpec
 
 mpmath.mp.dps = 40
@@ -137,3 +138,38 @@ def test_phi_index_symmetry(terms, j, k, s):
     forward, forward_err = phi(j, k, s, u)
     backward, backward_err = phi(-j, k + j, s, u)
     assert abs(forward + backward) <= forward_err + backward_err
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0, allow_nan=False),
+            st.integers(0, 3),
+            st.floats(0.0, 2.0),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    j=st.integers(-4, 4),
+    s=st.floats(0.0, 150.0),
+    N=st.integers(1, 160),
+)
+def test_a_family_profile_and_the_same_function_by_quadrature_agree(terms, j, s, N):
+    # the exact Gamma form and the quadrature of the same function through
+    # from_callable, up to alpha = 2N + |j| + 2s ~ 624, past the exponent ~ 343
+    # where the quadrature's terms overflowed: within the sum of both error bars
+    family = RadialProfile.gaussian_terms(terms)
+    assume(family.terms)  # the coefficients may cancel
+    by_quadrature = RadialProfile.from_callable(
+        family, family.growth_exponent, family.growth_constant
+    )
+    j = max(-(N - 1), min(N - 1, j))
+    exact = toeplitz_matrix(SymbolSpec.from_modes({j: family}), s, N)
+    quadrature = toeplitz_matrix(SymbolSpec.from_modes({j: by_quadrature}), s, N)
+    # each entry's own error bar, as the builds stored it in the diagonal memo
+    (_, family_errors, *_), (_, quadrature_errors, *_) = operators._diagonals(
+        [(j, family), (j, by_quadrature)], s, N, DEFAULT_QUADRATURE, "x"
+    )
+    gap = np.abs(exact.diagonals[j] - quadrature.diagonals[j])
+    assert (gap <= family_errors + quadrature_errors).all()

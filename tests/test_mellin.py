@@ -72,8 +72,18 @@ class TestClosedForm:
         assert result.value == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
         assert 0.0 < result.abs_error_estimate < 1e-11
 
-    def test_quadrature_values_unscaled(self):
-        assert mellin_weighted(EXP_DECAY, 0.5, 4.0, QUAD).log_scale == 0.0
+    @pytest.mark.parametrize("s, zeta", [(0.5, 4.0), (0.0, 1.0), (0.0, 0.5), (172.0, 3.0)])
+    def test_quadrature_values_carry_the_weight_s_log_mass(self, s, zeta):
+        # log_scale is Laplace's estimate of log Gamma(alpha/2) - log 2, alpha =
+        # zeta + 2s, or 0 for alpha <= 1; value alone is not the transform
+        alpha = zeta + 2.0 * s
+        half = 0.5 * (alpha - 1.0)
+        laplace = half * (math.log(half) - 1.0) + 0.5 * math.log(0.5 * math.pi) if half > 0 else 0.0
+        result = mellin_weighted(via_quadrature(ONE), s, zeta, QUAD)
+        assert result.log_scale == pytest.approx(laplace, rel=1e-15, abs=0.0)
+        # M[G_s](zeta) = Gamma(alpha/2) / (2 pi), beyond double range at s = 172
+        exact = math.lgamma(0.5 * alpha) - math.log(2.0 * math.pi)
+        assert math.log(result.value.real) + result.log_scale == pytest.approx(exact, rel=1e-13)
 
     def test_zero_profile(self):
         result = mellin_weighted(RadialProfile.zero(), 1.0, 3.0)
@@ -101,7 +111,7 @@ class TestMellinWeighted:
         for zeta in range(1, 61, 7):
             exact = transform(profile, s, float(zeta))
             assert exact == pytest.approx(closed_form(p, s, float(zeta)), rel=1e-13)
-            value = mellin_weighted(quadrature, s, float(zeta), QUAD).value
+            value = transform(quadrature, s, float(zeta))
             assert abs(value - exact) / abs(exact) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -144,7 +154,9 @@ class TestMellinWeighted:
         # zeta + 2s > 0 admits negative zeta for positive s
         value = mellin_weighted(via_quadrature(ONE), 1.0, -1.5, QUAD)
         assert isinstance(value, MellinValue)
-        assert value.value == pytest.approx(transform(ONE, 1.0, -1.5), rel=1e-10)
+        assert transform(via_quadrature(ONE), 1.0, -1.5) == pytest.approx(
+            transform(ONE, 1.0, -1.5), rel=1e-10
+        )
 
     def test_quadrature_failure_is_re_raised(self):
         # the level sums of an infinite profile are not finite at every argument
@@ -161,14 +173,15 @@ class TestColumn:
     def test_column_matches_uncached_points(self):
         zetas = np.array([2.0, 3.5, 7.0, 41.0])
         log_scale, values, errors, failures = mellin._column(EXP_DECAY, 1.25, zetas, QUAD)
-        assert failures == {} and not log_scale.any()
-        for zeta, value, error in zip(zetas, values, errors):
+        assert failures == {} and log_scale.all()
+        for zeta, scale, value, error in zip(zetas, log_scale, values, errors):
             point = mellin_weighted(EXP_DECAY, 1.25, zeta, QUAD)
-            assert (point.value, point.abs_error_estimate) == (value, error)
+            assert (point.log_scale, point.value, point.abs_error_estimate) == (scale, value, error)
 
     def test_failures_are_named(self):
-        decay = RadialProfile.from_callable(
-            lambda r: np.exp(-1.3 * np.asarray(r, dtype=float)), 0.0, 1.0
+        # infinite beyond r = 20, which only alpha = 344's window (R ~ 44) reaches
+        decay = RadialProfile(
+            0.0, 1.0, evaluator=lambda r: np.where(r > 20.0, np.inf, np.exp(-1.3 * r))
         )
         _, values, _, failures = mellin._column(decay, 0.0, np.array([2.0, 344.0, 4.0]), QUAD)
         assert list(failures) == [1] and isinstance(failures[1], AccuracyError)

@@ -133,58 +133,40 @@ class TestToeplitzMatrix:
         off = op.entries - np.diag(np.diagonal(op.entries))
         assert np.max(np.abs(off)) == 0.0
 
-    def test_overflowing_quadrature_names_the_entry(self):
-        # exp(-1.3 r) at s = 12: the level sum of column m = 159 overflows,
-        # which used to surface as an anonymous non-finite-entries DomainError
-        decay = SymbolSpec.from_modes(
-            {
-                0: RadialProfile.from_callable(
-                    lambda r: np.exp(-1.3 * np.asarray(r, dtype=float)),
-                    growth_exponent=0.0,
-                    growth_constant=1.0,
-                )
-            },
-            name="decay",
-        )
+    def test_a_level_sum_that_is_not_finite_names_the_entry(self):
+        # infinite beyond r = 12: the first column whose window reaches there,
+        # m = 22 (alpha = 46), has a level sum that is not finite, which used
+        # to surface as an anonymous non-finite-entries DomainError
+        infinite = SymbolSpec.from_modes({0: infinite_beyond(12.0)}, name="tail")
         messages = []
         for _ in range(2):  # the diagonal memo never stores a failure
-            with pytest.raises(AccuracyError, match="j=0, column m=159") as info:
-                toeplitz_matrix(decay, 12.0, 160)
+            with pytest.raises(AccuracyError, match="j=0, column m=22: .* for alpha=46$") as info:
+                toeplitz_matrix(infinite, 0.0, 40)
             assert info.value.estimate == math.inf
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert len(operators._memo) == 0
 
-    def test_failure_set_is_pinned(self):
-        # exp(-1.3 r) at j=2 on N x s: the builds that fail and the column
-        # they name, as the per-entry scalar quadrature failed before the
-        # column quadrature replaced it; none may be added or lost
-        decay = SymbolSpec.from_modes(
-            {
-                2: RadialProfile.from_callable(
-                    lambda r: np.exp(-1.3 * np.asarray(r, dtype=float)),
-                    growth_exponent=0.0,
-                    growth_constant=1.0,
-                )
-            },
-            name="decay",
-        )
-        failed = {}
+    def test_the_builds_that_overflowed_build(self):
+        # exp(-1.3 r) at j=2 on N x s: (100, 150), (160, 20) and (160, 150)
+        # failed at alpha = 344 while the weight's mass was in the exponent;
+        # now every build is finite, and the entry that failed first at (160, 20),
+        # column m = 150, is its value by the parabolic cylinder closed form
+        # int_0^inf t^(a-1) e^(-t^2 - ct) dt = 2^(-a/2) Gamma(a) e^(c^2/8) D_{-a}(c / sqrt 2)
+        mpmath = pytest.importorskip("mpmath")
+        symbol = SymbolSpec.from_modes({2: decay(1.3)}, name="decay")
         for N in (20, 100, 160):
             for s in (0.0, 12.0, 20.0, 150.0):
-                try:
-                    toeplitz_matrix(decay, s, N)
-                except AccuracyError as exc:
-                    failed[(N, s)] = str(exc)
-        message = (
-            "entry quadrature failed for symbol 'decay' at mode j=2, column m={}: quadrature "
-            "level sum is not finite (overflows double range) for alpha=344"
-        )
-        assert failed == {
-            (100, 150.0): message.format(20),
-            (160, 20.0): message.format(150),
-            (160, 150.0): message.format(20),
-        }
+                op = toeplitz_matrix(symbol, s, N)
+                assert np.isfinite(op.diagonals[2]).all() and math.isfinite(op.entry_error)
+        op = toeplitz_matrix(symbol, 20.0, 160)
+        with mpmath.workdps(60):
+            a, c, s, m = mpmath.mpf(344), mpmath.mpf("1.3"), 20, 150
+            integral = 2 ** (-a / 2) * mpmath.gamma(a) * mpmath.exp(c * c / 8)
+            integral *= mpmath.pcfd(-a, c / mpmath.sqrt(2))
+            norms = mpmath.sqrt(mpmath.gamma(s + m + 1) * mpmath.gamma(s + m + 3))
+            exact = complex(2 * integral / norms)
+        assert abs(op.diagonals[2][m] - exact) <= op.entry_error
 
     def test_family_entry_beyond_double_range_names_the_entry(self):
         # r^300 at s = 0: entry m is Gamma(m + 151) / Gamma(m + 1), which
@@ -419,6 +401,14 @@ def decay(rate):
     )
 
 
+def infinite_beyond(radius):
+    """exp(-1.3 r) up to ``radius``, infinite beyond it."""
+    def evaluator(r):
+        return np.where(r > radius, np.inf, np.exp(-1.3 * r))
+
+    return RadialProfile(0.0, 1.0, evaluator=evaluator)
+
+
 class TestOneColumnPassPerBuild:
     """A build's evaluator modes that miss the memo share one column pass."""
 
@@ -428,10 +418,10 @@ class TestOneColumnPassPerBuild:
         level_sums, tail_radius = special_functions._level_sums, special_functions.tail_radius
         calls, radii = [], []
 
-        def recording_sums(f, alpha, cutoff, h, odd, floor, sampled, *part):
+        def recording_sums(f, alpha, cutoff, h, odd, floor, sampled, log_mass, *part):
             tags = part[0] if part else np.zeros(alpha.size, dtype=int)
             calls.append((h, alpha.copy(), tags.copy()))
-            return level_sums(f, alpha, cutoff, h, odd, floor, sampled, *part)
+            return level_sums(f, alpha, cutoff, h, odd, floor, sampled, log_mass, *part)
 
         def counting_radius(*args):
             radii.append(args)
@@ -466,24 +456,24 @@ class TestOneColumnPassPerBuild:
     def test_a_failing_mode_ends_the_pass_and_the_modes_before_it_stay_memoized(
         self, monkeypatch
     ):
-        # at s = 164.2 only mode 0's last column, alpha = 344.4, overflows
-        modes = {-2: decay(0.5), 0: decay(1.3), 2: decay(2.9)}
-        m = np.arange(8)
+        # at s = 0 mode 0's level sums are not finite from column m = 22 (alpha = 46) on
+        modes = {-2: decay(0.5), 0: infinite_beyond(12.0), 2: decay(2.9)}
+        m = np.arange(40)
         with pytest.raises(AccuracyError) as alone:
-            operators._entries(modes[0], 0, m, 164.2, DEFAULT_QUADRATURE, "x")
-        assert "mode j=0, column m=7: quadrature level sum is not finite" in str(alone.value)
+            operators._entries(modes[0], 0, m, 0.0, DEFAULT_QUADRATURE, "x")
+        assert "mode j=0, column m=22: quadrature level sum is not finite" in str(alone.value)
         calls, _ = self.recording(monkeypatch)
         symbol = SymbolSpec.from_modes(modes, name="x")
         with pytest.raises(AccuracyError, match="^" + re.escape(str(alone.value)) + "$"):
-            toeplitz_matrix(symbol, 164.2, 8)
+            toeplitz_matrix(symbol, 0.0, 40)
         # every row is summed at the first level, where the failure shows; no
         # row after the failed entry is summed at a later level
-        assert np.bincount(calls[0][2]).tolist() == [6, 8, 6]
+        assert np.bincount(calls[0][2]).tolist() == [38, 40, 38]
         assert len(calls) > 1
         for _, alpha, part in calls[1:]:
-            assert part.max() <= 1 and (alpha[part == 1] < 344.4).all()
+            assert part.max() <= 1 and (alpha[part == 1] < 46.0).all()
         assert len(operators._memo) == 1
-        toeplitz_matrix(SymbolSpec.from_modes({-2: modes[-2]}), 164.2, 8)
+        toeplitz_matrix(SymbolSpec.from_modes({-2: modes[-2]}), 0.0, 40)
         assert operators._memo_counts["hits"] == 1
 
     def test_an_evaluator_refusal_names_its_mode(self):
@@ -499,15 +489,15 @@ class TestOneColumnPassPerBuild:
         assert len(operators._memo) == 1
 
     def test_a_later_evaluator_refusal_waits_for_the_modes_before_it(self):
-        # mode 0 fails its last column; mode 1's evaluator refuses on its first
+        # mode 0 fails from column 22 on; mode 1's evaluator refuses on its first
         # level, in the same pass, but the build names mode 0's entry first
         short = RadialProfile.from_callable(
             lambda r: np.exp(-r) if r.size <= 128 else np.exp(-r[:1]), 0.0, 1.0
         )
-        symbol = SymbolSpec.from_modes({0: decay(1.3), 1: short}, name="v")
-        refusal = r"^entry quadrature failed for symbol 'v' at mode j=0, column m=7: quadrature"
+        symbol = SymbolSpec.from_modes({0: infinite_beyond(12.0), 1: short}, name="v")
+        refusal = r"^entry quadrature failed for symbol 'v' at mode j=0, column m=22: quadrature"
         with pytest.raises(AccuracyError, match=refusal):
-            toeplitz_matrix(symbol, 164.2, 8)
+            toeplitz_matrix(symbol, 0.0, 40)
 
 
 class TestCommutator:
@@ -674,6 +664,9 @@ class TestTruncatedOperator:
             ("s", math.inf, "s must be finite and >= 0, got inf"),
             ("s", "x", "s must be finite and >= 0, got 'x'"),
             ("s", None, "s must be finite and >= 0, got None"),
+            # a bool is no number here, as is_integer and SobolevOrder hold
+            ("s", True, "s must be finite and >= 0, got True"),
+            ("s", np.True_, "s must be finite and >= 0, got np.True_"),
             ("exact_band", 1.5, "exact_band must be an integer >= 0, got 1.5"),
             ("exact_band", -1, "exact_band must be an integer >= 0, got -1"),
             ("exact_band", True, "exact_band must be an integer >= 0, got True"),
@@ -681,6 +674,7 @@ class TestTruncatedOperator:
             ("entry_error", -1e-16, "entry_error must be >= 0, got -1e-16"),
             ("entry_error", "e", "entry_error must be >= 0, got 'e'"),
             ("entry_error", None, "entry_error must be >= 0, got None"),
+            ("entry_error", True, "entry_error must be >= 0, got True"),
         ],
     )
     def test_bad_scalar_field_refused_by_label_and_field(self, field, value, message):
@@ -798,7 +792,9 @@ class TestMinTruncationSize:
         indicator = 2.0 * n * math.log(2.0) - math.lgamma(s + n + 1.0)
         assert indicator <= math.log(1e-12)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, -1e-300, "x", None])
+    @pytest.mark.parametrize(
+        "radius", [math.nan, math.inf, -math.inf, -1.0, -1e-300, "x", None, True, False, np.True_]
+    )
     def test_radius_that_is_not_finite_and_nonnegative_is_refused_by_name(self, radius):
         refusal = f"max_abs_z must be finite and >= 0, got {radius!r}"
         with pytest.raises(DomainError, match=re.escape(refusal)):

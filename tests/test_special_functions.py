@@ -52,21 +52,33 @@ def reference_nodes(h, odd=False):
     return u, x, np.cosh(u) * (4.0 * ey / (1.0 + ey) ** 2)
 
 
-def reference_level_sum(f, alpha, cutoff, h, odd=False, tolerance=None, growth=(0.0, 1.0)):
-    """One level's sum, L1 mass and bound on the terms left out, over the
-    nodes at step h, or over the odd-index ones only.
+def reference_log_mass(alpha):
+    """log of Laplace's estimate sqrt(pi/2) t*^(alpha-1) e^(-t*^2) of the
+    weight's mass Gamma(alpha/2) / 2, t* = sqrt((alpha-1)/2), or 0 for
+    alpha <= 1: the unit e^L each row is summed in."""
+    if alpha <= 1.0:
+        return 0.0
+    half = 0.5 * (alpha - 1.0)
+    return float(half * (np.log(half) - 1.0) + 0.5 * math.log(0.5 * math.pi))
 
-    Given the row's stopping ``tolerance`` and alpha >= 1, the level leaves
-    out the nodes whose term bound, under |f(t)| <= C (1+t)^gamma for
-    ``growth`` = (gamma, C), stays below e^-2 tau: tau = 1e-3 tolerance / n
-    for n nodes.  The bound is unimodal in u and is read on the nodes of the
+
+def reference_level_sum(
+    f, alpha, cutoff, h, odd=False, tolerance=None, growth=(0.0, 1.0), log_mass=0.0
+):
+    """One level's sum, L1 mass and bound on the terms left out, over the
+    nodes at step h, or over the odd-index ones only, in units of e^log_mass.
+
+    Given the row's stopping ``tolerance`` (in the same units) and
+    alpha >= 1, the level leaves out the nodes whose term bound, under
+    |f(t)| <= C (1+t)^gamma for ``growth`` = (gamma, C), stays below
+    e^-2 tau (times e^log_mass, unscaled): tau = 1e-3 tolerance / n for n
+    nodes.  The bound is unimodal in u and is read on the nodes of the
     step-1/8 rule: the window spans the nodes strictly between the samples
     beside the first and last sample that reaches e^-2 tau (beside the
     highest one, if none does), widened to a multiple of 32 nodes or every
     node.  The n_dropped nodes outside it add n_dropped tau."""
     u, x, weight = reference_nodes(h, odd)
     scale = h * (cutoff / 2.0) * (0.5 * math.pi)
-    w = scale * weight
     n, first, width, tau = x.size, 0, x.size, 0.0
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         if tolerance is not None and alpha >= 1.0:
@@ -76,7 +88,7 @@ def reference_level_sum(f, alpha, cutoff, h, odd=False, tolerance=None, growth=(
             t = cutoff * grid_x
             bound = np.log(scale * grid_weight) + (alpha - 1.0) * np.log(t) - t * t
             bound += math.log(constant) + gamma * math.log1p(cutoff)
-            reach = np.flatnonzero(bound >= math.log(tau) - 2.0)
+            reach = np.flatnonzero(bound >= math.log(tau) + log_mass - 2.0)
             low, high = (reach[0], reach[-1]) if reach.size else (np.argmax(bound),) * 2
             beside = np.concatenate(([-np.inf], grid, [np.inf]))
             inside = np.flatnonzero((u > beside[low]) & (u < beside[high + 2]))
@@ -84,9 +96,12 @@ def reference_level_sum(f, alpha, cutoff, h, odd=False, tolerance=None, growth=(
             width = min(n, 32 * math.ceil(span / 32))
             first = min(first, n - width)
         t = cutoff * x[first : first + width]
-        weights = w[first : first + width] * np.exp((alpha - 1.0) * np.log(t) - t * t)
+        # e^-log_mass goes into the exponent, the node scale onto the sums
+        density = (alpha - 1.0) * np.log(t) - t * t - log_mass
+        weights = weight[first : first + width] * np.exp(density)
         terms = weights * np.asarray(f(t))
-        return complex(np.sum(terms)), float(np.sum(np.abs(terms))), (n - width) * tau
+        total, mass = np.sum(terms) * scale, np.sum(np.abs(terms)) * scale
+        return complex(total), float(mass), (n - width) * tau
 
 
 def first_level(node_count):
@@ -99,28 +114,22 @@ def first_level(node_count):
     return level
 
 
-def trial_tolerance(f, alpha, spec):
-    """The first level's pruning tolerance: the one a tenth of the trial
-    magnitude |f(t*)| M would give, t* = sqrt((alpha-1)/2) and M Laplace's
-    estimate sqrt(pi/2) t*^(alpha-1) e^(-t*^2) of the weight's mass
-    Gamma(alpha/2) / 2, or abs_tol for alpha <= 1 or a trial that is not
-    finite."""
+def trial_tolerance(f, alpha, spec, abs_tol):
+    """The first level's pruning tolerance, in units of the weight's mass: the
+    one a tenth of the trial magnitude |f(t*)| would give, t* = sqrt((alpha-1)/2),
+    or ``abs_tol`` (scaled) for alpha <= 1 or a trial that is not finite."""
     if alpha <= 1.0:
-        return spec.abs_tol
-    half = np.array([0.5 * (alpha - 1.0)])
-    peak = np.abs(np.asarray(f(np.sqrt(half))))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_mass = half * (np.log(half) - 1.0) + 0.5 * math.log(0.5 * math.pi)
-        trial = np.exp(np.log(peak) + log_mass)
-    trial = float(trial[0]) if np.isfinite(trial[0]) else 0.0
-    return max(spec.abs_tol, spec.rel_tol * (0.1 * trial))
+        return abs_tol
+    peak = float(np.abs(np.asarray(f(np.sqrt(np.array([0.5 * (alpha - 1.0)])))))[0])
+    return max(abs_tol, spec.rel_tol * (0.1 * peak if math.isfinite(peak) else 0.0))
 
 
 def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     """The scalar level loop, with R widened to cover alpha + growth_exponent:
-    (value, error estimate, level it stopped at), levels counted on the ladder
-    h_k = 12 / node_count / 2^k from k = 0, the first evaluated being
-    ``first_level``.
+    (value, error estimate, level it stopped at), the value and estimate in
+    units of e^L (``reference_log_mass``) and so the tolerances too, levels
+    counted on the ladder h_k = 12 / node_count / 2^k from k = 0, the first
+    evaluated being ``first_level``.
 
     ``nested`` is the rule in use: a level adds its pruned odd-node sum to
     half the previous level's sum (0 before the first level), pruned against
@@ -129,8 +138,11 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     summed again against abs_tol.  Otherwise every level sums all of its
     nodes, the rule before nesting, kept as a value oracle."""
     cutoff = max(spec.tail_cutoff, reference_tail_radius(alpha + growth_exponent, spec.abs_tol))
-    tail_log = (alpha + growth_exponent) * math.log(cutoff) - cutoff * cutoff
+    log_mass = reference_log_mass(alpha)
+    abs_tol = max(spec.abs_tol * math.exp(-log_mass), np.finfo(float).tiny)
+    tail_log = (alpha + growth_exponent) * math.log(cutoff) - cutoff * cutoff - log_mass
     tail_bound = math.exp(tail_log) if tail_log < 700.0 else math.inf
+    exponent_rounding = abs(log_mass) + abs(alpha - 1.0) * abs(math.log(cutoff))
     first = first_level(spec.node_count)
     h = 2.0 * 6.0 / spec.node_count / 2**first
     eps = float(np.finfo(float).eps)
@@ -138,21 +150,21 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     for level in range(first, 9):
         if nested:
             growth = (growth_exponent, 1.0)
-            tolerance = max(spec.abs_tol, spec.rel_tol * abs(previous))
+            tolerance = max(abs_tol, spec.rel_tol * abs(previous))
             if level == first:
-                tolerance = trial_tolerance(f, alpha, spec)
+                tolerance = trial_tolerance(f, alpha, spec, abs_tol)
             total, mass, left_out = reference_level_sum(
-                f, alpha, cutoff, h, level > first, tolerance, growth
+                f, alpha, cutoff, h, level > first, tolerance, growth, log_mass
             )
-            again = tolerance > max(spec.abs_tol, spec.rel_tol * abs(total))
+            again = tolerance > max(abs_tol, spec.rel_tol * abs(total))
             if level == first and again and cmath.isfinite(total) and math.isfinite(mass):
                 total, mass, left_out = reference_level_sum(
-                    f, alpha, cutoff, h, False, spec.abs_tol, growth
+                    f, alpha, cutoff, h, False, abs_tol, growth, log_mass
                 )
             current, l1_mass = 0.5 * previous + total, 0.5 * previous_mass + mass
             dropped = 0.5 * dropped + left_out
         else:
-            current, l1_mass, _ = reference_level_sum(f, alpha, cutoff, h)
+            current, l1_mass, _ = reference_level_sum(f, alpha, cutoff, h, log_mass=log_mass)
         h *= 0.5
         if not (cmath.isfinite(current) and math.isfinite(l1_mass)):
             raise AccuracyError(
@@ -162,11 +174,14 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
             )
         if level > first:
             diff = abs(current - previous)
-            rounding = (8.0 + math.sqrt(spec.node_count * 2**level)) * eps * l1_mass
+            summation = 8.0 + math.sqrt(spec.node_count * 2**level)
+            rounding = (summation + exponent_rounding) * eps * l1_mass
             estimate = diff + tail_bound + rounding + dropped
-            if diff <= max(spec.abs_tol, spec.rel_tol * abs(current)):
+            if diff <= max(abs_tol, spec.rel_tol * abs(current)):
                 return current, estimate, level
         previous, previous_mass = current, l1_mass
+    with np.errstate(over="ignore"):
+        estimate = float(estimate * np.exp(log_mass))  # in absolute terms
     raise AccuracyError(
         f"quadrature did not reach tolerance (abs_tol={spec.abs_tol:g}, "
         f"rel_tol={spec.rel_tol:g}) for alpha={alpha:g}: "
@@ -175,11 +190,11 @@ def reference_integral(f, alpha, spec, growth_exponent=0.0, nested=True):
     )
 
 
-def per_row_level_sums(f, alpha, cutoff, h, odd, floor=None, *_):
+def per_row_level_sums(f, alpha, cutoff, h, odd, floor=None, sampled=None, log_mass=None, *_):
     """The column level pass before rows left out nodes, kept as the full
     rule's oracle: every node whose weight does not underflow, gathered by
-    ``np.nonzero``, each row summed as its own slice of the terms; no node
-    is left out, whatever ``floor``."""
+    ``np.nonzero``, each row summed as its own slice of the terms, in units
+    of e^log_mass (of e^0 when None); no node is left out, whatever ``floor``."""
     k = int(math.floor(6.0 / h))
     index = np.arange(-k, k + 1)
     u = h * (index[index % 2 == 1] if odd else index)
@@ -195,8 +210,9 @@ def per_row_level_sums(f, alpha, cutoff, h, odd, floor=None, *_):
     w = (h * (cutoff / 2.0) * (0.5 * math.pi))[:, None] * cosh_u * sech2
     rows, cols = np.nonzero((w > 0.0) & (t > 0.0) & (t < radius))
     t = t[rows, cols]
+    shift = np.zeros(alpha.size) if log_mass is None else log_mass
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        weights = w[rows, cols] * np.exp((alpha[rows] - 1.0) * np.log(t) - t * t)
+        weights = w[rows, cols] * np.exp((alpha[rows] - 1.0) * np.log(t) - t * t - shift[rows])
         live = weights != 0.0
         rows = rows[live]
         terms = weights[live] * np.asarray(f(t[live])) if rows.size else np.zeros(0)
@@ -208,12 +224,13 @@ def per_row_level_sums(f, alpha, cutoff, h, odd, floor=None, *_):
     return np.array(totals, dtype=complex), np.array(masses), np.zeros(alpha.size, dtype=int)
 
 
-def flat_run_level_sums(f, alpha, cutoff, h, odd, floor):
+def flat_run_level_sums(f, alpha, cutoff, h, odd, floor, log_mass):
     """The level pass before windows were summed in blocks chunked by the nodes
     summed, kept as a bit oracle: the same windows, the bound read on the
     nodes of the step-1/8 rule, laid out as one flat run of nodes in order of
-    width, ``f`` evaluated once on the whole run, and each width's rows
-    summed as one block of that run."""
+    width, ``f`` evaluated once on the whole run, e^-log_mass taken into each
+    term's exponent, and each width's rows summed as one block of that run,
+    then multiplied by their node scale."""
     x, weight, u = special_functions._unit_nodes(h, odd)
     grid_x, grid_weight, grid = special_functions._unit_nodes(1.0 / 8.0)
     n = x.size
@@ -237,14 +254,15 @@ def flat_run_level_sums(f, alpha, cutoff, h, odd, floor):
     totals, masses = np.zeros(alpha.size, dtype=complex), np.zeros(alpha.size)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         t = cutoff[rows] * x[nodes]
-        w = scale[rows] * weight[nodes]
-        terms = w * np.exp((alpha[rows] - 1.0) * np.log(t) - t * t) * np.asarray(f(t))
+        density = (alpha[rows] - 1.0) * np.log(t) - t * t - log_mass[rows]
+        terms = weight[nodes] * np.exp(density) * np.asarray(f(t))
         magnitudes = np.abs(terms)
         bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), alpha.size]
         for a, b in zip(bounds, bounds[1:]):
             block = slice(starts[a], starts[a] + (b - a) * sizes[a])
-            totals[order[a:b]] = np.add.reduce(terms[block].reshape(b - a, -1), axis=1)
-            masses[order[a:b]] = np.add.reduce(magnitudes[block].reshape(b - a, -1), axis=1)
+            these = order[a:b]  # the rows of this width, each multiplied by its node scale
+            totals[these] = np.add.reduce(terms[block].reshape(b - a, -1), axis=1) * scale[these]
+            masses[these] = np.add.reduce(magnitudes[block].reshape(b - a, -1), axis=1) * scale[these]
     return totals, masses, n - width
 
 
@@ -431,7 +449,7 @@ class TestGaussianWeightedIntegral:
     def test_values_of_another_shape_than_the_points_are_refused(self, evaluator, shape):
         # a value that would broadcast is not one value per point
         refusal = rf"^evaluator returned shape {shape} for points of shape \(\d+,\)$"
-        values, _, failures = gaussian_weighted_column(evaluator, [2.0, 3.0])
+        _, values, _, failures = gaussian_weighted_column(evaluator, [2.0, 3.0])
         assert list(failures) == [0] and type(failures[0]) is DomainError
         assert re.match(refusal, str(failures[0])) and np.isnan(values).all()
         with pytest.raises(DomainError, match=refusal):
@@ -497,24 +515,46 @@ class TestGaussianWeightedIntegral:
         spec = QuadratureSpec(tail_cutoff=1.0, abs_tol=1e-3, rel_tol=1e-11)
         radius = float(tail_radius(alpha + 1.0, spec.abs_tol))
         tail = radius ** (alpha + 1.0) * math.exp(-radius * radius)
-        _, errors, failures = gaussian_weighted_column(
+        (log_scale,), _, (error,), failures = gaussian_weighted_column(
             lambda t: constant * (1.0 + t) * np.exp(-t),
             [alpha],
             spec,
             growth_exponent=1.0,
             growth_constant=constant,
         )
-        assert failures == {} and errors[0] >= constant * tail
+        assert failures == {} and error * math.exp(log_scale) >= constant * tail
 
-    @pytest.mark.parametrize("alpha", [343.7, 344.0])
-    def test_overflowing_level_sum_raises(self, alpha):
-        # the level sum of e^{-1.3t} t^(alpha-1) e^{-t^2} overflows (at 343.7 in
-        # the node weights, at 344 already in the density); an infinite sum
-        # passes the relative stopping test, so it must be refused explicitly
+    @pytest.mark.parametrize("alpha", [2.0, 343.7, 344.0])
+    def test_a_level_sum_that_is_not_finite_raises(self, alpha):
+        # an integrand that returns inf makes a level sum infinite; an infinite
+        # sum passes the relative stopping test, so it must be refused explicitly
         spec = QuadratureSpec.for_exponent(alpha)
-        with pytest.raises(AccuracyError, match=f"alpha={alpha:g}") as info:
-            gaussian_weighted_integral_with_estimate(lambda t: np.exp(-1.3 * t), alpha, spec)
+        with pytest.raises(AccuracyError, match=f"not finite .* for alpha={alpha:g}$") as info:
+            gaussian_weighted_integral_with_estimate(lambda t: np.full(t.shape, np.inf), alpha, spec)
         assert info.value.estimate == math.inf
+
+    @pytest.mark.parametrize("alpha", [343.7, 344.0, 700.0])
+    def test_a_value_past_the_old_overflow_is_summed_scaled(self, alpha):
+        # the terms of e^{-1.3t} t^(alpha-1) e^{-t^2} overflowed double range
+        # from alpha ~ 343.7 while the weight's mass was in the exponent; in
+        # units of that mass the sum is of order |f(t*)|
+        spec = QuadratureSpec.for_exponent(alpha)
+        (log_scale,), (value,), (error,), failures = gaussian_weighted_column(
+            lambda t: np.exp(-1.3 * t), [alpha], spec
+        )
+        assert not failures and log_scale == reference_log_mass(alpha)
+        assert 0.5 < value.real / math.exp(-1.3 * math.sqrt(0.5 * (alpha - 1.0))) < 2.0
+        assert 0.0 < error <= 1e-11 * abs(value)
+        if alpha < 700.0:  # the scaled-back value is within double range, e^L not always
+            back, back_error = gaussian_weighted_integral_with_estimate(
+                lambda t: np.exp(-1.3 * t), alpha, spec
+            )
+            root = math.exp(0.5 * log_scale)
+            assert (back, back_error) == (value * root * root, error * root * root)
+        else:
+            refusal = rf"^I\(f, alpha=700\) leaves double range \(log scale 1697.57\)$"
+            with pytest.raises(DomainError, match=refusal):
+                gaussian_weighted_integral_with_estimate(lambda t: np.exp(-1.3 * t), alpha, spec)
 
     def test_deterministic(self):
         spec = QuadratureSpec.for_exponent(9.0)
@@ -573,7 +613,7 @@ class TestNestedLevels:
 
         monkeypatch.setattr(special_functions, "_level_sums", recording)
         # a jump stalls the refinement, so every level down to the finest runs
-        _, _, failures = gaussian_weighted_column(
+        *_, failures = gaussian_weighted_column(
             lambda t: np.sign(t - 1.7), [2.0], QuadratureSpec(node_count=node_count)
         )
         assert "after 8 refinements" in str(failures[0])
@@ -596,7 +636,7 @@ class TestNestedLevels:
         monkeypatch.setattr(special_functions, "_level_sums", recording)
         f = decaying(rate, 0, 1.0)
         alphas = np.linspace(0.5, 340.0, 25)
-        _, _, failures = gaussian_weighted_column(f, alphas, spec)
+        *_, failures = gaussian_weighted_column(f, alphas, spec)
         assert not failures
         h0 = 2.0 * 6.0 / spec.node_count
         for alpha in alphas.tolist():
@@ -615,7 +655,7 @@ class TestColumnAgainstScalarReference:
     )
     def test_rows_match_reference_and_one_alpha_call(self, integrand, spec, alphas):
         f, growth = integrand
-        values, errors, failures = gaussian_weighted_column(
+        log_scale, values, errors, failures = gaussian_weighted_column(
             f, alphas, spec, growth_exponent=growth
         )
         for row, alpha in enumerate(alphas):
@@ -633,17 +673,17 @@ class TestColumnAgainstScalarReference:
                         f, alpha, spec, growth_exponent=growth
                     )
                 continue
-            assert row not in failures
+            assert row not in failures and log_scale[row] == pytest.approx(reference_log_mass(alpha))
             assert abs(values[row] - expected) <= max(1e-13 * abs(expected), estimate)
             # a row at the stopping threshold may stall under one rule only
             with contextlib.suppress(AccuracyError):
                 full, _, _ = reference_integral(f, alpha, spec, growth, nested=False)
                 assert abs(values[row] - full) <= max(1e-13 * abs(full), estimate)
             # a row does not depend on the rows beside it
-            single = gaussian_weighted_integral_with_estimate(
-                f, alpha, spec, growth_exponent=growth
-            )
-            assert single == (values[row], errors[row])
+            alone = gaussian_weighted_column(f, [alpha], spec, growth_exponent=growth)
+            assert same_bits(alone[0], log_scale[row : row + 1])
+            assert same_bits(alone[1], values[row : row + 1])
+            assert same_bits(alone[2], errors[row : row + 1])
 
     def test_rows_do_not_depend_on_chunking(self, monkeypatch):
         import fock_toeplitz.special_functions as special_functions
@@ -653,13 +693,15 @@ class TestColumnAgainstScalarReference:
         whole = gaussian_weighted_column(f, alphas, growth_exponent=1.0)
         monkeypatch.setattr(special_functions, "_MAX_BATCH", 1)
         one_row_per_chunk = gaussian_weighted_column(f, alphas, growth_exponent=1.0)
-        assert whole[0].tolist() == one_row_per_chunk[0].tolist()
         assert whole[1].tolist() == one_row_per_chunk[1].tolist()
+        assert whole[2].tolist() == one_row_per_chunk[2].tolist()
 
     def test_a_failed_row_is_nan_and_stops_the_rows_after_it(self):
+        # only the row at alpha = 344 (R ~ 44) reaches beyond t = 9, where the
+        # integrand is infinite; the others keep R = 9
         alphas = [3.0, 344.0, 5.0]
-        values, errors, failures = gaussian_weighted_column(
-            lambda t: np.exp(-1.3 * t), alphas, QuadratureSpec.for_exponent(344.0)
+        _, values, errors, failures = gaussian_weighted_column(
+            lambda t: np.where(t > 9.0, np.inf, np.exp(-1.3 * t)), alphas, QuadratureSpec(tail_cutoff=9.0)
         )
         assert list(failures) == [1] and failures[1].estimate == math.inf
         assert math.isnan(values[1].real) and math.isnan(errors[1])
@@ -689,7 +731,7 @@ alpha_draws = st.one_of(
     st.floats(0.01, 0.99),  # below 1: t^(alpha-1) is largest at the lower end
     st.just(1.0),
     st.floats(1.0, 343.0),
-    st.floats(344.0, 600.0),  # the level sum overflows
+    st.floats(344.0, 1300.0),  # the terms overflowed before the weight's mass was factored out
 )
 
 
@@ -707,9 +749,10 @@ def test_pruned_rows_stay_within_both_estimates_of_the_full_rule(integrand, spec
         with mock.patch.object(special_functions, "_MAX_BATCH", batch):
             return gaussian_weighted_column(f, alphas, spec, growth_exponent=growth)
 
-    values, errors, failures = column()
+    log_scale, values, errors, failures = column()
     with mock.patch.object(special_functions, "_level_sums", per_row_level_sums):
-        full_values, full_errors, full_failures = column()
+        full_log_scale, full_values, full_errors, full_failures = column()
+    assert same_bits(log_scale, full_log_scale)
 
     def overflows(failed):
         return {row: str(exc) for row, exc in failed.items() if exc.estimate == math.inf}
@@ -728,12 +771,15 @@ def test_pruned_rows_stay_within_both_estimates_of_the_full_rule(integrand, spec
 
 def full_rule_at(f, alpha, spec, growth, step):
     """The nested sum of the full rule (``per_row_level_sums``: no node left
-    out) for one alpha, from the first level down to the level of ``step``."""
+    out) for one alpha, from the first level down to the level of ``step``,
+    in units of e^L (``reference_log_mass``)."""
     cutoff = np.maximum(spec.tail_cutoff, tail_radius(np.array([alpha + growth]), spec.abs_tol))
     h = 12.0 / spec.node_count / 2 ** first_level(spec.node_count)
+    log_mass = np.array([reference_log_mass(alpha)])
     total, odd = 0j, False
     while True:
-        total = 0.5 * total + per_row_level_sums(f, np.array([alpha]), cutoff, h, odd)[0][0]
+        row = per_row_level_sums(f, np.array([alpha]), cutoff, h, odd, None, None, log_mass)
+        total = 0.5 * total + row[0][0]
         if h == step:
             return total
         h, odd = 0.5 * h, True
@@ -756,7 +802,7 @@ def test_each_row_lies_within_its_error_of_the_full_rule_at_its_level(integrand,
         return level_sums(f, alpha, cutoff, h, *args)
 
     with mock.patch.object(special_functions, "_level_sums", recording):
-        values, errors, _ = gaussian_weighted_column(f, alphas, spec, growth_exponent=growth)
+        _, values, errors, _ = gaussian_weighted_column(f, alphas, spec, growth_exponent=growth)
     for row, alpha in enumerate(alphas):
         if np.isfinite(values[row]):
             full = full_rule_at(f, alpha, spec, growth, steps[alpha])
@@ -777,7 +823,7 @@ def test_a_row_whose_sum_falls_below_its_trial_magnitude_is_summed_again(monkeyp
     monkeypatch.setattr(special_functions, "_level_sums", recording)
     for f, again in [(lambda t: np.cos(3.0 * t), [[1.25]]), (lambda t: np.exp(-1.3 * t), [])]:
         first.clear()
-        values, errors, failures = gaussian_weighted_column(f, [1.25, 2.0])
+        _, values, errors, failures = gaussian_weighted_column(f, [1.25, 2.0])
         assert not failures and first == [[1.25, 2.0], *again]
         # summed again at abs_tol, the row is the full rule's within its error
         for alpha, value, error in zip([1.25, 2.0], values, errors):
@@ -799,10 +845,10 @@ def test_a_decaying_column_evaluates_the_profile_on_a_seventh_of_the_full_rule_p
         return per_row_level_sums(f, alpha, cutoff, h, odd)
 
     alphas = np.linspace(2.0, 340.0, 60)
-    assert not gaussian_weighted_column(f, alphas)[2]
+    assert not gaussian_weighted_column(f, alphas)[3]
     pruned = sum(evaluated)
     monkeypatch.setattr(special_functions, "_level_sums", full_rule)
-    assert not gaussian_weighted_column(f, alphas)[2]
+    assert not gaussian_weighted_column(f, alphas)[3]
     # 13% measured
     assert pruned <= 0.15 * sum(full_points), (pruned, sum(full_points))
 
@@ -813,7 +859,11 @@ floors = st.one_of(st.just(-math.inf), st.floats(-800.0, 10.0))
 @settings(max_examples=80, deadline=None)
 @given(
     integrand=integrands,
-    rows=st.lists(st.tuples(alpha_draws, st.floats(2.0, 50.0), floors), min_size=1, max_size=12),
+    rows=st.lists(
+        st.tuples(alpha_draws, st.floats(2.0, 50.0), floors, st.floats(-0.8, 3600.0)),
+        min_size=1,
+        max_size=12,
+    ),
     node_count=st.sampled_from([2, 7, 20, 48, 384, MAX_NODE_COUNT]),
     level=st.integers(0, 8),
     odd=st.booleans(),
@@ -821,12 +871,12 @@ floors = st.one_of(st.just(-math.inf), st.floats(-800.0, 10.0))
 )
 def test_level_sums_keep_the_bits_of_the_flat_run(integrand, rows, node_count, level, odd, batch):
     f, _ = integrand
-    alpha, cutoff, floor = (np.array(column) for column in zip(*rows))
+    alpha, cutoff, floor, log_mass = (np.array(column) for column in zip(*rows))
     h = 12.0 / node_count / 2**level
-    expected = flat_run_level_sums(f, alpha, cutoff, h, odd, floor)
+    expected = flat_run_level_sums(f, alpha, cutoff, h, odd, floor, log_mass)
     sampled = special_functions._mask_samples(alpha, cutoff)
     with mock.patch.object(special_functions, "_MAX_BATCH", batch):
-        got = special_functions._level_sums(f, alpha, cutoff, h, odd, floor, sampled)
+        got = special_functions._level_sums(f, alpha, cutoff, h, odd, floor, sampled, log_mass)
     for new, old in zip(got, expected):
         assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
@@ -840,7 +890,7 @@ def test_a_160_row_column_makes_one_level_sums_call_per_level(monkeypatch):
 
     monkeypatch.setattr(special_functions, "_level_sums", recording)
     alphas = np.linspace(1.0, 340.0, 160)
-    assert not gaussian_weighted_column(decaying(1.3, 1, 1.0), alphas, QuadratureSpec())[2]
+    assert not gaussian_weighted_column(decaying(1.3, 1, 1.0), alphas, QuadratureSpec())[3]
     # node_count 48 starts at level 3; its first level alone spans 385 nodes
     assert len(steps) >= 2
     assert steps == [12.0 / 48 / 2**level for level in range(3, 3 + len(steps))]
@@ -873,7 +923,7 @@ def test_no_profile_call_takes_more_than_the_batch_but_one_wide_window(monkeypat
     spec = QuadratureSpec(node_count=384)
     radii = np.maximum(spec.tail_cutoff, tail_radius(alphas, spec.abs_tol))
     assert np.unique(radii).size == alphas.size
-    assert not gaussian_weighted_column(f, alphas, spec)[2]
+    assert not gaussian_weighted_column(f, alphas, spec)[3]
     assert all(size <= batch or row_count == 1 for size, row_count in calls)
     # not vacuous: rows share calls when the batch allows, and the alpha < 1 row
     # keeps every node, a window of 385 at the first level
@@ -916,10 +966,13 @@ def test_a_merged_pass_is_each_part_alone_bit_for_bit(parts, spec, batch):
         ]
     # stopping at the first failure: the parts before it whole, and the part
     # holding it up to that row, its failure first
-    failing = [i for i, (_, _, failures) in enumerate(alone) if failures]
+    failing = [i for i, (*_, failures) in enumerate(alone) if failures]
     assert len(merged) == (failing[0] + 1 if failing else len(parts))
-    for (values, errors, failures), (values_1, errors_1, failures_1) in zip(merged, alone):
+    for (log_scale, values, errors, failures), (log_scale_1, values_1, errors_1, failures_1) in zip(
+        merged, alone
+    ):
         row = min(failures_1, default=len(values_1))
+        assert same_bits(log_scale, log_scale_1)
         assert same_bits(values[:row], values_1[:row]) and same_bits(errors[:row], errors_1[:row])
         if failures_1:
             assert min(failures) == row
@@ -935,7 +988,9 @@ def test_a_raise_on_the_peaks_fails_the_part_s_first_row_with_a_peak():
         return np.exp(-t)
 
     parts = [(lambda t: np.exp(-t), [2.0, 0.5], 0.0, 1.0), (f, [0.5, 3.0, 5.0], 0.0, 1.0)]
-    (values, errors, failures), (values_1, errors_1, failures_1) = gaussian_weighted_columns(parts)
+    (_, values, errors, failures), (_, values_1, errors_1, failures_1) = gaussian_weighted_columns(
+        parts
+    )
     assert not failures and np.isfinite(values).all() and np.isfinite(errors).all()
     assert list(failures_1) == [1] and str(failures_1[1]) == "no value at a peak"
     # the alpha < 1 row before it has no peak read and is summed; the rows
@@ -954,11 +1009,11 @@ def test_a_raise_on_one_row_s_peak_fails_that_row_and_sums_the_rows_before_it():
         return np.exp(-t)
 
     parts = [(lambda t: np.exp(-t), [2.0, 0.5], 0.0, 1.0), (f, [0.5, 3.0, 5.0], 0.0, 1.0)]
-    _, (values_1, errors_1, failures_1) = gaussian_weighted_columns(parts)
+    _, (_, values_1, errors_1, failures_1) = gaussian_weighted_columns(parts)
     # the call on both peaks raised, then the call on alpha = 5's peak alone
     assert raised == [2, 1]
     assert list(failures_1) == [2] and str(failures_1[2]) == "no value at the peak of alpha = 5"
-    (alone, alone_errors, no_failures), = gaussian_weighted_columns([(f, [0.5, 3.0], 0.0, 1.0)])
+    (_, alone, alone_errors, no_failures), = gaussian_weighted_columns([(f, [0.5, 3.0], 0.0, 1.0)])
     assert not no_failures and np.isfinite(alone).all()
     assert same_bits(values_1[:2], alone) and same_bits(errors_1[:2], alone_errors)
     assert np.isnan(values_1[2])
@@ -975,31 +1030,67 @@ def test_a_raise_on_a_level_sum_block_fails_the_first_row_whose_own_points_raise
             raise ValueError("no value beyond 7.5")
         return np.exp(-t)
 
-    values, errors, failures = gaussian_weighted_column(f, [3.0, 5.0])
+    _, values, errors, failures = gaussian_weighted_column(f, [3.0, 5.0])
     # the block of both rows raised, then alpha = 5's row alone
     assert len(raised) == 2 and raised[0] == 2 * raised[1]
     assert list(failures) == [1] and str(failures[1]) == "no value beyond 7.5"
-    alone, alone_errors, no_failures = gaussian_weighted_column(f, [3.0])
+    _, alone, alone_errors, no_failures = gaussian_weighted_column(f, [3.0])
     assert not no_failures and np.isfinite(alone).all()
     assert same_bits(values[:1], alone) and same_bits(errors[:1], alone_errors)
     assert np.isnan(values[1])
 
 
 def test_a_pass_sums_no_later_part_in_the_level_that_overflows():
-    # alpha = 360 overflows part 0's first level sum; the pass refuses there,
-    # so part 1's rows, after the failed one, are summed at no level
+    # part 0's integrand is infinite beyond t = 9, which only alpha = 360's
+    # window (R ~ 45) reaches: its first level sum is not finite, the pass
+    # refuses there, so part 1's rows, after the failed one, are summed at no level
     calls = []
 
     def later(t):
         calls.append(t.size)
         return np.exp(-t)
 
-    parts = [(lambda t: np.exp(-1.3 * t), [2.0, 360.0], 0.0, 1.0), (later, [3.0, 5.0], 0.0, 1.0)]
-    (values, errors, failures), = gaussian_weighted_columns(parts)
+    def overflowing(t):
+        return np.where(t > 9.0, np.inf, np.exp(-1.3 * t))
+
+    parts = [(overflowing, [2.0, 360.0], 0.0, 1.0), (later, [3.0, 5.0], 0.0, 1.0)]
+    (_, values, errors, failures), = gaussian_weighted_columns(parts)
     assert list(failures) == [1] and failures[1].estimate == math.inf
     assert "level sum is not finite" in str(failures[1])
     assert calls == [2]  # the one call on its two rows' peaks
     alone = gaussian_weighted_column(parts[0][0], [2.0, 360.0])
-    assert same_bits(values[:1], alone[0][:1]) and same_bits(errors[:1], alone[1][:1])
+    assert same_bits(values[:1], alone[1][:1]) and same_bits(errors[:1], alone[2][:1])
     # alone, the later part is summed
-    assert not gaussian_weighted_columns(parts[1:])[0][2] and len(calls) > 2
+    assert not gaussian_weighted_columns(parts[1:])[0][3] and len(calls) > 2
+
+
+@pytest.mark.parametrize("alpha", [344.4, 700.0, 1000.0, 1300.0])
+def test_columns_past_the_old_overflow_lie_within_their_estimates_of_mpmath(alpha):
+    # mantissa * e^log_scale against 60-digit closed forms, compared in units
+    # of e^log_scale:
+    #   int_0^inf e^(-ct) t^(a-1) e^(-t^2) dt = 2^(-a/2) Gamma(a) e^(c^2/8) D_{-a}(c / sqrt 2),
+    #   int_0^inf t^p e^(-b t^2) t^(a-1) e^(-t^2) dt = Gamma((a+p)/2) / (2 (1+b)^((a+p)/2))
+    mpmath = pytest.importorskip("mpmath")
+    exponential = [(c, lambda t, c=c: np.exp(-c * t), 0.0) for c in (0.3, 1.3)]
+    gaussian = [
+        ((p, b), lambda t, p=p, b=b: t**p * np.exp(-b * t * t), float(p)) for p, b in ((0, 0.25), (2, 1.0))
+    ]
+    parts = [(f, [alpha], growth, 1.0) for _, f, growth in exponential + gaussian]
+    columns = gaussian_weighted_columns(parts)
+    assert len(columns) == len(parts)
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        exact = [
+            2 ** (-a / 2) * mpmath.gamma(a) * mpmath.exp(mpmath.mpf(c) ** 2 / 8)
+            * mpmath.pcfd(-a, mpmath.mpf(c) / mpmath.sqrt(2))
+            for c, _, _ in exponential
+        ] + [
+            mpmath.gamma((a + p) / 2) / (2 * (1 + mpmath.mpf(b)) ** ((a + p) / 2))
+            for (p, b), _, _ in gaussian
+        ]
+        for (log_scale, values, errors, failures), integral in zip(columns, exact):
+            assert not failures and log_scale[0] == pytest.approx(reference_log_mass(alpha))
+            mantissa = complex(integral / mpmath.exp(mpmath.mpf(float(log_scale[0]))))
+            assert abs(values[0] - mantissa) <= errors[0], (alpha, values[0], mantissa, errors[0])
+            # not vacuous: the estimate is a small share of the value
+            assert errors[0] <= 1e-11 * abs(values[0])
