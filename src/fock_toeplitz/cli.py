@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _field, load_config
 from .criterion import _commutes, functional_equation_residuals
 from .errors import (
     AccuracyError,
@@ -194,14 +194,14 @@ def _read_polar_samples(path: Path):
         parts = stripped.split(",")
         if len(parts) != 4:
             raise ConfigurationError(f"{where}: expected 'r,theta,re,im'")
-        try:
-            r, theta, re, im = (float(p) for p in parts)
+        try:  # parses the text; _field refuses the numbers it reads
+            fields = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigurationError(f"{where}: {exc}") from exc
-        if not (math.isfinite(r) and r >= 0.0):
-            raise ConfigurationError(f"{where}: r={r!r} must be finite and >= 0")
-        if not all(map(math.isfinite, (theta, re, im))):
-            raise ConfigurationError(f"{where}: theta, re and im must be finite")
+        r, theta, re, im = (
+            _field(name, x, f"{where}: ", minimum=0.0 if name == "r" else None)
+            for name, x in zip(("r", "theta", "re", "im"), fields)
+        )
         rows.append((number, r, theta, complex(re, im)))
     if not rows:
         raise ConfigurationError(f"samples {path}: no data rows")

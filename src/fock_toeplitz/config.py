@@ -8,7 +8,6 @@ sample files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 import yaml
 
 from .criterion import DEFAULT_VERDICT_MULTIPLIER
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError, number
 from .operators import MAX_TRUNCATION
 from .special_functions import DEFAULT_QUADRATURE, MAX_NODE_COUNT, QuadratureSpec
 from .symbols import DEFAULT_DROP_FLOOR, RadialProfile, SymbolSpec
@@ -49,64 +48,47 @@ def _fail(name: str, message: str):
     raise ConfigurationError(f"field {name!r}: {message}")
 
 
-def _as_number(name: str, value, *, minimum=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(name, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        _fail(name, "must be finite")
-    if minimum is not None and value < minimum:
-        _fail(name, f"must be >= {minimum}, got {value}")
-    return value
+def _field(name: str, value, where: str = "", **domain):
+    """:func:`errors.number` of field ``name`` (same keywords), refused by a
+    :class:`ConfigurationError` "{where}field 'name': must be ..., got ..."."""
+    try:
+        return number(name, value, **domain)
+    except DomainError as exc:
+        message = str(exc).removeprefix(f"{name} ")
+        raise ConfigurationError(f"{where}field {name!r}: {message}") from None
 
 
-def _as_int(name: str, value, *, minimum=None, maximum=None) -> int:
-    number = _as_number(name, value, minimum=minimum)
-    if int(number) != number:
-        _fail(name, f"expected an integer, got {value!r}")
-    if maximum is not None and number > maximum:
-        _fail(name, f"must not exceed {maximum}, got {int(number)}")
-    return int(number)
-
-
-def _as_complex(name: str, value) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+def _complex_field(name: str, value) -> complex:
+    """A complex field: a real number or an [re, im] pair of them."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(
-            _as_number(f"{name}[0]", value[0]), _as_number(f"{name}[1]", value[1])
-        )
-    _fail(name, f"expected a number or [re, im] pair, got {value!r}")
+        return complex(_field(f"{name}[0]", value[0]), _field(f"{name}[1]", value[1]))
+    return complex(_field(name, value))
 
 
 def build_profile(mode: dict, where: str) -> RadialProfile:
     """RadialProfile from a {kind, parameters} mapping."""
     kind = mode.get("kind")
     if kind == "monomial":
-        return RadialProfile.monomial(_as_number(f"{where}.power", mode.get("power"), minimum=0.0))
+        return RadialProfile.monomial(_field(f"{where}.power", mode.get("power"), minimum=0.0))
     if kind == "polynomial":
         coefficients = mode.get("coefficients")
         if not isinstance(coefficients, list) or not coefficients:
             _fail(f"{where}.coefficients", "expected a nonempty list")
         return RadialProfile.polynomial(
-            [_as_complex(f"{where}.coefficients[{i}]", c) for i, c in enumerate(coefficients)]
+            [_complex_field(f"{where}.coefficients[{i}]", c) for i, c in enumerate(coefficients)]
         )
     if kind == "exp_decay":
-        rate = _as_number(f"{where}.rate", mode.get("rate", 1.0))
-        if rate <= 0:
-            _fail(f"{where}.rate", "must be positive")
-        scale = _as_complex(f"{where}.scale", mode.get("scale", 1.0))
+        rate = _field(f"{where}.rate", mode.get("rate", 1.0), above=0.0)
+        scale = _complex_field(f"{where}.scale", mode.get("scale", 1.0))
         return RadialProfile.from_callable(
             lambda r, _a=scale, _b=rate: _a * np.exp(-_b * np.asarray(r, dtype=float)),
             growth_exponent=0.0,
             growth_constant=max(abs(scale), 1e-300),
         )
     if kind == "gauss_decay":
-        rate = _as_number(f"{where}.rate", mode.get("rate", 1.0))
-        if rate <= 0:
-            _fail(f"{where}.rate", "must be positive")
-        scale = _as_complex(f"{where}.scale", mode.get("scale", 1.0))
-        power = _as_number(f"{where}.power", mode.get("power", 0.0), minimum=0.0)
+        rate = _field(f"{where}.rate", mode.get("rate", 1.0), above=0.0)
+        scale = _complex_field(f"{where}.scale", mode.get("scale", 1.0))
+        power = _field(f"{where}.power", mode.get("power", 0.0), minimum=0.0)
         return RadialProfile.gaussian_terms([(scale, power, rate)])
     if kind == "zero":
         return RadialProfile.zero()
@@ -125,7 +107,7 @@ def build_symbol(document: dict, where: str) -> SymbolSpec:
     for index, mode in enumerate(modes_doc):
         if not isinstance(mode, dict):
             _fail(f"{where}.modes[{index}]", "expected a mapping")
-        j = _as_int(f"{where}.modes[{index}].j", mode.get("j"))
+        j = _field(f"{where}.modes[{index}].j", mode.get("j"), integer=True)
         if j in modes:
             _fail(f"{where}.modes[{index}].j", f"duplicate mode j={j}")
         modes[j] = build_profile(mode, f"{where}.modes[{index}]")
@@ -157,7 +139,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     raw_s = document.get("s_values", [0.0])
     if not isinstance(raw_s, list) or not raw_s:
         _fail("s_values", "expected a nonempty list")
-    s_values = [_as_number(f"s_values[{i}]", v, minimum=0.0) for i, v in enumerate(raw_s)]
+    s_values = [_field(f"s_values[{i}]", v, minimum=0.0) for i, v in enumerate(raw_s)]
     for i, s in enumerate(s_values):
         if s in s_values[:i]:
             _fail(f"s_values[{i}]", f"repeats s_values[{s_values.index(s)}] = {s!r}")
@@ -178,21 +160,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if key not in defaults and key != "node_count":
             _fail(f"tolerances.{key}", "unknown field")
     node_count = tolerances.get("node_count", DEFAULT_QUADRATURE.node_count)
-    node_count = _as_int("tolerances.node_count", node_count, minimum=2, maximum=MAX_NODE_COUNT)
-    positive = {}
-    for key, default in defaults.items():
-        positive[key] = _as_number(f"tolerances.{key}", tolerances.get(key, default))
-        if positive[key] <= 0:
-            _fail(f"tolerances.{key}", "must be positive")
+    node_count = _field(
+        "tolerances.node_count", node_count, minimum=2, maximum=MAX_NODE_COUNT, integer=True
+    )
+    positive = {
+        key: _field(f"tolerances.{key}", tolerances.get(key, default), above=0.0)
+        for key, default in defaults.items()
+    }
 
-    k_max = _as_int("k_max", document.get("k_max", 12), minimum=1)
+    k_max = _field("k_max", document.get("k_max", 12), minimum=1, integer=True)
     mode_span = max(
         [abs(j) for sym in (u, v) if sym is not None for j in sym.mode_indices] or [1]
     )
-    j_max = _as_int("j_max", document.get("j_max", mode_span), minimum=1)
+    j_max = _field("j_max", document.get("j_max", mode_span), minimum=1, integer=True)
     if "N" not in document:
         _fail("N", "required field is missing")
-    n_value = _as_int("N", document.get("N"), minimum=1, maximum=MAX_TRUNCATION)
+    n_value = _field("N", document.get("N"), minimum=1, maximum=MAX_TRUNCATION, integer=True)
 
     assert_commutation = document.get("assert_commutation", True)
     if not isinstance(assert_commutation, bool):

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, is_integer
+from .errors import DomainError, PreconditionError, number
 from .fock_space import SobolevOrder, order_value
 from .mellin import mellin_weighted_cached
 from .operators import (
@@ -106,11 +105,8 @@ def _commutes(window_residual: float, comm: TruncatedOperator, multiplier: float
 def _cell(j, k, s) -> tuple[int, int, float]:
     """j, k and the order of a cell, refused outside k >= 0, j + k >= 0
     (both integers) and beyond the Gamma-argument cap."""
-    if not is_integer(k) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    if not is_integer(j) or j + k < 0:
-        raise DomainError(f"need integer j with j + k >= 0, got j={j!r}, k={k!r}")
-    sv, j, k = order_value(s), int(j), int(k)
+    k = number("k", k, minimum=0, integer=True)
+    j, sv = number("j", j, minimum=-k, integer=True), order_value(s)
     _check_gamma_argument(sv, k, j)
     return j, k, sv
 
@@ -301,7 +297,7 @@ def _cells(
     diagonals just built.  Building T_u checks N by toeplitz_matrix's rule."""
     op_u = toeplitz_matrix(SymbolSpec.from_modes({0: u}, name="u"), s, N, quad)
     N = op_u.size
-    k_max = max(N - 2 * v.max_mode - 1, 0) if k_max is None else int(k_max)
+    k_max = max(N - 2 * v.max_mode - 1, 0) if k_max is None else k_max
     _require_window(N, k_max, v)
     _check_gamma_argument(s, k_max, max(v.mode_indices, default=0))
     comm = commutator(op_u, toeplitz_matrix(v, s, N, quad))
@@ -345,8 +341,7 @@ def commutator_cross_check(
     discrepancy zero.
     """
     sv = order_value(s)
-    if k_max is not None and (not is_integer(k_max) or k_max < 0):
-        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+    k_max = k_max if k_max is None else number("k_max", k_max, minimum=0, integer=True)
     cells, comm = _cells(u, v, sv, N, k_max, quad)
 
     def over_norms(profile, j, k):  # Psi~_j(k+s) and its error; H(k+s) at j = 0
@@ -401,12 +396,8 @@ def functional_equation_residuals(
                                             inconsistency at tested indices)
     """
     sv = order_value(s)
-    if not is_integer(k_max) or k_max < 1:
-        raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
-    real = isinstance(verdict_multiplier, numbers.Real) and not isinstance(verdict_multiplier, bool)
-    if not (real and 0.0 < verdict_multiplier < math.inf):
-        raise DomainError(f"verdict_multiplier must be finite and > 0, got {verdict_multiplier!r}")
-    k_max = int(k_max)
+    k_max = number("k_max", k_max, minimum=1, integer=True)
+    verdict_multiplier = number("verdict_multiplier", verdict_multiplier, above=0.0)
     if N is None:
         N = k_max + 2 * v.max_mode + 2
     cells, comm = _cells(u, v, sv, N, k_max, quad)
@@ -420,7 +411,7 @@ def functional_equation_residuals(
         verdict=_decide(cells, v.mode_indices, window_residual, in_force, verdict_multiplier),
         commutation_asserted=bool(assert_commutation),
         matrix_window_residual=window_residual,
-        verdict_multiplier=float(verdict_multiplier),
+        verdict_multiplier=verdict_multiplier,
         truncation_size=comm.size,
         quad_abs_tol=quad.abs_tol,
         quad_rel_tol=quad.rel_tol,
@@ -478,12 +469,8 @@ def periodicity_probe(
     grows).  Constant u gives zero within the error estimate.
     """
     order_value(s)  # refuses a bad order, though H does not depend on it
-    if not is_integer(j) or j < 1:
-        raise DomainError(f"period j must be a positive integer, got {j!r}")
-    z = [float(point) for point in z_grid]
-    for point in z:
-        if not (math.isfinite(point) and point > -1.0):
-            raise DomainError(f"grid point {point!r} must be finite, in the half-plane z > -1")
+    j = number("period j", j, minimum=1, integer=True)
+    z = [number(f"z_grid[{i}]", point, above=-1.0) for i, point in enumerate(z_grid)]
     if not z:
         return 0.0, 0.0
     _check_gamma_argument(0.0, max(z), j)

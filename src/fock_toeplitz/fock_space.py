@@ -9,13 +9,10 @@ module sums with a certified geometric tail bound.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, number, point
 from .special_functions import log_gamma
 
 __all__ = [
@@ -33,25 +30,17 @@ KERNEL_TERM_CAP = 512
 
 @dataclass(frozen=True)
 class SobolevOrder:
-    """The nonnegative real order selecting the space and density; a bool is none."""
+    """The nonnegative real order selecting the space and density."""
 
     s: float
 
     def __post_init__(self):
-        try:
-            s = math.nan if isinstance(self.s, (bool, np.bool_)) else float(self.s)
-        except (TypeError, ValueError, OverflowError):
-            s = math.nan  # refused below, naming the value as given
-        if not math.isfinite(s) or s < 0.0:
-            raise DomainError(f"Sobolev order must be finite and >= 0, got {self.s!r}")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", number("s", self.s, minimum=0.0))
 
 
 def order_value(s: "float | SobolevOrder") -> float:
     """Validated float value of an order given as a number or SobolevOrder."""
-    if isinstance(s, SobolevOrder):
-        return s.s
-    return SobolevOrder(s).s
+    return s.s if isinstance(s, SobolevOrder) else number("s", s, minimum=0.0)
 
 
 @dataclass(frozen=True)
@@ -72,11 +61,9 @@ def density(z: complex, s: "float | SobolevOrder") -> float:
     domain (0 below double range); a non-finite z, or a density beyond
     double range, is refused with a :class:`DomainError`."""
     sv = order_value(s)
-    r = abs(complex(z))
-    if not math.isfinite(r):
-        raise DomainError(f"density point z must be finite, got {z!r}")
-    if r == 0.0:
-        return 1.0 / math.pi if sv == 0.0 else 0.0
+    r = abs(point("density point z", z))  # inf where a finite z's modulus overflows
+    if r == 0.0 or r == math.inf:
+        return 1.0 / math.pi if sv == 0.0 and r == 0.0 else 0.0
     try:
         return math.exp(2.0 * sv * math.log(r) - r * r) / math.pi
     except OverflowError:
@@ -97,12 +84,8 @@ def kernel_eval(
     large that the term cap would be exceeded.
     """
     sv = order_value(s)
-    if not (abs_tol > 0.0):
-        raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
-    for name, point in (("z", z), ("w", w)):
-        if not cmath.isfinite(complex(point)):
-            raise DomainError(f"kernel point {name} must be finite, got {point!r}")
-    q = complex(z) * complex(w).conjugate()
+    abs_tol = number("abs_tol", abs_tol, above=0.0)
+    q = point("kernel point z", z) * point("kernel point w", w).conjugate()
     term = complex(math.exp(-log_gamma(sv + 1.0)))
     total = term
     if q == 0:

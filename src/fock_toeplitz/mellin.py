@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, number
 from .fock_space import SobolevOrder, order_value
 from .special_functions import (
     DEFAULT_QUADRATURE,
@@ -150,7 +150,8 @@ def mellin_weighted(
     (zeta + 2s <= 0) and propagates :class:`AccuracyError` from the
     quadrature engine on non-convergence.
     """
-    log_scale, values, errors, failures = _column(v, order_value(s), np.array([float(zeta)]), spec)
+    zetas = np.array([number("zeta", zeta)])
+    log_scale, values, errors, failures = _column(v, order_value(s), zetas, spec)
     if failures:
         raise failures[0]
     return MellinValue(complex(values[0]), float(errors[0]), float(log_scale[0]))

@@ -35,7 +35,6 @@ never stored, and names the symbol of that call.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import math
@@ -45,7 +44,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, PreconditionError, is_integer
+from .errors import AccuracyError, DomainError, PreconditionError, number, point
 from .fock_space import SobolevOrder, order_value
 from .mellin import _columns
 from .special_functions import DEFAULT_QUADRATURE, QuadratureSpec, log_gamma, log_gamma_array
@@ -93,7 +92,8 @@ class TruncatedOperator:
     <T e_m, e_n> is a lazy, read-only dense view, built on first read.
     ``exactness_window`` is the largest W such that entries with both
     indices <= W are free of truncation leakage under composition.
-    ``entry_error`` bounds the absolute quadrature error of any single entry.
+    ``entry_error`` bounds the absolute quadrature error of any single entry
+    (inf: no bound is known).
     """
 
     diagonals: dict[int, np.ndarray]
@@ -104,24 +104,22 @@ class TruncatedOperator:
     entry_error: float = 0.0
 
     def __post_init__(self):
-        n, band, error = self.size, self.exact_band, self.entry_error
-        op = f"operator {self.label!r}"
-        if not is_integer(n) or n < 1:
-            raise DomainError(f"{op}: size must be an integer >= 1, got {n!r}")
-        if not _at_least_zero(self.s, finite=True):
-            raise DomainError(f"{op}: s must be finite and >= 0, got {self.s!r}")
-        if not is_integer(band) or band < 0:
-            raise DomainError(f"{op}: exact_band must be an integer >= 0, got {band!r}")
-        if not _at_least_zero(error):  # nan fails too; an infinite bound stands
-            raise DomainError(f"{op}: entry_error must be >= 0, got {error!r}")
-        for d in self.diagonals:
-            if not is_integer(d):
-                raise DomainError(f"{op}: diagonal key {d!r} is not an integer")
+        op, error = f"operator {self.label!r}:", self.entry_error
+        scalars = {
+            "size": number(f"{op} size", self.size, minimum=1, integer=True),
+            "s": number(f"{op} s", self.s, minimum=0.0),
+            "exact_band": number(f"{op} exact_band", self.exact_band, minimum=0, integer=True),
+            # an infinite bound stands
+            "entry_error": error if isinstance(error, float) and error == math.inf
+            else number(f"{op} entry_error", error, minimum=0.0),
+        }
+        n, band = scalars["size"], scalars["exact_band"]
+        keys = {number(f"{op} diagonal key", d, integer=True): d for d in self.diagonals}
         diagonals = {}
-        for d in sorted(self.diagonals):
-            where = f"{op}: diagonal d={d}"
+        for d in sorted(keys):
+            where = f"{op} diagonal d={d}"
             try:  # a read-only view: the caller's array keeps its own flags
-                values = np.asarray(self.diagonals[d], dtype=complex).view()
+                values = np.asarray(self.diagonals[keys[d]], dtype=complex).view()
             except (TypeError, ValueError):
                 raise DomainError(f"{where}: entries must be numbers") from None
             if abs(d) > band:
@@ -129,8 +127,9 @@ class TruncatedOperator:
             if abs(d) >= n or values.shape != (n - abs(d),):
                 need = f"N={n} needs shape ({max(n - abs(d), 0)},)"
                 raise DomainError(f"{where} at {need}, got {values.shape}")
-            diagonals[int(d)] = _read_only_finite(values, d, where)
-        object.__setattr__(self, "diagonals", diagonals)
+            diagonals[d] = _read_only_finite(values, d, where)
+        for field, value in {**scalars, "diagonals": diagonals}.items():
+            object.__setattr__(self, field, value)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -176,15 +175,6 @@ def _operator(diagonals, size, s, band, label, error, finite=True, max_abs=None)
     return op
 
 
-def _at_least_zero(value, finite: bool = False) -> bool:
-    """Whether ``value`` is a number >= 0, and finite when ``finite``; nan and a bool fail."""
-    try:
-        number = value >= 0.0 and not isinstance(value, (bool, np.bool_))
-        return number and (not finite or math.isfinite(value))
-    except (TypeError, ValueError):
-        return False
-
-
 def _read_only_finite(values: np.ndarray, d: int, where: str) -> np.ndarray:
     """Diagonal ``d``'s ``values`` made read-only, or its first non-finite entry refused."""
     if not np.isfinite(values).all():
@@ -209,12 +199,6 @@ def _basis_grid(s: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 def _kernel_tail_log(r: float, s: float, n: int) -> float:
     """log of the kernel tail indicator r^(2n) / Gamma(s+n+1), for r > 0."""
     return 2.0 * n * math.log(r) - log_gamma(s + n + 1.0)
-
-
-def _truncation(N: int) -> int:
-    if not is_integer(N) or N < 1 or N > MAX_TRUNCATION:
-        raise DomainError(f"N must be an integer in [1, {MAX_TRUNCATION}], got {N!r}")
-    return int(N)
 
 
 def _scaled(column: tuple, j: int, m: np.ndarray, log_norms: np.ndarray, name: str):
@@ -301,7 +285,7 @@ def toeplitz_matrix(
     entry in mode order.
     """
     sv = order_value(s)
-    N = _truncation(N)
+    N = number("N", N, minimum=1, maximum=MAX_TRUNCATION, integer=True)
     items = [(j, profile) for j, profile in spec.mode_items if abs(j) < N]
     diagonals, worst_error, largest = {}, 0.0, 0.0
     for (j, _), (values, _, error, peak) in zip(items, _diagonals(items, sv, N, quad, spec.name)):
@@ -322,7 +306,7 @@ def radial_eigenvalues(
     closed form Gamma(s+k+1) / (2 pi).
     """
     sv = order_value(s)
-    N = _truncation(N)
+    N = number("N", N, minimum=1, maximum=MAX_TRUNCATION, integer=True)
     return _diagonals([(0, v0)], sv, N, quad, "radial")[0][0].copy()
 
 
@@ -394,12 +378,7 @@ def berezin(a: TruncatedOperator, z: complex) -> complex:
     :class:`DomainError` asks for a larger truncation.  At z = 0 it is
     A[0, 0].
     """
-    try:
-        z = complex(z)
-    except (TypeError, ValueError):
-        raise DomainError(f"Berezin point z must be finite, got {z!r}") from None
-    if not cmath.isfinite(z):
-        raise DomainError(f"Berezin point z must be finite, got {z!r}")
+    z = point("Berezin point z", z)
     if z == 0.0:
         first = a.diagonals.get(0)
         return 0j if first is None else complex(first[0])
@@ -428,12 +407,8 @@ def berezin(a: TruncatedOperator, z: complex) -> complex:
 
 def window_max_abs(a: TruncatedOperator, window: int) -> float:
     """Largest entry magnitude over indices n, m <= window."""
-    if not is_integer(window) or window < 0 or window >= a.size:
-        raise PreconditionError(
-            f"window must be an integer in [0, {a.size - 1}], got {window!r}"
-        )
     # the first w - |d| entries of diagonal d have both indices below w
-    w = int(window) + 1
+    w = number("window", window, minimum=0, maximum=a.size - 1, integer=True) + 1
     if w == a.size:
         return a.max_abs
     return _max_abs(values[: w - abs(d)] for d, values in a.diagonals.items() if abs(d) < w)
@@ -446,12 +421,7 @@ def _max_abs(arrays) -> float:
 def min_truncation_size(max_abs_z: float, s: "float | SobolevOrder") -> int:
     """Smallest N >= 8 meeting the Berezin tail precondition for |z| <= max_abs_z."""
     sv = order_value(s)
-    try:
-        r = math.nan if isinstance(max_abs_z, (bool, np.bool_)) else float(max_abs_z)
-    except (TypeError, ValueError):
-        r = math.nan  # refused below, by name
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"max_abs_z must be finite and >= 0, got {max_abs_z!r}")
+    r = number("max_abs_z", max_abs_z, minimum=0.0)
     for n in range(8, MAX_TRUNCATION + 1):
         if r == 0.0 or _kernel_tail_log(r, sv, n) <= math.log(_KERNEL_TAIL_TOL):
             return n

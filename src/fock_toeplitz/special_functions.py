@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, is_integer
+from .errors import AccuracyError, DomainError, number
 
 __all__ = [
     "QuadratureSpec",
@@ -111,10 +111,7 @@ def log_gamma(x: float) -> float:
     Delegates to the C library ``lgamma``, whose relative error is a few ulp
     (far below the 1e-13 contract) throughout (0, 1e6].
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
+    return math.lgamma(number("log_gamma argument x", x, above=0.0))
 
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
@@ -134,10 +131,8 @@ def tail_radius(alpha_max, abs_tol: float):
     as array operations; numpy's ``log`` may differ from ``math.log`` in the
     last ulp, which can move R by an ulp for about one alpha in 10^4.
     """
-    if abs_tol <= 0.0:
-        raise DomainError("abs_tol must be positive")
     alpha_max = np.asarray(alpha_max, dtype=float)
-    target = math.log(10.0 / abs_tol) + 0.1
+    target = math.log(10.0 / number("abs_tol", abs_tol, above=0.0)) + 0.1
     growth = np.maximum(alpha_max, 0.0)
     r = np.maximum(2.0, np.sqrt(np.maximum(alpha_max, 1.0)))
     for _ in range(64):
@@ -172,13 +167,10 @@ class QuadratureSpec:
     rel_tol: float = 1e-11
 
     def __post_init__(self):
-        if not is_integer(self.node_count) or not 2 <= self.node_count <= MAX_NODE_COUNT:
-            bound = f"an integer in [2, {MAX_NODE_COUNT}]"
-            raise DomainError(f"node_count must be {bound}, got {self.node_count!r}")
+        count = {"minimum": 2, "maximum": MAX_NODE_COUNT, "integer": True}
+        object.__setattr__(self, "node_count", number("node_count", self.node_count, **count))
         for name in ("tail_cutoff", "abs_tol", "rel_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, number(name, getattr(self, name), above=0.0))
 
     @classmethod
     def for_exponent(
@@ -424,10 +416,8 @@ def gaussian_weighted_columns(
             raise DomainError(
                 f"exponent alpha must be finite and > 0, got {float(alphas[np.argmax(bad)])!r}"
             )
-        if not (math.isfinite(growth_exponent) and growth_exponent >= 0.0):
-            raise DomainError(f"growth_exponent must be finite and >= 0, got {growth_exponent!r}")
-        if not (math.isfinite(growth_constant) and growth_constant > 0.0):
-            raise DomainError(f"growth_constant must be finite and positive, got {growth_constant!r}")
+        number("growth_exponent", growth_exponent, minimum=0.0)
+        number("growth_constant", growth_constant, above=0.0)
         columns.append(alphas)
     sizes = [alphas.size for alphas in columns]
     part, alphas = np.repeat(np.arange(len(parts)), sizes), np.concatenate(columns)
@@ -539,8 +529,7 @@ def gaussian_weighted_columns(
         finite = np.isfinite(current) & np.isfinite(l1_mass)
         for row in active[~finite].tolist():
             failures[row] = AccuracyError(
-                "quadrature level sum is not finite (overflows double range) "
-                f"for alpha={alphas[row]:g}",
+                f"quadrature level sum is not finite for alpha={alphas[row]:g}",
                 estimate=math.inf,
             )
         diff = np.abs(current - before)

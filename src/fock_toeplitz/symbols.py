@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ClassificationError, DomainError, PreconditionError, is_integer
+from .errors import ClassificationError, DomainError, PreconditionError, number, point
 from .special_functions import pointwise
 
 __all__ = [
@@ -60,16 +60,10 @@ class RadialProfile:
     evaluator: Callable | None = None
 
     def __post_init__(self):
-        for field in ("growth_exponent", "growth_constant"):
-            value = getattr(self, field)
-            try:
-                object.__setattr__(self, field, float(value))
-            except (TypeError, ValueError):
-                raise DomainError(f"{field} must be a real number, got {value!r}") from None
-        if not (math.isfinite(self.growth_exponent) and self.growth_exponent >= 0.0):
-            raise DomainError("growth_exponent must be finite and >= 0")
-        if not (math.isfinite(self.growth_constant) and self.growth_constant > 0.0):
-            raise DomainError("growth_constant must be finite and positive")
+        exponent = number("growth_exponent", self.growth_exponent, minimum=0.0)
+        object.__setattr__(self, "growth_exponent", exponent)
+        constant = number("growth_constant", self.growth_constant, above=0.0)
+        object.__setattr__(self, "growth_constant", constant)
 
     # -- constructors -------------------------------------------------------
 
@@ -82,10 +76,10 @@ class RadialProfile:
         sum |c| (1+r)^(max p).
         """
         merged: dict[tuple[float, float], complex] = {}
-        for c, p, b in terms:
-            c, p, b = complex(c), float(p), float(b)
-            if not (cmath.isfinite(c) and 0.0 <= p < math.inf and 0.0 <= b < math.inf):
-                raise DomainError(f"Gaussian term needs finite c and p, b >= 0, got {(c, p, b)!r}")
+        for i, (c, p, b) in enumerate(terms):
+            c = point(f"Gaussian term {i}: c", c)
+            p = number(f"Gaussian term {i}: p", p, minimum=0.0)
+            b = number(f"Gaussian term {i}: b", b, minimum=0.0)
             merged[(p, b)] = merged.get((p, b), 0j) + c
         kept = tuple((merged[key], *key) for key in sorted(merged) if merged[key] != 0)
         exponent = max((p for _, p, _ in kept), default=0.0)
@@ -260,15 +254,14 @@ def _checked_modes(items, name) -> tuple:
         except (TypeError, ValueError):
             pair = "an (index, profile) pair"
             raise DomainError(f"symbol {name!r}: mode {item!r} is not {pair}") from None
+        j = number(f"symbol {name!r}: mode index", j, integer=True)
         where = f"symbol {name!r}: mode index {j!r}"
-        if not is_integer(j):
-            raise DomainError(f"{where} is not an integer")
         if not isinstance(profile, RadialProfile):
             kind = type(profile).__name__
             raise DomainError(f"{where}: profile must be a RadialProfile, got {kind}")
-        if int(j) in checked:
+        if j in checked:
             raise DomainError(f"{where} is given more than once")
-        checked[int(j)] = profile
+        checked[j] = profile
     return tuple(checked.items())
 
 
@@ -278,7 +271,7 @@ def evaluate(spec: SymbolSpec, z: complex) -> complex:
     At z = 0 the angle is undefined, so modes j != 0 must vanish there;
     otherwise a :class:`DomainError` is raised.
     """
-    z = complex(z)
+    z = point("z", z)
     r = abs(z)
     if r == 0.0:
         total = 0j
@@ -305,6 +298,7 @@ def sample_polar(spec: SymbolSpec, radii: Sequence[float], n_angles: int) -> np.
     theta_m = 2 pi m / n_angles.
     """
     r = np.asarray(radii, dtype=float)
+    n_angles = number("n_angles", n_angles, minimum=1, integer=True)
     theta = 2.0 * math.pi * np.arange(n_angles) / n_angles
     out = np.zeros((r.size, n_angles), dtype=complex)
     for j, profile in spec.mode_items:
@@ -327,8 +321,8 @@ def decompose(
     stays below ``drop_floor`` across all radii are dropped; survivors are
     cubic interpolants in the radius, in a symbol named "decomposed".
     """
-    if not is_integer(j_max) or j_max < 1:
-        raise DomainError(f"j_max must be a positive integer, got {j_max!r}")
+    j_max = number("j_max", j_max, minimum=1, integer=True)
+    drop_floor = number("drop_floor", drop_floor, minimum=0.0)
     values = np.asarray(samples)
     r = np.asarray(radii, dtype=float)
     if values.ndim != 2 or values.shape[0] != r.size:
@@ -361,5 +355,5 @@ def polar_l2_norm(radii: Sequence[float], samples: np.ndarray, s: float) -> floa
     r = np.asarray(radii, dtype=float)
     values = np.asarray(samples)
     angular_mean = np.mean(np.abs(values) ** 2, axis=1)
-    integrand = angular_mean * r ** (2.0 * float(s) + 1.0) * np.exp(-(r**2))
+    integrand = angular_mean * r ** (2.0 * number("s", s, minimum=0.0) + 1.0) * np.exp(-(r**2))
     return math.sqrt(max(2.0 * float(np.trapezoid(integrand, r)), 0.0))

@@ -151,7 +151,8 @@ output: {directory: OUT}
         config = write(tmp_path, "c.yaml", text)
         assert main(["matrix", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "'tolerances.node_count'" in err and f"must not exceed 1024, got {count}" in err
+        assert "'tolerances.node_count'" in err
+        assert f"must be an integer in [2, 1024], got {count}" in err
         assert not (tmp_path / "out").exists()
         # the cap itself is accepted
         config.write_text(text.replace(str(count), "1024"))
@@ -437,11 +438,11 @@ output:
         "case, needle",
         [
             ("repeated row", "repeats line 39"),
-            ("nan radius", "r=nan must be finite and >= 0"),
-            ("infinite radius", "r=inf must be finite and >= 0"),
-            ("negative radius", "r=-0.5 must be finite and >= 0"),
-            ("nan value", "theta, re and im must be finite"),
-            ("infinite value", "theta, re and im must be finite"),
+            ("nan radius", "field 'r': must be finite and >= 0, got nan"),
+            ("infinite radius", "field 'r': must be finite and >= 0, got inf"),
+            ("negative radius", "field 'r': must be finite and >= 0, got -0.5"),
+            ("nan value", "field 're': must be finite, got nan"),
+            ("infinite value", "field 're': must be finite, got -inf"),
         ],
     )
     def test_bad_sample_rows_exit_2_naming_the_line(self, tmp_path, capsys, case, needle):
@@ -576,23 +577,27 @@ MODE = "{j: 0, kind: monomial, power: 0}"
 @pytest.mark.parametrize(
     "old, new, needle",
     [
-        ("N: 4", "N: four", "'N': expected a number"),
-        ("N: 4", "N: true", "'N': expected a number"),
-        ("N: 4", "N: 4.5", "'N': expected an integer"),
-        ("N: 4", "N: 0", "'N': must be >= 1"),
+        ("N: 4", "N: four", "'N': must be an integer in [1, 160], got 'four'"),
+        ("N: 4", "N: true", "'N': must be an integer in [1, 160], got True"),
+        ("N: 4", "N: 4.5", "'N': must be an integer in [1, 160], got 4.5"),
+        ("N: 4", "N: 0", "'N': must be an integer in [1, 160], got 0"),
         ("s_values: [0.0]", "s_values: [.nan]", "'s_values[0]': must be finite"),
-        ("s_values: [0.0]", "s_values: [-1.0]", "'s_values[0]': must be >= 0.0"),
+        ("s_values: [0.0]", "s_values: [-1.0]", "'s_values[0]': must be finite and >= 0, got -1.0"),
         ("s_values: [0.0]", "s_values: []", "'s_values': expected a nonempty list"),
-        ("k_max: 1", "k_max: 0", "'k_max': must be >= 1"),
-        ("j_max: 1", "j_max: 0", "'j_max': must be >= 1"),
-        (MODE, "{j: 0, kind: exp_decay, rate: 0}", "'u.modes[0].rate': must be positive"),
-        (MODE, "{j: 0, kind: gauss_decay, rate: -1.0}", "'u.modes[0].rate': must be positive"),
+        ("k_max: 1", "k_max: 0", "'k_max': must be an integer >= 1, got 0"),
+        ("j_max: 1", "j_max: 0", "'j_max': must be an integer >= 1, got 0"),
+        (MODE, "{j: 0, kind: exp_decay, rate: 0}",
+         "'u.modes[0].rate': must be finite and > 0, got 0"),
+        (MODE, "{j: 0, kind: gauss_decay, rate: -1.0}",
+         "'u.modes[0].rate': must be finite and > 0, got -1.0"),
         (MODE, "{j: 0, kind: bessel}", "'u.modes[0].kind': unknown profile kind 'bessel'"),
-        (MODE, "{j: 0, kind: monomial, power: -1}", "'u.modes[0].power': must be >= 0.0"),
+        (MODE, "{j: 0, kind: monomial, power: -1}",
+         "'u.modes[0].power': must be finite and >= 0, got -1"),
         (MODE, "{j: 0, kind: polynomial, coefficients: []}", "'u.modes[0].coefficients'"),
-        (MODE, "{j: 0, kind: polynomial, coefficients: [[1, 2, 3]]}", "coefficients[0]': expected"),
+        (MODE, "{j: 0, kind: polynomial, coefficients: [[1, 2, 3]]}",
+         "coefficients[0]': must be finite, got [1, 2, 3]"),
         (MODE, "{j: 0, kind: polynomial, coefficients: [[1, .inf]]}", "[0][1]': must be finite"),
-        (MODE, "{j: x, kind: zero}", "'u.modes[0].j': expected a number"),
+        (MODE, "{j: x, kind: zero}", "'u.modes[0].j': must be an integer, got 'x'"),
         (MODE, "5", "'u.modes[0]': expected a mapping"),
         ("  modes:\n    - " + MODE, "  modes: []", "'u.modes': expected a nonempty list"),
         (MODE, MODE + "\n    - {j: 0, kind: zero}", "'u.modes[1].j': duplicate mode j=0"),
@@ -602,10 +607,12 @@ MODE = "{j: 0, kind: monomial, power: 0}"
         ("", "tolerances: [1]\n", "'tolerances': expected a mapping"),
         ("", "tolerances: {quad_tol: 1}\n", "'tolerances.quad_tol': unknown field"),
         ("", "tolerances: {quad_abs: .inf}\n", "'tolerances.quad_abs': must be finite"),
-        ("", "tolerances: {quad_rel: 0}\n", "'tolerances.quad_rel': must be positive"),
+        ("", "tolerances: {quad_rel: 0}\n", "'tolerances.quad_rel': must be finite and > 0, got 0"),
         ("", "tolerances: {verdict_multiplier: -3}\n", "'tolerances.verdict_multiplier': must be"),
-        ("", "tolerances: {drop_floor: 0}\n", "'tolerances.drop_floor': must be positive"),
-        ("", "tolerances: {node_count: 1}\n", "'tolerances.node_count': must be >= 2"),
+        ("", "tolerances: {drop_floor: 0}\n",
+         "'tolerances.drop_floor': must be finite and > 0, got 0"),
+        ("", "tolerances: {node_count: 1}\n",
+         "'tolerances.node_count': must be an integer in [2, 1024], got 1"),
         ("", "assert_commutation: 'yes'\n", "'assert_commutation': expected true/false"),
         ("", "output: 7\n", "'output': expected a mapping"),
         ("", "output: {formats: []}\n", "'output.formats': expected a nonempty list"),

@@ -32,20 +32,20 @@ class TestSobolevOrder:
         "bad", ["x", None, 1j, pytest.param(10**400, id="10**400"), True, False, np.True_]
     )
     def test_non_numbers_are_refused_by_name(self, bad):
-        refusal = "^" + re.escape(f"Sobolev order must be finite and >= 0, got {bad!r}") + "$"
+        refusal = "^" + re.escape(f"s must be finite and >= 0, got {bad!r}") + "$"
         with pytest.raises(DomainError, match=refusal):
             order_value(bad)
 
     def test_entry_points_refuse_a_non_number_order_by_name(self):
         spec = SymbolSpec.from_modes({1: RadialProfile.monomial(1.0)}, name="z")
-        with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got 'x'$"):
+        with pytest.raises(DomainError, match=r"^s must be finite and >= 0, got 'x'$"):
             toeplitz_matrix(spec, "x", 8)
-        with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got None$"):
+        with pytest.raises(DomainError, match=r"^s must be finite and >= 0, got None$"):
             phi(1, 0, None, RadialProfile.monomial(2.0))
         # a bool is no order: True read as s = 1.0, False as s = 0
-        with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got True$"):
+        with pytest.raises(DomainError, match=r"^s must be finite and >= 0, got True$"):
             toeplitz_matrix(spec, True, 4)
-        with pytest.raises(DomainError, match=r"^Sobolev order must be finite and >= 0, got False$"):
+        with pytest.raises(DomainError, match=r"^s must be finite and >= 0, got False$"):
             radial_eigenvalues(RadialProfile.monomial(2.0), False, 3)
 
 

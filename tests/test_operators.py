@@ -629,9 +629,9 @@ class TestWindowMaxAbs:
 
     def test_bounds(self):
         identity = TruncatedOperator({0: np.ones(5)}, 5, 0.0, 0, "id")
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match=r"^window must be an integer in \[0, 4\], got 5$"):
             window_max_abs(identity, 5)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match=r"^window must be an integer in \[0, 4\], got -1$"):
             window_max_abs(identity, -1)
 
 
@@ -670,11 +670,11 @@ class TestTruncatedOperator:
             ("exact_band", 1.5, "exact_band must be an integer >= 0, got 1.5"),
             ("exact_band", -1, "exact_band must be an integer >= 0, got -1"),
             ("exact_band", True, "exact_band must be an integer >= 0, got True"),
-            ("entry_error", math.nan, "entry_error must be >= 0, got nan"),
-            ("entry_error", -1e-16, "entry_error must be >= 0, got -1e-16"),
-            ("entry_error", "e", "entry_error must be >= 0, got 'e'"),
-            ("entry_error", None, "entry_error must be >= 0, got None"),
-            ("entry_error", True, "entry_error must be >= 0, got True"),
+            ("entry_error", math.nan, "entry_error must be finite and >= 0, got nan"),
+            ("entry_error", -1e-16, "entry_error must be finite and >= 0, got -1e-16"),
+            ("entry_error", "e", "entry_error must be finite and >= 0, got 'e'"),
+            ("entry_error", None, "entry_error must be finite and >= 0, got None"),
+            ("entry_error", True, "entry_error must be finite and >= 0, got True"),
         ],
     )
     def test_bad_scalar_field_refused_by_label_and_field(self, field, value, message):
@@ -683,7 +683,8 @@ class TestTruncatedOperator:
             TruncatedOperator({0: np.ones(3)}, 3, label="bad", **fields)
 
     def test_diagonal_key_that_is_not_an_integer_refused(self):
-        with pytest.raises(DomainError, match=r"'bad': diagonal key 0.5 is not an integer"):
+        refusal = r"^operator 'bad': diagonal key must be an integer, got 0\.5$"
+        with pytest.raises(DomainError, match=refusal):
             TruncatedOperator({0: np.ones(3), 0.5: np.ones(3)}, 3, 0.0, 1, "bad")
 
     @pytest.mark.parametrize("values", [["a", "b", "c"], [1.0, 2.0, "x"], [1.0, object(), 2.0]])
@@ -772,7 +773,7 @@ SIZED_CALLS = {
         "N must",
     ),
     "TruncatedOperator": (_unit_operator, DomainError, "size must"),
-    "window_max_abs": (lambda x: window_max_abs(_unit_operator(3), x), PreconditionError, "window must"),
+    "window_max_abs": (lambda x: window_max_abs(_unit_operator(3), x), DomainError, "window must"),
     "QuadratureSpec": (lambda x: QuadratureSpec(node_count=x), DomainError, "node_count must"),
 }
 

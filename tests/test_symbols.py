@@ -85,7 +85,8 @@ class TestRadialProfile:
     def test_growth_that_is_not_a_number_is_refused_by_name(self, growth, field):
         # float() alone raises ValueError for 'x' and TypeError for None
         value = growth[field == "growth_constant"]
-        refusal = re.escape(f"{field} must be a real number, got {value!r}")
+        domain = "finite and >= 0" if field == "growth_exponent" else "finite and > 0"
+        refusal = re.escape(f"{field} must be {domain}, got {value!r}")
         with pytest.raises(DomainError, match="^" + refusal + "$"):
             RadialProfile.from_callable(lambda r: np.exp(-np.asarray(r)), *growth)
         with pytest.raises(DomainError, match="^" + refusal + "$"):
@@ -158,9 +159,9 @@ class TestSymbolSpec:
         "modes, refusal",
         [
             # it was truncated to mode 1
-            ({1.5: RadialProfile.monomial(1.0)}, "mode index 1.5 is not an integer"),
+            ({1.5: RadialProfile.monomial(1.0)}, "mode index must be an integer, got 1.5"),
             # it was taken as mode 1
-            ({True: RadialProfile.monomial(1.0)}, "mode index True is not an integer"),
+            ({True: RadialProfile.monomial(1.0)}, "mode index must be an integer, got True"),
             # it raised an AttributeError
             (
                 [(1, RadialProfile.monomial(1.0))],
@@ -180,8 +181,8 @@ class TestSymbolSpec:
 
     @pytest.mark.parametrize("index", [0.5, "1", None, math.nan, math.inf, True, np.bool_(False)])
     def test_an_index_that_is_not_an_integer_is_refused(self, index):
-        refusal = f"symbol 'v': mode index {index!r} is not an integer"
-        with pytest.raises(DomainError, match=re.escape(refusal)):
+        refusal = f"symbol 'v': mode index must be an integer, got {index!r}"
+        with pytest.raises(DomainError, match="^" + re.escape(refusal) + "$"):
             SymbolSpec(((index, RadialProfile.monomial(1.0)),), "v")
 
     @pytest.mark.parametrize("profile", [lambda r: r, 2.0, None])
